@@ -40,16 +40,11 @@ def _grlex_key(expt):
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    `terms` maps exponent tuples (length = nvars) to nonzero Fractions.
-    `weights`, when given, assigns a positive integer weight to each variable
-    so weighted homogeneity can be queried (used for invariant-coordinate
-    rings where variable i carries the invariant degree d_i).
-    """
+    `terms` maps exponent tuples (length = nvars) to nonzero Fractions."""
 
-    __slots__ = ("nvars", "terms", "weights")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, ScalarLike] | None = None,
-                 weights: Sequence[int] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, ScalarLike] | None = None):
         self.nvars = nvars
         tidy = {}
         if terms:
@@ -62,25 +57,24 @@ class MultiPoly:
                     tidy[e] = tidy.get(e, Fraction(0)) + c
             tidy = {e: c for e, c in tidy.items() if c}
         self.terms = tidy
-        self.weights = tuple(weights) if weights is not None else None
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, nvars, weights=None):
-        return cls(nvars, {}, weights)
+    def zero(cls, nvars):
+        return cls(nvars, {})
 
     @classmethod
-    def const(cls, nvars, c, weights=None):
-        return cls(nvars, {(0,) * nvars: Fraction(c)}, weights)
+    def const(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars, i, weights=None):
+    def variable(cls, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)}, weights)
+        return cls(nvars, {tuple(e): Fraction(1)})
 
     @classmethod
-    def linear(cls, coeffs, weights=None):
+    def linear(cls, coeffs):
         """Linear form sum_i coeffs[i] * x_i."""
         n = len(coeffs)
         terms = {}
@@ -89,7 +83,7 @@ class MultiPoly:
                 e = [0] * n
                 e[i] = 1
                 terms[tuple(e)] = Fraction(c)
-        return cls(n, terms, weights)
+        return cls(n, terms)
 
     # -- basic queries ------------------------------------------------
     def is_zero(self):
@@ -108,23 +102,8 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degree(self, weights=None):
-        w = weights if weights is not None else self.weights
-        if w is None:
-            return self.degree()
-        if not self.terms:
-            return -1
-        return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms)
-
-    def is_homogeneous(self, weights=None):
-        w = weights if weights is not None else self.weights
-        if not self.terms:
-            return True
-        if w is None:
-            degs = {sum(e) for e in self.terms}
-        else:
-            degs = {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
-        return len(degs) == 1
+    def is_homogeneous(self):
+        return len({sum(e) for e in self.terms}) <= 1
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -141,12 +120,11 @@ class MultiPoly:
         p = MultiPoly.__new__(MultiPoly)
         p.nvars = self.nvars
         p.terms = terms
-        p.weights = self.weights
         return p
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other, self.weights)
+            other = MultiPoly.const(self.nvars, other)
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         t = dict(self.terms)
@@ -165,7 +143,7 @@ class MultiPoly:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other, self.weights)
+            other = MultiPoly.const(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -198,7 +176,7 @@ class MultiPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.const(self.nvars, 1, self.weights)
+        result = MultiPoly.const(self.nvars, 1)
         base = self
         while k:
             if k & 1:
@@ -242,10 +220,10 @@ class MultiPoly:
         if not values:
             raise ValueError("empty substitution")
         tgt = values[0].nvars
-        out = MultiPoly.zero(tgt, values[0].weights)
+        out = MultiPoly.zero(tgt)
         pow_cache = [{} for _ in range(self.nvars)]
         for e, c in self.terms.items():
-            term = MultiPoly.const(tgt, c, values[0].weights)
+            term = MultiPoly.const(tgt, c)
             for i, ei in enumerate(e):
                 if ei:
                     cache = pow_cache[i]
@@ -267,11 +245,7 @@ class MultiPoly:
             if any(e[i] for i in idx):
                 continue
             out[tuple(e[i] for i in keep)] = c
-        w = tuple(self.weights[i] for i in keep) if self.weights else None
-        return MultiPoly(len(keep), out, w)
-
-    def with_weights(self, weights):
-        return MultiPoly(self.nvars, self.terms, weights)
+        return MultiPoly(len(keep), out)
 
     # -- display ------------------------------------------------------
     def __repr__(self):
@@ -339,8 +313,8 @@ class LinearForm:
         scale = Fraction(sign * g, den)
         return cls(ints, labels), scale
 
-    def as_poly(self, weights=None):
-        return MultiPoly.linear(self.coeffs, weights)
+    def as_poly(self):
+        return MultiPoly.linear(self.coeffs)
 
     def evaluate(self, point):
         return sum(Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, point))
@@ -418,14 +392,14 @@ class FactoredDeterminant:
     def exponents_sorted(self):
         return sorted(self.factors.values())
 
-    def expand(self, nvars=None, weights=None):
+    def expand(self, nvars=None):
         if isinstance(self.coefficient, Unknown):
             raise ValueError("cannot expand with unknown coefficient")
         if nvars is None:
             nvars = len(next(iter(self.factors)).coeffs) if self.factors else 1
-        p = MultiPoly.const(nvars, self.coefficient, weights)
+        p = MultiPoly.const(nvars, self.coefficient)
         for f, k in self.factors.items():
-            p = p * (f.as_poly(weights) ** k)
+            p = p * (f.as_poly() ** k)
         return p
 
     def evaluate(self, point):
@@ -457,7 +431,7 @@ def det_cofactor(matrix):
     if n == 1:
         return matrix[0][0]
     nv = matrix[0][0].nvars
-    total = MultiPoly.zero(nv, matrix[0][0].weights)
+    total = MultiPoly.zero(nv)
     for j in range(n):
         a = matrix[0][j]
         if a.is_zero():
@@ -478,7 +452,7 @@ def det_bareiss(matrix):
         raise ValueError("empty matrix")
     m = [list(row) for row in matrix]
     nv = m[0][0].nvars
-    one = MultiPoly.const(nv, 1, m[0][0].weights)
+    one = MultiPoly.const(nv, 1)
     sign = 1
     prev = one
     for k in range(n - 1):
@@ -489,12 +463,12 @@ def det_bareiss(matrix):
                     sign = -sign
                     break
             else:
-                return MultiPoly.zero(nv, one.weights)
+                return MultiPoly.zero(nv)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = divide_exact(num, prev)
-            m[i][k] = MultiPoly.zero(nv, one.weights)
+            m[i][k] = MultiPoly.zero(nv)
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
@@ -542,7 +516,7 @@ def divide_exact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
                 rem[te] = s
             else:
                 rem.pop(te, None)
-    return MultiPoly(numerator.nvars, q, numerator.weights)
+    return MultiPoly(numerator.nvars, q)
 
 
 def try_divide(numerator, divisor):
@@ -563,7 +537,7 @@ def factor_linear(poly: MultiPoly, candidates: Iterable[LinearForm]) -> Factored
     factors = {}
     rest = poly
     for form in candidates:
-        fp = form.as_poly(poly.weights)
+        fp = form.as_poly()
         if fp.nvars != poly.nvars:
             raise ValueError("candidate form has wrong variable count")
         k = 0

@@ -43,9 +43,12 @@ class InputError(ValueError):
 
 
 def worker_count():
-    """Worker pool size: SAITO_STRATA_THREADS, default logical cores."""
+    """Worker pool size: SAITO_STRATA_THREADS, default the CPUs this
+    process may run on."""
     raw = os.environ.get("SAITO_STRATA_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         val = int(raw)
@@ -140,7 +143,7 @@ def cmd_predict(args):
     R = _group(args)
     I, word = _stratum_indices(R, args)
     D = make_stratum(R, I)
-    arr = restricted_arrangement(D, check_class=not args.fast)
+    arr = restricted_arrangement(D)
     fd = predict_determinant(D, arr)
     report = {
         "subcommand": "predict",
@@ -279,7 +282,7 @@ def cmd_tables(args):
     rows, diff = [], []
     for entry in golden:
         D = make_stratum(R, entry["simple_indices"])
-        arr = restricted_arrangement(D, check_class=False)
+        arr = restricted_arrangement(D)
         if kind == "det":
             fd = predict_determinant(D, arr)
             got = sorted((tuple(int(c) for c in f.coeffs), int(e))
@@ -363,7 +366,7 @@ def _verify_stratum(I):
 
     try:
         D = make_stratum(R, I)
-        arr = restricted_arrangement(D, check_class=True)
+        arr = restricted_arrangement(D)
         add("arrangement_class_consistency", True,
             f"{len(arr)} projective classes")
     except AssertionError as exc:
@@ -527,7 +530,8 @@ def build_parser():
                    help="interpret --roots vectors as raw ambient "
                         "coordinates instead of simple-basis coefficients")
     p.add_argument("--fast", action="store_true",
-                   help="skip the per-member projective class cross-checks")
+                   help="no effect, kept so existing command lines parse; "
+                        "the projective class check always runs")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("det", help="exact symbolic determinant")

@@ -151,22 +151,11 @@ class RootSystem:
             assert tuple(-x for x in r) in rootset
 
     # -- basic helpers ------------------------------------------------
-    def root_index(self, coeffs):
-        """Root from its integer simple-basis expansion."""
-        for r, e in self.expansion.items():
-            if e == tuple(coeffs):
-                return r
-        raise KeyError(coeffs)
-
     def reflect(self, i, v):
         """Simple reflection s_i applied to an ambient vector (i 0-based)."""
         a = self.simple[i]
         c = Fraction(2) * _dot(a, v) / _dot(a, a)
         return tuple(x - c * y for x, y in zip(v, a))
-
-    def reflect_root(self, alpha, v):
-        c = Fraction(2) * _dot(alpha, v) / _dot(alpha, alpha)
-        return tuple(x - c * y for x, y in zip(v, alpha))
 
     def apply_word(self, word, v):
         """Apply s_{word[0]}, then s_{word[1]}, ... (1-based indices)."""
@@ -395,9 +384,16 @@ def span_subsystem(R: RootSystem, S):
     for s in S:
         span.add([int(x * den) for x in s])
     sub_pos = [r for r in R.positive_roots if span.contains(R._introot[r])]
+    components = _components(R, sub_pos)
+    allroots = [r for c in components for r in c.roots]
+    return SubsystemReport(allroots, span.rank if S else 0, components)
 
-    # connected components of the non-orthogonality graph on positives,
-    # using the integer-scaled roots to avoid Fraction arithmetic
+
+def _components(R: RootSystem, sub_pos):
+    """Irreducible components of the subsystem with positive roots
+    `sub_pos` (in R.positive_roots order): the connected components of the
+    non-orthogonality graph, found on the integer-scaled roots to avoid
+    Fraction arithmetic."""
     iv = R._introot
     comps = []
     unseen = set(sub_pos)
@@ -424,8 +420,7 @@ def span_subsystem(R: RootSystem, S):
         components.append(Component(full, cs.rank, _type_label(cs.rank, len(full), lengths),
                                     lengths))
     components.sort(key=lambda c: (-c.rank, -c.size))
-    allroots = [r for c in components for r in c.roots]
-    return SubsystemReport(allroots, span.rank if S else 0, components)
+    return components
 
 
 # ---------------------------------------------------------------------------

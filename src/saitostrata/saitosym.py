@@ -57,7 +57,7 @@ def _root_form(R: RootSystem, beta):
 
 def _d_simple(R: RootSystem, f: MultiPoly, j: int):
     """Directional derivative along the simple root alpha_{j+1} (0-based j)."""
-    out = MultiPoly.zero(f.nvars, f.weights)
+    out = MultiPoly.zero(f.nvars)
     for k in range(R.rank):
         c = R._gram[k][j]
         if c:
@@ -67,7 +67,7 @@ def _d_simple(R: RootSystem, f: MultiPoly, j: int):
 
 def _d_vector(R: RootSystem, f: MultiPoly, v):
     """Directional derivative along an ambient vector v."""
-    out = MultiPoly.zero(f.nvars, f.weights)
+    out = MultiPoly.zero(f.nvars)
     for k in range(R.rank):
         c = sum(Fraction(a) * Fraction(b) for a, b in zip(R.simple[k], v))
         if c:
@@ -240,12 +240,11 @@ def express_in_invariants(q: MultiPoly, basis: InvariantBasis,
     invariants, exactly.  Solves by evaluation at random rational points
     and verifies by exact re-expansion."""
     rng = rng or random.Random(20240915)
-    weights = basis.degrees
     n = basis.R.rank
     if q.is_zero():
-        return MultiPoly.zero(n, weights)
+        return MultiPoly.zero(n)
     deg = q.degree()
-    monos = _weighted_monomials(weights, deg)
+    monos = _weighted_monomials(basis.degrees, deg)
     rows, rhs = [], []
     for _ in range(len(monos) + 6):
         pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 5))
@@ -257,7 +256,7 @@ def express_in_invariants(q: MultiPoly, basis: InvariantBasis,
         raise SolverFailure("evaluation points failed to separate monomials")
     from .exactla import solve
     coeffs = solve(rows, rhs)
-    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c}, weights)
+    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
     # exact re-expansion check
     cache = getattr(basis, "_mono_cache", None)
     if cache is None:
@@ -315,7 +314,6 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     n = R.rank
     degs = list(base.degrees)
     h = degs[-1]
-    weights = tuple(degs)
 
     # contravariant invariant form in the p-frame, as p-polynomials
     gz = convolution_matrix(base)
@@ -338,7 +336,7 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
         for b in range(n):
             minor = [[eta_p[i][j] for j in range(n) if j != b]
                      for i in range(n) if i != a]
-            cof = poly_det(minor) if n > 1 else MultiPoly.const(n, 1, weights)
+            cof = poly_det(minor) if n > 1 else MultiPoly.const(n, 1)
             eta_cov[b][a] = cof * (Fraction((-1) ** (a + b)) / c0)
 
     # Christoffel symbols of eta in the p-frame (polynomial)
@@ -347,7 +345,7 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                s = MultiPoly.zero(n, weights)
+                s = MultiPoly.zero(n)
                 for l in range(n):
                     s = s + eta_p[k][l] * (eta_cov[l][j].diff(i)
                                            + eta_cov[i][l].diff(j)
@@ -358,8 +356,8 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     by_degree = {}
     for d in sorted(set(degs)):
         mult = degs.count(d)
-        monos = _weighted_monomials(weights, d)
-        basis_polys = [MultiPoly(n, {e: Fraction(1)}, weights) for e in monos]
+        monos = _weighted_monomials(degs, d)
+        basis_polys = [MultiPoly(n, {e: Fraction(1)}) for e in monos]
         # linear map: ansatz coeffs -> PDE residual coefficients
         cols = []
         for bp in basis_polys:
@@ -385,7 +383,7 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
                 f"{len(sols)}, expected {mult}")
         block = []
         for v in sols:
-            t = MultiPoly(n, {e: c for e, c in zip(monos, v) if c}, weights)
+            t = MultiPoly(n, {e: c for e, c in zip(monos, v) if c})
             block.append(t)
         by_degree[d] = block
 
@@ -409,7 +407,7 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     P0 = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            s = MultiPoly.zero(n, weights)
+            s = MultiPoly.zero(n)
             for c in range(n):
                 for d in range(n):
                     s = s + dts[a][c] * eta_p[c][d] * dts[b][d]
@@ -442,7 +440,7 @@ def _transpose(M):
 
 def _apply_transform(T, ts):
     n = len(ts)
-    zero = MultiPoly.zero(ts[0].nvars, ts[0].weights)
+    zero = MultiPoly.zero(ts[0].nvars)
     return [sum((ts[b] * T[a][b] for b in range(n) if T[a][b]), zero)
             for a in range(n)]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import LinearForm, FactoredDeterminant, UNKNOWN
-from .roots import RootSystem, SubsystemReport, span_subsystem, _dot
+from .roots import RootSystem, SubsystemReport, span_subsystem, _components
 
 
 class NegativeFinalExponent(ArithmeticError):
@@ -46,8 +46,6 @@ class Stratum:
         self.params = tuple(j for j in range(1, R.rank + 1) if j not in self.I)
         self.dim = len(self.params)
         self.rd = rd
-        self.rd_posset = {r for r in rd.roots if any(x > 0 for x in R.expansion.get(r, (0,)))
-                          } if rd.roots else set()
         self.param_labels = tuple(f"s{j}" for j in self.params)
 
     def restrict_root(self, beta):
@@ -90,37 +88,39 @@ class RestrictedHyperplane:
         return f"<H {self.form!r}: k={self.k} via {self.component0.type_label} in {self.rd_beta.type_string()}>"
 
 
-def restricted_arrangement(D: Stratum, check_class=True):
+def restricted_arrangement(D: Stratum):
     """The hyperplanes of A_D, each with R_{D,beta}, its component through
-    beta, and the multiplicity k_H = h(R_{D,beta}^(0))."""
-    R = D.R
+    beta, and the multiplicity k_H = h(R_{D,beta}^(0)).
+
+    Restriction to D truncates simple-root coefficients and has kernel
+    span(a_I), so a root g lies in span(a_I, beta) exactly when g|_D is
+    proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H)."""
+    pos = D.R.positive_roots
     rd_roots = set(D.rd.roots)
-    classes = {}
-    for beta in R.positive_roots:
+    rd_idx, classes = [], {}
+    for i, beta in enumerate(pos):
         if beta in rd_roots:
+            rd_idx.append(i)
             continue
         form = D.restrict_root(beta)
         assert form is not None
-        classes.setdefault(form, []).append(beta)
+        classes.setdefault(form, []).append(i)
 
-    simple_I = [R.simple[i - 1] for i in sorted(D.I)]
     out = []
     for form in sorted(classes):
-        members = classes[form]
-        datas = []
-        todo = members if check_class else members[:1]
-        for beta in todo:
-            rep = span_subsystem(R, simple_I + [beta])
-            comp0 = next(c for c in rep.components if beta in c.roots)
-            datas.append((rep, comp0))
-        rep, comp0 = datas[0]
-        for rep2, comp02 in datas[1:]:
-            # the multiplicity data must not depend on the
-            # representative root in the projective class
-            assert (comp02.type_label, comp02.rank, comp02.size) == \
-                (comp0.type_label, comp0.rank, comp0.size), \
-                "component through beta differs within a projective class"
-        out.append(RestrictedHyperplane(form, members[0], members, rep, comp0))
+        idx = classes[form]
+        members = [pos[i] for i in idx]
+        comps = _components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
+        rep = SubsystemReport([r for c in comps for r in c.roots],
+                              D.rd.rank + 1, comps)
+        beta = members[0]
+        comp0 = next(c for c in comps if beta in c.roots)
+        # the multiplicity data must not depend on the representative
+        # root in the projective class
+        comp0_roots = set(comp0.roots)
+        assert all(b in comp0_roots for b in members), \
+            "component through beta differs within a projective class"
+        out.append(RestrictedHyperplane(form, beta, members, rep, comp0))
     return out
 
 

@@ -45,7 +45,7 @@ def test_criterion_1_determinant_tables():
         R = build_root_system("E", int(key[1]))
         for row in golden[key]:
             D = make_stratum(R, row["simple_indices"])
-            arr = restricted_arrangement(D, check_class=False)
+            arr = restricted_arrangement(D)
             fd = predict_determinant(D, arr)
             got = {(tuple(int(c) for c in f.coeffs), k)
                    for f, k in fd.factors.items()}
@@ -69,7 +69,7 @@ def test_criterion_2_subsystem_tables():
         R = build_root_system("E", int(key[1]))
         for entry in golden[key]:
             D = make_stratum(R, entry["simple_indices"])
-            arr = restricted_arrangement(D, check_class=False)
+            arr = restricted_arrangement(D)
             by_form = {tuple(int(c) for c in hp.form.coeffs): hp
                        for hp in arr}
             covered = set()
@@ -125,8 +125,8 @@ def test_criterion_3_quartic_family_cases():
         factored(2, -64)
     assert sorted(exc.value.partial.values()) == [2, 2, 2]
     cof = exc.value.cofactor
-    half = try_divide(cof, LinearForm([1, -1]).as_poly(cof.weights))
-    half = half and try_divide(half, LinearForm([1, -1]).as_poly(cof.weights))
+    half = try_divide(cof, LinearForm([1, -1]).as_poly())
+    half = half and try_divide(half, LinearForm([1, -1]).as_poly())
     assert half is not None and half.is_constant()
     # case locus b = 32 a (a - 2) (a = 3): complete with pattern (2,2,4)
     assert factored(3, 96).exponents_sorted() == [2, 2, 4]
@@ -224,10 +224,9 @@ def test_criterion_7_structural_identities(root_system):
         R = root_system(label, rank)
         n, h = R.rank, R.coxeter_number
         assert len(R.positive_roots) == n * h // 2          # |A| = r h / 2
-        big = label == "E"
         for I in _all_strata(R):
             D = make_stratum(R, I)
-            arr = restricted_arrangement(D, check_class=not big)
+            arr = restricted_arrangement(D)
             fd = predict_determinant(D, arr)
             if len(I) == 1:                                  # |A_H|
                 assert len(arr) == n * h // 2 - h + 1, (label, rank, I)

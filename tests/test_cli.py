@@ -2,6 +2,7 @@
 exit codes."""
 
 import json
+import os
 from fractions import Fraction
 
 import jsonschema
@@ -149,6 +150,15 @@ class TestVerify:
         assert worker_count() >= 1
         monkeypatch.setenv("SAITO_STRATA_THREADS", "zero")
         assert main(["verify", "--group", "A2"]) == 2
+
+    def test_worker_count_follows_affinity(self, monkeypatch):
+        monkeypatch.delenv("SAITO_STRATA_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        assert worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert worker_count() == 7
 
 
 class TestPlumbing:

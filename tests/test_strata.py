@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from saitostrata.roots import build_root_system, reduce_to_fundamental
+from saitostrata.roots import (build_root_system, reduce_to_fundamental,
+                               span_subsystem)
 from saitostrata.strata import (make_stratum, restricted_arrangement,
                                 predict_determinant, q_polynomial,
                                 stratum_json_dict)
@@ -49,11 +50,23 @@ class TestRestrictedArrangement:
             assert len(arr) == expect
 
     def test_class_data_is_well_defined(self, root_system):
-        # every member of a projective class spans the same subsystem;
-        # check_class=True asserts this internally
-        R = root_system("F", 4)
-        for I in _all_strata(R):
-            restricted_arrangement(make_stratum(R, I), check_class=True)
+        # R_{D,beta} is built from the projective class; span_subsystem is
+        # the reference: every member beta spans the same subsystem with
+        # a_I, and lies in the component through the representative
+        for label, rank in (("F", 4), ("B", 4), ("D", 5), ("E", 6)):
+            R = root_system(label, rank)
+            for I in _all_strata(R):
+                D = make_stratum(R, I)
+                simple_I = [R.simple[i - 1] for i in sorted(I)]
+                for hp in restricted_arrangement(D):
+                    comp0 = set(hp.component0.roots)
+                    for beta in hp.roots:
+                        ref = span_subsystem(R, simple_I + [beta])
+                        assert set(ref.roots) == set(hp.rd_beta.roots)
+                        assert ref.rank == hp.rd_beta.rank
+                        assert ref.component_multiset() == \
+                            hp.rd_beta.component_multiset()
+                        assert beta in comp0, (label, rank, I, hp.form)
 
     def test_exponent_is_component_coxeter_number(self, root_system):
         R = root_system("D", 4)
