@@ -10,7 +10,7 @@ from .roots import (RootSystem, build_root_system, parse_group,
                     span_subsystem, reduce_to_fundamental)
 from .strata import (Stratum, make_stratum, restricted_arrangement,
                      predict_determinant, q_polynomial, stratum_json_dict,
-                     NegativeFinalExponent)
+                     NegativeFinalExponent, InvariantViolation)
 from .lgclassical import (StratumConfigA, StratumConfigBD, kappa_A, kappa_BD,
                           closed_form_det_A, closed_form_det_BD,
                           residue_metric_at, frobenius_check_at,

@@ -21,12 +21,13 @@ from itertools import combinations
 
 from .algebra import (FactoredDeterminant, IncompleteFactorization,
                       factor_linear)
-from .lgclassical import (StratumConfigA, StratumConfigBD, closed_form_det_A,
-                          closed_form_det_BD, kappa_A, kappa_BD,
-                          residue_metric_at, frobenius_check_at)
+from .lgclassical import (StratumConfigA, StratumConfigBD, DegeneratePoint,
+                          closed_form_det_A, closed_form_det_BD, kappa_A,
+                          kappa_BD, residue_metric_at, frobenius_check_at)
 from .roots import build_root_system, parse_group, reduce_to_fundamental
-from .strata import (make_stratum, restricted_arrangement,
-                     predict_determinant, q_polynomial, stratum_json_dict)
+from .strata import (InvariantViolation, make_stratum,
+                     restricted_arrangement, predict_determinant,
+                     q_polynomial, stratum_json_dict)
 from . import saitosym
 
 _DATA = resources.files("saitostrata") / "data"
@@ -78,7 +79,7 @@ def _parse_ints(text, what):
 def _parse_fracs(text, what):
     try:
         return [Fraction(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise InputError(f"{what} must be a comma-separated list of "
                          f"rationals, got {text!r}")
 
@@ -98,16 +99,14 @@ def _stratum_indices(R, args):
         for chunk in args.roots.split(";"):
             vectors.append(_parse_fracs(chunk, "--roots entry"))
         if args.ambient:
-            S = [tuple(v) for v in vectors]
+            S = [R.coefficients(v) for v in vectors]
+            if None in S:
+                raise InputError("S must consist of roots")
         else:
-            S = []
-            for cs in vectors:
-                if len(cs) != R.rank:
-                    raise InputError("each --roots vector needs one "
-                                     "coefficient per simple root")
-                S.append(tuple(sum(cs[i] * R.simple[i][k]
-                                   for i in range(R.rank))
-                               for k in range(R.ambient_dim)))
+            if any(len(cs) != R.rank for cs in vectors):
+                raise InputError("each --roots vector needs one "
+                                 "coefficient per simple root")
+            S = vectors
         try:
             word, I = reduce_to_fundamental(R, S)
         except ValueError as exc:
@@ -177,7 +176,10 @@ def cmd_det(args):
         if (R.label, R.rank) != ("D", 3):
             raise InputError("--invariants selects the two-parameter D3 "
                              "family and needs --group D3")
-        a, b = _parse_fracs(args.invariants, "--invariants")[:2]
+        ab = _parse_fracs(args.invariants, "--invariants")
+        if len(ab) != 2:
+            raise InputError("--invariants needs two rationals a,b")
+        a, b = ab
         try:
             basis = saitosym.quartic_family_d3(a, b)
         except saitosym.DegenerateBasis as exc:
@@ -252,10 +254,13 @@ def cmd_classical(args):
             raise InputError(f"--at needs {cfg.d} coordinates")
         report["at"] = [_frac_str(x) for x in xi]
         report["closed_form_det"] = _frac_str(fd.evaluate(xi))
-        _, det = residue_metric_at(cfg, xi)
+        try:
+            _, det = residue_metric_at(cfg, xi)
+            res = frobenius_check_at(cfg, xi)
+        except DegeneratePoint as exc:
+            raise InputError(f"--at is not a generic point: {exc}")
         det = complex(det)
         report["oracle_det"] = [det.real, det.imag]
-        res = frobenius_check_at(cfg, xi)
         report["residuals"] = {k: res[k] for k in
                                ("gram_euler", "determinant", "idempotency")}
     return report, 0
@@ -369,14 +374,14 @@ def _verify_stratum(I):
         arr = restricted_arrangement(D)
         add("arrangement_class_consistency", True,
             f"{len(arr)} projective classes")
-    except AssertionError as exc:
+    except InvariantViolation as exc:
         add("arrangement_class_consistency", False, str(exc))
         return out
     try:
         fd = predict_determinant(D, arr)
         add("determinant_degree", True, f"degree {fd.degree()}")
-    except AssertionError:
-        add("determinant_degree", False, "degree != h * dim")
+    except InvariantViolation as exc:
+        add("determinant_degree", False, str(exc))
         return out
     if len(I) == 1:
         h = R.coxeter_number

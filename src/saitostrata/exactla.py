@@ -130,12 +130,6 @@ class IntSpan:
         self.rows = []     # echelon rows (integer, primitive)
         self.pivots = []   # pivot column of each row
 
-    def copy(self):
-        other = IntSpan(self.dim)
-        other.rows = [row[:] for row in self.rows]
-        other.pivots = self.pivots[:]
-        return other
-
     @property
     def rank(self):
         return len(self.rows)

@@ -1,11 +1,14 @@
 """Crystallographic root systems A_n, B_n, D_n, E_6, E_7, E_8, F_4.
 
-Roots are exact rational vectors (tuples of Fraction). Every system carries
-its simple system, fundamental coweights (dual basis: (w^i, a_j) = d_ij),
-degrees and Coxeter number, and the integer expansion of every root in the
-simple basis. E_7 and E_6 are realized inside the E_8 coordinates via the
-sub-diagrams {a_1..a_7} and {a_1..a_6}, so no separate coordinate
-conventions exist.
+A root is the integer tuple of its coefficients in the simple roots: a_i is
+the unit tuple with a 1 in place i, negation is elementwise, and restricting
+a root to a stratum truncates the tuple. Every system also keeps the ambient
+simple vectors and the fundamental coweights (dual basis: (w^i, a_j) = d_ij)
+and converts between the two encodings in one place (`vector`,
+`coefficients`), for the JSON reports and the symbolic layer. It carries its
+degrees and Coxeter number. E_7 and E_6 are realized inside the E_8
+coordinates via the sub-diagrams {a_1..a_7} and {a_1..a_6}, so no separate
+coordinate conventions exist.
 
 Type labels B_r and C_r are merged (they generate the same Coxeter group);
 reports use "B".
@@ -14,10 +17,9 @@ reports use "B".
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .exactla import IntSpan, matinv, nullspace
 
@@ -40,16 +42,15 @@ def _frac_tuple(v):
 class Component:
     """One irreducible component of a root subsystem."""
 
-    __slots__ = ("roots", "rank", "size", "coxeter_number", "type_label", "lengths")
+    __slots__ = ("roots", "rank", "size", "coxeter_number", "type_label")
 
-    def __init__(self, roots, rank, type_label, lengths):
+    def __init__(self, roots, rank, type_label):
         self.roots = roots          # full set, closed under negation
         self.rank = rank
         self.size = len(roots)
         assert self.size % rank == 0
         self.coxeter_number = self.size // rank
         self.type_label = type_label
-        self.lengths = lengths      # multiset of squared lengths
 
     def __repr__(self):
         return f"<{self.type_label}: rank {self.rank}, size {self.size}, h={self.coxeter_number}>"
@@ -86,53 +87,54 @@ class SubsystemReport:
 
 
 class RootSystem:
+    """A root system built from ambient roots and simple roots; every root
+    is then held as its integer simple-root coefficient tuple, in the
+    builder's order."""
+
     def __init__(self, label, rank, ambient_dim, roots, simple, degrees):
         self.label = label
         self.rank = rank
         self.ambient_dim = ambient_dim
-        self.roots = tuple(_frac_tuple(r) for r in roots)
-        self.simple = tuple(_frac_tuple(a) for a in simple)
+        self.simple_vectors = tuple(_frac_tuple(a) for a in simple)
+        self.simple = tuple(tuple(int(i == j) for j in range(rank))
+                            for i in range(rank))
         self.degrees = tuple(degrees)
         self.coxeter_number = degrees[-1]
 
-        # integer expansions of every root in the simple basis
-        gram = [[_dot(a, b) for b in self.simple] for a in self.simple]
+        gram = [[_dot(a, b) for b in self.simple_vectors]
+                for a in self.simple_vectors]
         ginv = matinv(gram)
         self._gram = gram
-        self._ginv = ginv
-        exp = {}
-        for r in self.roots:
-            rhs = [_dot(r, a) for a in self.simple]
-            coeffs = [sum(ginv[i][j] * rhs[j] for j in range(rank)) for i in range(rank)]
-            ints = []
-            for c in coeffs:
-                assert c.denominator == 1, "non-integer simple-root expansion"
-                ints.append(int(c))
-            assert all(x >= 0 for x in ints) or all(x <= 0 for x in ints)
-            exp[r] = tuple(ints)
-        self.expansion = exp
-        self.positive_roots = tuple(r for r in self.roots
-                                    if any(x > 0 for x in exp[r]))
+        # an integer multiple of the Gram matrix, for orthogonality and
+        # length comparisons without Fractions
+        den = lcm(*(g.denominator for row in gram for g in row))
+        self._igram = [[int(g * den) for g in row] for row in gram]
 
         # fundamental coweights: w^i = sum_j (G^-1)_ij a_j
         self.coweights = tuple(
-            tuple(sum(ginv[i][j] * self.simple[j][k] for j in range(rank))
+            tuple(sum(ginv[i][j] * self.simple_vectors[j][k]
+                      for j in range(rank))
                   for k in range(ambient_dim))
             for i in range(rank))
+
+        # the coefficient of a_i in a root r is (w^i, r)
+        coeffs = []
+        for r in roots:
+            c = [_dot(w, r) for w in self.coweights]
+            assert all(x.denominator == 1 for x in c), \
+                "non-integer simple-root expansion"
+            c = tuple(int(x) for x in c)
+            assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
+            coeffs.append(c)
+        self.roots = tuple(coeffs)
+        self.positive_roots = tuple(r for r in self.roots
+                                    if any(x > 0 for x in r))
 
         # Cartan pairing 2(a_i,a_j)/(a_j,a_j)
         self.cartan = [[Fraction(2) * gram[i][j] / gram[j][j] for j in range(rank)]
                        for i in range(rank)]
         assert all(c.denominator == 1 for row in self.cartan for c in row)
         self.cartan = [[int(c) for c in row] for row in self.cartan]
-
-        # integer-scaled copies of the roots for fraction-free span work
-        den = 1
-        for r in self.roots:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-        self._scale = den
-        self._introot = {r: tuple(int(x * den) for x in r) for r in self.roots}
 
         self._check_invariants()
 
@@ -144,42 +146,55 @@ class RootSystem:
         assert sum(d - 1 for d in self.degrees) == len(self.positive_roots)
         assert self.degrees[0] == 2 and self.degrees[-1] == h
         for i, w in enumerate(self.coweights):
-            for j, a in enumerate(self.simple):
+            for j, a in enumerate(self.simple_vectors):
                 assert _dot(w, a) == (1 if i == j else 0)
         rootset = set(self.roots)
         for r in self.roots:
             assert tuple(-x for x in r) in rootset
 
-    # -- basic helpers ------------------------------------------------
-    def reflect(self, i, v):
-        """Simple reflection s_i applied to an ambient vector (i 0-based)."""
-        a = self.simple[i]
-        c = Fraction(2) * _dot(a, v) / _dot(a, a)
-        return tuple(x - c * y for x, y in zip(v, a))
+    # -- the ambient encoding -----------------------------------------
+    def vector(self, beta):
+        """The ambient vector sum_i beta_i a_i of a coefficient tuple."""
+        return tuple(sum(b * a[k] for b, a in zip(beta, self.simple_vectors))
+                     for k in range(self.ambient_dim))
 
-    def apply_word(self, word, v):
+    def coefficients(self, v):
+        """The coefficient tuple of the root with ambient vector v, or None
+        if v is not a root."""
+        c = tuple(_dot(w, v) for w in self.coweights)
+        if self.vector(c) != tuple(v) \
+                or any(Fraction(x).denominator != 1 for x in c):
+            return None
+        c = tuple(int(x) for x in c)
+        return c if c in set(self.roots) else None
+
+    # -- basic helpers ------------------------------------------------
+    def reflect(self, i, beta):
+        """Simple reflection s_i (i 0-based) of a coefficient tuple:
+        s_i(beta) = beta - <beta, a_i^v> a_i."""
+        beta = tuple(beta)
+        c = sum(b * row[i] for b, row in zip(beta, self.cartan))
+        return beta[:i] + (beta[i] - c,) + beta[i + 1:]
+
+    def apply_word(self, word, beta):
         """Apply s_{word[0]}, then s_{word[1]}, ... (1-based indices)."""
         for i in word:
-            v = self.reflect(i - 1, v)
-        return v
+            beta = self.reflect(i - 1, beta)
+        return beta
 
     def to_json_dict(self):
-        def fr(x):
-            return str(x)
         return {
             "type": self.label,
             "rank": self.rank,
             "ambient_dim": self.ambient_dim,
             "coxeter_number": self.coxeter_number,
             "degrees": list(self.degrees),
-            "simple_roots": [[fr(x) for x in a] for a in self.simple],
-            "positive_roots": [[fr(x) for x in r] for r in self.positive_roots],
-            "coweights": [[fr(x) for x in w] for w in self.coweights],
+            "simple_roots": [[str(x) for x in a] for a in self.simple_vectors],
+            "positive_roots": [[str(x) for x in self.vector(r)]
+                               for r in self.positive_roots],
+            "coweights": [[str(x) for x in w] for w in self.coweights],
             "cartan_matrix": self.cartan,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def __repr__(self):
         return f"<RootSystem {self.label}{self.rank}: |R+|={len(self.positive_roots)}, h={self.coxeter_number}>"
@@ -376,49 +391,46 @@ def _type_label(rank, size, lengths):
 
 
 def span_subsystem(R: RootSystem, S):
-    """All roots of R in the rational span of S, with its irreducible
-    decomposition (components of the non-orthogonality graph)."""
-    S = [_frac_tuple(s) for s in S]
-    span = IntSpan(R.ambient_dim)
-    den = R._scale
+    """All roots of R in the rational span of the coefficient tuples S,
+    with its irreducible decomposition (components of the
+    non-orthogonality graph)."""
+    span = IntSpan(R.rank)
     for s in S:
-        span.add([int(x * den) for x in s])
-    sub_pos = [r for r in R.positive_roots if span.contains(R._introot[r])]
+        span.add(s)
+    sub_pos = [r for r in R.positive_roots if span.contains(r)]
     components = _components(R, sub_pos)
     allroots = [r for c in components for r in c.roots]
-    return SubsystemReport(allroots, span.rank if S else 0, components)
+    return SubsystemReport(allroots, span.rank, components)
 
 
 def _components(R: RootSystem, sub_pos):
     """Irreducible components of the subsystem with positive roots
     `sub_pos` (in R.positive_roots order): the connected components of the
-    non-orthogonality graph, found on the integer-scaled roots to avoid
-    Fraction arithmetic."""
-    iv = R._introot
-    comps = []
+    non-orthogonality graph under the integer Gram matrix."""
+    n, G = R.rank, R._igram
     unseen = set(sub_pos)
-    while unseen:
-        seed = unseen.pop()
-        stack, comp = [seed], {seed}
-        while stack:
-            cur = iv[stack.pop()]
-            linked = [r for r in unseen
-                      if sum(a * b for a, b in zip(cur, iv[r])) != 0]
-            for r in linked:
-                unseen.discard(r)
-                comp.add(r)
-                stack.append(r)
-        comps.append(sorted(comp))
-
     components = []
-    for comp in comps:
-        cs = IntSpan(R.ambient_dim)
+    for seed in sub_pos:
+        if seed not in unseen:
+            continue
+        unseen.discard(seed)
+        stack, comp, lengths = [seed], [seed], set()
+        while stack:
+            b = stack.pop()
+            # the scaled pairings (b, a_j)
+            row = [sum(b[i] * G[i][j] for i in range(n)) for j in range(n)]
+            lengths.add(_dot(row, b))
+            linked = [r for r in unseen if _dot(row, r)]
+            unseen.difference_update(linked)
+            comp.extend(linked)
+            stack.extend(linked)
+        comp.sort()
+        cs = IntSpan(n)
         for r in comp:
-            cs.add(R._introot[r])
-        full = list(comp) + [tuple(-x for x in r) for r in comp]
-        lengths = tuple(sorted(_dot(r, r) for r in comp))
-        components.append(Component(full, cs.rank, _type_label(cs.rank, len(full), lengths),
-                                    lengths))
+            cs.add(r)
+        full = comp + [tuple(-x for x in r) for r in comp]
+        components.append(Component(full, cs.rank,
+                                    _type_label(cs.rank, len(full), lengths)))
     components.sort(key=lambda c: (-c.rank, -c.size))
     return components
 
@@ -429,53 +441,42 @@ def _components(R: RootSystem, sub_pos):
 def reduce_to_fundamental(R: RootSystem, S, rng=None):
     """Find w in W (as a word in simple reflections, 1-based) and an index
     set I with w(D_S) = the intersection of the simple walls {a_i, i in I}.
+    S is a list of coefficient tuples.
 
-    Walks a generic rational point of D_S into the closed fundamental
-    chamber by simple reflections."""
+    Walks a generic point x of D_S into the closed fundamental chamber by
+    simple reflections, in the coordinates z_i = (a_i, x): a root b is the
+    form sum b_i z_i there, and s_i sends z to z - z_i C[.][i]."""
     rng = rng or random.Random(0xC0C0)
-    S = [_frac_tuple(s) for s in S]
     rootset = set(R.roots)
-    for s in S:
-        if s not in rootset:
-            raise ValueError("S must consist of roots")
+    if any(tuple(s) not in rootset for s in S):
+        raise ValueError("S must consist of roots")
+    S = [tuple(int(x) for x in s) for s in S]
     n = R.rank
     if len(S) >= n:
         raise ValueError("|S| must be < rank (strata of dimension >= 1)")
-    coeff_rows = [R.expansion[s] for s in S]
     span = IntSpan(n)
-    for row in coeff_rows:
-        if not span.add(row):
+    for s in S:
+        if not span.add(s):
             raise ValueError("S must be linearly independent")
 
-    basis = nullspace(coeff_rows) if coeff_rows else \
-        [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # span membership in ambient coordinates, for the genericity check
-    amb_span = IntSpan(R.ambient_dim)
-    for s in S:
-        amb_span.add([int(x * R._scale) for x in s])
-
+    basis = nullspace(S or [(0,) * n])
+    off = [r for r in R.positive_roots if not span.contains(r)]
     for _attempt in range(200):
         mix = [rng.randint(-10**6, 10**6) for _ in basis]
-        cs = [sum(m * b[j] for m, b in zip(mix, basis)) for j in range(n)]
-        x = tuple(sum(cs[j] * R.coweights[j][k] for j in range(n))
-                  for k in range(R.ambient_dim))
-        ok = all(_dot(r, x) != 0 for r in R.positive_roots
-                 if not amb_span.contains(R._introot[r]))
-        if ok:
+        z = [sum(m * b[j] for m, b in zip(mix, basis)) for j in range(n)]
+        den = lcm(*(Fraction(x).denominator for x in z))
+        z = [int(x * den) for x in z]
+        if all(_dot(r, z) for r in off):
             break
     else:  # pragma: no cover
         raise RuntimeError("could not find a generic point of the stratum")
 
+    C = R.cartan
     word = []
-    p = x
-    while True:
-        for i in range(n):
-            if _dot(R.simple[i], p) < 0:
-                p = R.reflect(i, p)
-                word.append(i + 1)
-                break
-        else:
-            break
-    I = frozenset(i + 1 for i in range(n) if _dot(R.simple[i], p) == 0)
+    while any(x < 0 for x in z):
+        i = next(i for i, x in enumerate(z) if x < 0)
+        z = [zj - z[i] * C[j][i] for j, zj in enumerate(z)]
+        word.append(i + 1)
+    I = frozenset(i + 1 for i in range(n) if z[i] == 0)
     assert len(I) == len(S)
     return word, I

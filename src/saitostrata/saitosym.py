@@ -52,7 +52,7 @@ def _ambient_coordinate_forms(R: RootSystem):
 
 
 def _root_form(R: RootSystem, beta):
-    return MultiPoly.linear(list(R.expansion[beta]))
+    return MultiPoly.linear(list(beta))
 
 
 def _d_simple(R: RootSystem, f: MultiPoly, j: int):
@@ -65,11 +65,11 @@ def _d_simple(R: RootSystem, f: MultiPoly, j: int):
     return out
 
 
-def _d_vector(R: RootSystem, f: MultiPoly, v):
-    """Directional derivative along an ambient vector v."""
+def _d_root(R: RootSystem, f: MultiPoly, beta):
+    """Directional derivative along the root with coefficient tuple beta."""
     out = MultiPoly.zero(f.nvars)
     for k in range(R.rank):
-        c = sum(Fraction(a) * Fraction(b) for a, b in zip(R.simple[k], v))
+        c = sum(R._gram[k][j] * b for j, b in enumerate(beta))
         if c:
             out = out + f.diff(k) * c
     return out
@@ -692,7 +692,7 @@ def identity_field_checks(basis: InvariantBasis):
     # divisibility of J_k by every root inside the span of the other
     # simple roots, and non-divisibility by alpha_k itself
     for k in range(n):
-        alphas = [b for b in R.positive_roots if R.expansion[b][k] == 0]
+        alphas = [b for b in R.positive_roots if b[k] == 0]
         ok = all(try_divide(Jk[k], _root_form(R, b)) is not None
                  for b in alphas)
         add(f"minor_divisibility_k={k + 1}", ok,
@@ -750,14 +750,14 @@ def identity_field_checks(basis: InvariantBasis):
                 keep = [j - 1 for j in D.params]
                 ok = True
                 for gamma in D.rd.roots:
-                    if all(x <= 0 for x in R.expansion.get(gamma, (0,))):
+                    if all(x <= 0 for x in gamma):
                         continue
                     expr = MultiPoly.zero(n)
                     for a in range(n):
                         for b in range(n):
                             c = Pinv[a][b]
                             if c:
-                                expr = expr + ts[a] * _d_vector(
+                                expr = expr + ts[a] * _d_root(
                                     R, ts[b], gamma) * (c * degs[a])
                     if not expr.set_vars_zero(I0, keep).is_zero():
                         ok = False

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 
 from .algebra import LinearForm, FactoredDeterminant, UNKNOWN
@@ -21,6 +20,10 @@ from .roots import RootSystem, SubsystemReport, span_subsystem, _components
 
 class NegativeFinalExponent(ArithmeticError):
     """The factored Q-polynomial came out with a non-positive exponent."""
+
+
+class InvariantViolation(ArithmeticError):
+    """A mathematical identity the predictor relies on failed."""
 
 
 def _canon_int(vec):
@@ -50,9 +53,7 @@ class Stratum:
 
     def restrict_root(self, beta):
         """Canonical LinearForm of b|_D, or None if b vanishes on D."""
-        e = self.R.expansion[beta]
-        trunc = [e[j - 1] for j in self.params]
-        c = _canon_int(trunc)
+        c = _canon_int([beta[j - 1] for j in self.params])
         return LinearForm(c, self.param_labels) if c is not None else None
 
     def __repr__(self):
@@ -118,8 +119,9 @@ def restricted_arrangement(D: Stratum):
         # the multiplicity data must not depend on the representative
         # root in the projective class
         comp0_roots = set(comp0.roots)
-        assert all(b in comp0_roots for b in members), \
-            "component through beta differs within a projective class"
+        if not all(b in comp0_roots for b in members):
+            raise InvariantViolation(
+                "component through beta differs within a projective class")
         out.append(RestrictedHyperplane(form, beta, members, rep, comp0))
     return out
 
@@ -128,7 +130,8 @@ def predict_determinant(D: Stratum, arrangement=None) -> FactoredDeterminant:
     """det eta_D up to scalar: product over A_D of l_H^{k_H}."""
     arr = arrangement if arrangement is not None else restricted_arrangement(D)
     fd = FactoredDeterminant(UNKNOWN, {h.form: h.k for h in arr})
-    assert fd.degree() == D.R.coxeter_number * D.dim
+    if fd.degree() != D.R.coxeter_number * D.dim:
+        raise InvariantViolation("degree != h * dim")
     return fd
 
 
@@ -144,15 +147,10 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     m = 2 - sum(c.rank for c in comps)
 
     if gamma_choices is None:
-        if rng is not None:
-            gamma_choices = []
-            for c in comps:
-                pos = [r for r in c.roots if any(x > 0 for x in R.expansion[r])]
-                gamma_choices.append(rng.choice(pos))
-        else:
-            gamma_choices = [next(r for r in c.roots
-                                  if any(x > 0 for x in R.expansion[r]))
-                             for c in comps]
+        positive = [[r for r in c.roots if any(x > 0 for x in r)]
+                    for c in comps]
+        gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
+                         for pos in positive]
     if len(gamma_choices) != len(comps):
         raise ValueError("need one gamma per component of R_D")
 
@@ -166,15 +164,13 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
 
     # the I_i factors, with exponent r_i each
     for comp, gamma in zip(comps, gamma_choices):
-        gamma = tuple(Fraction(x) for x in gamma)
-        if gamma not in set(comp.roots):
+        g = tuple(gamma)
+        if g not in set(comp.roots):
             raise ValueError("gamma must lie in its component of R_D")
-        g = R.expansion[gamma]
         piv = next(i for i, x in enumerate(g) if x)
         hyperplanes = {}
         for beta in R.positive_roots:
-            b = R.expansion[beta]
-            v = [bi * g[piv] - gi * b[piv] for bi, gi in zip(b, g)]
+            v = [bi * g[piv] - gi * beta[piv] for bi, gi in zip(beta, g)]
             key = _canon_int(v)
             if key is None:      # beta proportional to gamma
                 continue
@@ -204,7 +200,7 @@ def stratum_json_dict(D: Stratum, arrangement=None):
             for c in D.rd.components],
         "factors": [
             {"form": list(h.form.coeffs), "exponent": h.k,
-             "beta": [str(x) for x in h.beta],
+             "beta": [str(x) for x in D.R.vector(h.beta)],
              "component0": {"type": h.component0.type_label,
                             "size": h.component0.size,
                             "rank": h.component0.rank,

@@ -3,11 +3,14 @@ exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
+from saitostrata import strata
 from saitostrata.cli import main, load_schema, worker_count
 
 SCHEMA = load_schema()
@@ -17,6 +20,14 @@ def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out
     return status, out
+
+
+def assert_input_error(capsys, *argv):
+    """Exit 2 with a JSON error on stderr and no traceback."""
+    capsys.readouterr()
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert "error" in json.loads(err)
 
 
 def run_json(capsys, *argv):
@@ -105,6 +116,11 @@ class TestClassical:
                      "--m", "-2"]) == 2
         assert main(["classical", "--type", "A", "--mult", "2,1,1",
                      "--at", "1"]) == 2
+        # points where the oracle degenerates
+        assert_input_error(capsys, "classical", "--type", "A",
+                           "--mult", "1,1", "--at", "0")
+        assert_input_error(capsys, "classical", "--type", "B",
+                           "--mult", "1,1", "--at", "1,1")
 
 
 class TestTables:
@@ -166,6 +182,19 @@ class TestPlumbing:
         assert main(["predict", "--group", "Z9", "--simple", "1"]) == 2
         assert main(["predict", "--group", "A3", "--simple", "0,9"]) == 2
         assert main(["det", "--group", "E8", "--simple", "1"]) == 2
+        assert_input_error(capsys, "det", "--group", "D3", "--simple", "1",
+                           "--invariants", "3")
+        assert_input_error(capsys, "predict", "--group", "A3",
+                           "--roots", "1/0,1,1")
+
+    def test_non_roots_are_exit_2(self, capsys):
+        for argv in (["--roots", "1,0,1"],
+                     ["--roots", "1/2,0,0"],
+                     ["--ambient", "--roots", "1,0,0,0"],
+                     ["--ambient", "--roots", "1,-1,0"]):
+            assert main(["predict", "--group", "A3"] + argv) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "S must consist of roots"}
 
     def test_text_format(self, capsys):
         status, out = run(capsys, "det", "--group", "B2", "--simple", "1",
@@ -180,3 +209,44 @@ class TestPlumbing:
         assert status == 0
         report = json.loads(path.read_text())
         jsonschema.validate(report, SCHEMA)
+
+
+# a broken `strata._components` that makes every root its own component
+SPLIT_COMPONENTS = """
+from saitostrata import strata
+real = strata._components
+strata._components = lambda R, sub_pos: [c for r in sub_pos
+                                         for c in real(R, [r])]
+"""
+
+
+class TestInvariantViolation:
+    ARGV = ["verify", "--group", "A2", "--skip-symbolic"]
+
+    def _assert_class_failure(self, status, report):
+        assert status == 1
+        jsonschema.validate(report, SCHEMA)
+        assert report["passed"] is False
+        assert {f["check"] for f in report["failures"]} == \
+            {"arrangement_class_consistency"}
+
+    def test_class_consistency_failure_is_reported(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        # registers the original for restoring; the exec then breaks it
+        monkeypatch.setattr(strata, "_components", strata._components)
+        exec(SPLIT_COMPONENTS, {})
+        status, out = run(capsys, *self.ARGV)
+        self._assert_class_failure(status, json.loads(out))
+
+    def test_reported_under_optimize(self):
+        # the check must not be an assert that `python -O` strips
+        code = (SPLIT_COMPONENTS + "import sys\n"
+                "from saitostrata.cli import main\n"
+                f"sys.exit(main({self.ARGV!r}))\n")
+        src = os.path.dirname(os.path.dirname(strata.__file__))
+        env = dict(os.environ, SAITO_STRATA_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr
+        self._assert_class_failure(proc.returncode, json.loads(proc.stdout))

@@ -37,7 +37,7 @@ def test_cardinality_and_degrees(label, rank):
 def test_coweights_dual_to_simple_roots(label, rank):
     R = build_root_system(label, rank)
     for i, w in enumerate(R.coweights):
-        for j, a in enumerate(R.simple):
+        for j, a in enumerate(R.simple_vectors):
             dot = sum(Fraction(x) * Fraction(y) for x, y in zip(w, a))
             assert dot == (1 if i == j else 0)
 
@@ -51,14 +51,37 @@ def test_roots_closed_under_simple_reflections(label, rank):
             assert R.reflect(i, r) in rootset
 
 
+@pytest.mark.parametrize("label,rank", GROUPS)
+def test_reflection_matches_ambient_reflection(label, rank):
+    # the integer reflection of coefficient tuples is the Euclidean
+    # reflection of the ambient vectors
+    R = build_root_system(label, rank)
+    for i, a in enumerate(R.simple_vectors):
+        aa = sum(x * x for x in a)
+        for r in R.positive_roots:
+            v = R.vector(r)
+            c = 2 * sum(x * y for x, y in zip(a, v)) / aa
+            assert R.vector(R.reflect(i, r)) == \
+                tuple(x - c * y for x, y in zip(v, a))
+
+
 def test_expansion_is_integral_and_one_signed():
     R = build_root_system("F", 4)
+    assert R.simple == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                        (0, 0, 0, 1))
     for r in R.positive_roots:
-        e = R.expansion[r]
-        assert all(isinstance(c, int) and c >= 0 for c in e)
-        back = tuple(sum(e[i] * R.simple[i][k] for i in range(R.rank))
-                     for k in range(R.ambient_dim))
-        assert tuple(Fraction(x) for x in back) == tuple(Fraction(x) for x in r)
+        assert all(isinstance(c, int) and c >= 0 for c in r)
+        v = R.vector(r)
+        assert v == tuple(sum(r[i] * R.simple_vectors[i][k]
+                              for i in range(R.rank))
+                          for k in range(R.ambient_dim))
+        assert R.coefficients(v) == r
+        assert R.coefficients(tuple(-x for x in v)) == tuple(-c for c in r)
+    # neither a non-root in the span nor a vector off it converts
+    assert R.coefficients(R.vector((2, 0, 0, 0))) is None
+    assert R.coefficients((Fraction(1),) * 3) is None
+    E6 = build_root_system("E", 6)
+    assert E6.coefficients((0, 0, 0, 0, 0, 0, 1, 1)) is None
 
 
 def test_parse_group_forms():
@@ -83,8 +106,9 @@ class TestSpanSubsystem:
         R = build_root_system("B", 3)
         # two orthogonal short roots e1, e2 span a B-side A1 x A1... their
         # rational span contains the long roots e1 +- e2 as well: type B2
-        e1 = (Fraction(1), Fraction(0), Fraction(0))
-        e2 = (Fraction(0), Fraction(1), Fraction(0))
+        e1 = R.coefficients((1, 0, 0))
+        e2 = R.coefficients((0, 1, 0))
+        assert (e1, e2) == ((1, 1, 1), (0, 1, 1))
         rep = span_subsystem(R, [e1, e2])
         assert rep.type_string() == "B2"
         assert rep.size == 8
@@ -129,7 +153,9 @@ class TestReduceToFundamental:
     def test_rejects_non_roots_and_dependence(self):
         R = build_root_system("A", 3)
         with pytest.raises(ValueError):
-            reduce_to_fundamental(R, [(Fraction(1), 0, 0, 0)])
+            reduce_to_fundamental(R, [(1, 0, 1)])      # a1 + a3
+        with pytest.raises(ValueError):
+            reduce_to_fundamental(R, [(Fraction(1, 2), 0, 0)])
         a = R.simple[0]
         with pytest.raises(ValueError):
             reduce_to_fundamental(R, [a, tuple(-x for x in a)])

@@ -1,6 +1,8 @@
 """Discriminant strata, restricted arrangements, the combinatorial
 multiplicity predictor, and the Q-polynomial cross-check."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -165,3 +167,22 @@ def test_stratum_json_shape(root_system):
         assert set(fac) == {"form", "exponent", "beta", "component0",
                             "r_d_beta_size"}
         assert all(isinstance(c, int) for c in fac["form"])
+
+
+# sha256 over the root-system and stratum reports of A4, B4, D5, F4, E6,
+# E7, E8; pins the ambient `beta` vectors and the representative order
+REPORT_DIGEST = \
+    "a6005f72ab628b4309af6f693e090d53e6785ae64aaef32f090db0cd02899888"
+
+
+def test_report_bytes_are_pinned(root_system):
+    digest = hashlib.sha256()
+    for label, rank in (("A", 4), ("B", 4), ("D", 5), ("F", 4), ("E", 6),
+                        ("E", 7), ("E", 8)):
+        R = root_system(label, rank)
+        digest.update(json.dumps(R.to_json_dict(), sort_keys=True).encode())
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            doc = stratum_json_dict(D, restricted_arrangement(D))
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
