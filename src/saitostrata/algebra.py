@@ -22,6 +22,10 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
+class InvariantViolation(ArithmeticError):
+    """A mathematical identity the program relies on failed."""
+
+
 class IncompleteFactorization(ArithmeticError):
     """Trial division by the candidate linear forms left a non-constant
     cofactor."""

@@ -25,8 +25,7 @@ from .lgclassical import (StratumConfigA, StratumConfigBD, DegeneratePoint,
                           closed_form_det_A, closed_form_det_BD, kappa_A,
                           kappa_BD, residue_metric_at, frobenius_check_at)
 from .roots import build_root_system, parse_group, reduce_to_fundamental
-from .strata import (InvariantViolation, make_stratum,
-                     restricted_arrangement, predict_determinant,
+from .strata import (InvariantViolation, make_stratum, predict_determinant,
                      q_polynomial, stratum_json_dict)
 from . import saitosym
 
@@ -142,11 +141,10 @@ def cmd_predict(args):
     R = _group(args)
     I, word = _stratum_indices(R, args)
     D = make_stratum(R, I)
-    arr = restricted_arrangement(D)
-    fd = predict_determinant(D, arr)
+    fd = predict_determinant(D)
     report = {
         "subcommand": "predict",
-        "stratum": stratum_json_dict(D, arr),
+        "stratum": stratum_json_dict(D),
         "degree": fd.degree(),
         "coefficient": "unknown",
     }
@@ -166,10 +164,9 @@ def cmd_det(args):
                                             for l, r in saitosym.SUPPORTED)))
     I, _ = _stratum_indices(R, args)
     D = make_stratum(R, I)
-    arr = restricted_arrangement(D)
     report = {
         "subcommand": "det",
-        "stratum": stratum_json_dict(D, arr),
+        "stratum": stratum_json_dict(D),
         "backend": args.backend,
     }
     if args.invariants is not None:
@@ -193,12 +190,12 @@ def cmd_det(args):
         c = saitosym.frame_constant(basis, D)
         det = det * c
         try:
-            fd = factor_linear(det, [hp.form for hp in arr])
+            fd = factor_linear(det, [hp.form for hp in D.arrangement])
         except IncompleteFactorization as exc:
             return _incomplete(report, exc), 0
     else:
         try:
-            fd = saitosym.restricted_saito_det(basis, D, arr)
+            fd = saitosym.restricted_saito_det(basis, D)
         except IncompleteFactorization as exc:
             return _incomplete(report, exc), 0
     report["complete"] = True
@@ -287,9 +284,8 @@ def cmd_tables(args):
     rows, diff = [], []
     for entry in golden:
         D = make_stratum(R, entry["simple_indices"])
-        arr = restricted_arrangement(D)
         if kind == "det":
-            fd = predict_determinant(D, arr)
+            fd = predict_determinant(D)
             got = sorted((tuple(int(c) for c in f.coeffs), int(e))
                          for f, e in fd.factors.items())
             want = sorted((tuple(f["form"]), f["exponent"])
@@ -305,7 +301,7 @@ def cmd_tables(args):
                              "got": [[list(f), e] for f, e in got]})
         else:
             by_form = {tuple(int(c) for c in hp.form.coeffs): hp
-                       for hp in arr}
+                       for hp in D.arrangement}
             classes, mism, missing = [], [], []
             covered = set()
             for cls in entry["rows"]:
@@ -371,14 +367,13 @@ def _verify_stratum(I):
 
     try:
         D = make_stratum(R, I)
-        arr = restricted_arrangement(D)
         add("arrangement_class_consistency", True,
-            f"{len(arr)} projective classes")
+            f"{len(D.arrangement)} projective classes")
     except InvariantViolation as exc:
         add("arrangement_class_consistency", False, str(exc))
         return out
     try:
-        fd = predict_determinant(D, arr)
+        fd = predict_determinant(D)
         add("determinant_degree", True, f"degree {fd.degree()}")
     except InvariantViolation as exc:
         add("determinant_degree", False, str(exc))
@@ -386,8 +381,8 @@ def _verify_stratum(I):
     if len(I) == 1:
         h = R.coxeter_number
         expect = len(R.positive_roots) - h + 1
-        add("mirror_arrangement_count", len(arr) == expect,
-            f"|A_D| = {len(arr)}, |A| - h + 1 = {expect}")
+        add("mirror_arrangement_count", len(D.arrangement) == expect,
+            f"|A_D| = {len(D.arrangement)}, |A| - h + 1 = {expect}")
     try:
         q0 = q_polynomial(D)
         add("q_polynomial_default", q0.multiset() == fd.multiset())
@@ -401,6 +396,7 @@ def _verify_stratum(I):
 
 
 def cmd_verify(args):
+    global _WORKER_R
     R = _group(args)
     n = R.rank
     strata = [I for size in range(1, n)
@@ -414,7 +410,7 @@ def cmd_verify(args):
             for res in pool.map(_verify_stratum, strata):
                 checks.extend(res)
     else:
-        _init_worker(R.label, R.rank)
+        _WORKER_R = R
         for I in strata:
             checks.extend(_verify_stratum(I))
 
@@ -425,10 +421,9 @@ def cmd_verify(args):
                        "detail": f"normalized={basis.normalized}"})
         for I in strata:
             D = make_stratum(R, I)
-            arr = restricted_arrangement(D)
-            pred = predict_determinant(D, arr)
+            pred = predict_determinant(D)
             try:
-                fd = saitosym.restricted_saito_det(basis, D, arr)
+                fd = saitosym.restricted_saito_det(basis, D)
                 ok = fd.multiset() == pred.multiset()
                 detail = ""
             except IncompleteFactorization as exc:

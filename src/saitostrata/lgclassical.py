@@ -11,13 +11,12 @@ m >= -1 corresponds to actual group strata (m = l for B, m = l - 1 for D).
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import LinearForm, FactoredDeterminant
+from .algebra import LinearForm, FactoredDeterminant, InvariantViolation
 
 
 class DegeneratePoint(ValueError):
@@ -197,7 +196,8 @@ def _check_generic_BD(cfg, xi):
             raise DegeneratePoint("critical point hits a xi value")
     w0 = _ueval(w, Fraction(0))
     if cfg.m == 0:
-        assert w0 == 0, "m = 0 must force a zero critical point"
+        if w0 != 0:
+            raise InvariantViolation("m = 0 must force a zero critical point")
     elif w0 == 0:
         raise DegeneratePoint("unexpected zero critical point")
     return w
@@ -311,7 +311,8 @@ def _critical_data_A(cfg, xi, tol=1e-12):
     m = cfg.mults
     wf = [float(c) for c in w]
     for qi in q:
-        assert abs(_ueval(wf, qi)) < tol * max(1.0, abs(qi) ** cfg.d), "bad root"
+        if not abs(_ueval(wf, qi)) < tol * max(1.0, abs(qi) ** cfg.d):
+            raise InvariantViolation("bad root")
     lam = lambda p: np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
     lam2 = np.array([
         (cfg.n + 1)

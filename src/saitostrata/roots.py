@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from .algebra import InvariantViolation
 from .exactla import IntSpan, matinv, nullspace
 
 DEGREES = {
@@ -48,7 +49,8 @@ class Component:
         self.roots = roots          # full set, closed under negation
         self.rank = rank
         self.size = len(roots)
-        assert self.size % rank == 0
+        if self.size % rank:
+            raise InvariantViolation("component size not a multiple of rank")
         self.coxeter_number = self.size // rank
         self.type_label = type_label
 
@@ -121,10 +123,11 @@ class RootSystem:
         coeffs = []
         for r in roots:
             c = [_dot(w, r) for w in self.coweights]
-            assert all(x.denominator == 1 for x in c), \
-                "non-integer simple-root expansion"
+            if any(x.denominator != 1 for x in c):
+                raise InvariantViolation("non-integer simple-root expansion")
             c = tuple(int(x) for x in c)
-            assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
+            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+                raise InvariantViolation("root with mixed-sign expansion")
             coeffs.append(c)
         self.roots = tuple(coeffs)
         self.positive_roots = tuple(r for r in self.roots
@@ -133,7 +136,8 @@ class RootSystem:
         # Cartan pairing 2(a_i,a_j)/(a_j,a_j)
         self.cartan = [[Fraction(2) * gram[i][j] / gram[j][j] for j in range(rank)]
                        for i in range(rank)]
-        assert all(c.denominator == 1 for row in self.cartan for c in row)
+        if any(c.denominator != 1 for row in self.cartan for c in row):
+            raise InvariantViolation("non-integer Cartan matrix")
         self.cartan = [[int(c) for c in row] for row in self.cartan]
 
         self._check_invariants()
@@ -141,16 +145,23 @@ class RootSystem:
     # -- construction-time invariants ---------------------------------
     def _check_invariants(self):
         n, h = self.rank, self.coxeter_number
-        assert len(self.roots) == 2 * len(self.positive_roots)
-        assert len(self.positive_roots) == n * h // 2
-        assert sum(d - 1 for d in self.degrees) == len(self.positive_roots)
-        assert self.degrees[0] == 2 and self.degrees[-1] == h
+        npos = len(self.positive_roots)
+        if len(self.roots) != 2 * npos:
+            raise InvariantViolation("|R| != 2 |R+|")
+        if npos != n * h // 2:
+            raise InvariantViolation("|R+| != n h / 2")
+        if sum(d - 1 for d in self.degrees) != npos:
+            raise InvariantViolation("sum of (degree - 1) != |R+|")
+        if self.degrees[0] != 2 or self.degrees[-1] != h:
+            raise InvariantViolation("degrees must run from 2 to h")
         for i, w in enumerate(self.coweights):
             for j, a in enumerate(self.simple_vectors):
-                assert _dot(w, a) == (1 if i == j else 0)
+                if _dot(w, a) != (1 if i == j else 0):
+                    raise InvariantViolation("coweights not dual to a_j")
         rootset = set(self.roots)
         for r in self.roots:
-            assert tuple(-x for x in r) in rootset
+            if tuple(-x for x in r) not in rootset:
+                raise InvariantViolation("R not closed under negation")
 
     # -- the ambient encoding -----------------------------------------
     def vector(self, beta):
@@ -478,5 +489,6 @@ def reduce_to_fundamental(R: RootSystem, S, rng=None):
         z = [zj - z[i] * C[j][i] for j, zj in enumerate(z)]
         word.append(i + 1)
     I = frozenset(i + 1 for i in range(n) if z[i] == 0)
-    assert len(I) == len(S)
+    if len(I) != len(S):
+        raise InvariantViolation("reduced stratum has the wrong codimension")
     return word, I

@@ -23,7 +23,7 @@ from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization)
 from .exactla import matinv, matmul, det_fraction, nullspace, rank as mat_rank
 from .roots import RootSystem, build_root_system, span_subsystem
-from .strata import Stratum, make_stratum, restricted_arrangement
+from .strata import Stratum, make_stratum
 
 SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
              ("D", 3), ("D", 4), ("F", 4)}
@@ -582,8 +582,8 @@ def covariant_metric(basis: InvariantBasis):
     return out
 
 
-def restricted_saito_det(basis: InvariantBasis, D: Stratum,
-                         arrangement=None) -> FactoredDeterminant:
+def restricted_saito_det(basis: InvariantBasis,
+                         D: Stratum) -> FactoredDeterminant:
     """Restrict the covariant metric to the stratum parameters and factor
     the exact determinant over the restricted arrangement forms.
 
@@ -610,9 +610,7 @@ def restricted_saito_det(basis: InvariantBasis, D: Stratum,
                     if c:
                         s = s + rgrads[a][r] * rgrads[b][l] * c
             M[r][l] = M[l][r] = s
-    det = poly_det(M)
-    arr = arrangement if arrangement is not None else restricted_arrangement(D)
-    return factor_linear(det, [hp.form for hp in arr])
+    return factor_linear(poly_det(M), [hp.form for hp in D.arrangement])
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +703,16 @@ def identity_field_checks(basis: InvariantBasis):
     # polynomial of the restricted arrangement
     for k in range(n):
         D = make_stratum(R, [k + 1])
-        arr = restricted_arrangement(D)
         keep = [j - 1 for j in D.params]
         rk = Jk[k].set_vars_zero([k], keep)
         try:
-            fd = factor_linear(rk, [hp.form for hp in arr])
+            fd = factor_linear(rk, [hp.form for hp in D.arrangement])
             ok = all(e == 1 for e in fd.factors.values()) \
-                and len(fd.factors) == len(arr)
+                and len(fd.factors) == len(D.arrangement)
         except IncompleteFactorization:
             ok = False
         add(f"minor_restriction_k={k + 1}", ok,
-            f"|A_D| = {len(arr)}")
+            f"|A_D| = {len(D.arrangement)}")
 
     # sign relation between I_l and I_m on codimension-2 strata whose
     # rank-2 subsystem has more than two positive roots

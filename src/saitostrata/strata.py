@@ -6,24 +6,27 @@ reduction): D = {x : a_i(x) = 0, i in I}, parametrized by x = sum_{j not in
 I} s_j w^j, so the restriction of a root b = sum b_i a_i to D is the
 coefficient truncation sum_{j not in I} b_j s_j. All restriction arithmetic
 is therefore integer truncation plus canonicalization — no projections.
+
+Everything on D comes from that one map b -> b|_D, and a `Stratum` computes
+it once: `D.forms` sends each positive root to its canonical form, or to
+None exactly on R_D.  The arrangement A_D is built from it on first use
+and kept as `D.arrangement`; the predictor, the Q-polynomial and the
+reports all read these two attributes.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
+from functools import cached_property
 from math import gcd
 
-from .algebra import LinearForm, FactoredDeterminant, UNKNOWN
+from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
+                      InvariantViolation)
 from .roots import RootSystem, SubsystemReport, span_subsystem, _components
 
 
 class NegativeFinalExponent(ArithmeticError):
     """The factored Q-polynomial came out with a non-positive exponent."""
-
-
-class InvariantViolation(ArithmeticError):
-    """A mathematical identity the predictor relies on failed."""
 
 
 def _canon_int(vec):
@@ -50,6 +53,14 @@ class Stratum:
         self.dim = len(self.params)
         self.rd = rd
         self.param_labels = tuple(f"s{j}" for j in self.params)
+        # b -> b|_D on the positive roots, in R.positive_roots order
+        self.forms = {beta: self.restrict_root(beta)
+                      for beta in R.positive_roots}
+
+    @cached_property
+    def arrangement(self):
+        """A_D, built on first access; see `restricted_arrangement`."""
+        return restricted_arrangement(self)
 
     def restrict_root(self, beta):
         """Canonical LinearForm of b|_D, or None if b vanishes on D."""
@@ -67,7 +78,8 @@ def make_stratum(R: RootSystem, I) -> Stratum:
     if len(I) == R.rank:
         raise ValueError("|I| = n gives a zero-dimensional stratum")
     rd = span_subsystem(R, [R.simple[i - 1] for i in sorted(I)])
-    assert rd.rank == len(I)
+    if rd.rank != len(I):
+        raise InvariantViolation("simple roots a_I are not independent")
     return Stratum(R, I, rd)
 
 
@@ -83,7 +95,6 @@ class RestrictedHyperplane:
         self.rd_beta = rd_beta
         self.component0 = component0
         self.k = component0.coxeter_number
-        assert self.k == component0.size // component0.rank
 
     def __repr__(self):
         return f"<H {self.form!r}: k={self.k} via {self.component0.type_label} in {self.rd_beta.type_string()}>"
@@ -97,15 +108,13 @@ def restricted_arrangement(D: Stratum):
     span(a_I), so a root g lies in span(a_I, beta) exactly when g|_D is
     proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H)."""
     pos = D.R.positive_roots
-    rd_roots = set(D.rd.roots)
     rd_idx, classes = [], {}
     for i, beta in enumerate(pos):
-        if beta in rd_roots:
+        form = D.forms[beta]
+        if form is None:
             rd_idx.append(i)
-            continue
-        form = D.restrict_root(beta)
-        assert form is not None
-        classes.setdefault(form, []).append(i)
+        else:
+            classes.setdefault(form, []).append(i)
 
     out = []
     for form in sorted(classes):
@@ -126,10 +135,9 @@ def restricted_arrangement(D: Stratum):
     return out
 
 
-def predict_determinant(D: Stratum, arrangement=None) -> FactoredDeterminant:
+def predict_determinant(D: Stratum) -> FactoredDeterminant:
     """det eta_D up to scalar: product over A_D of l_H^{k_H}."""
-    arr = arrangement if arrangement is not None else restricted_arrangement(D)
-    fd = FactoredDeterminant(UNKNOWN, {h.form: h.k for h in arr})
+    fd = FactoredDeterminant(UNKNOWN, {h.form: h.k for h in D.arrangement})
     if fd.degree() != D.R.coxeter_number * D.dim:
         raise InvariantViolation("degree != h * dim")
     return fd
@@ -142,7 +150,6 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     Multiset arithmetic with integer (possibly negative) exponent m; every
     final exponent must be >= 1 or NegativeFinalExponent is raised."""
     R = D.R
-    rd_roots = set(D.rd.roots)
     comps = D.rd.components
     m = 2 - sum(c.rank for c in comps)
 
@@ -157,10 +164,9 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     total = Counter()
 
     # I(A \ A^D) restricted: one linear form per mirror not containing D
-    for beta in R.positive_roots:
-        if beta in rd_roots:
-            continue
-        total[D.restrict_root(beta)] += m
+    for form in D.forms.values():
+        if form is not None:
+            total[form] += m
 
     # the I_i factors, with exponent r_i each
     for comp, gamma in zip(comps, gamma_choices):
@@ -176,11 +182,9 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
                 continue
             hyperplanes.setdefault(key, []).append(beta)
         for members in hyperplanes.values():
-            if any(b in rd_roots for b in members):
+            if any(D.forms[b] is None for b in members):
                 continue         # hyperplane belongs to A^D restricted
-            form = D.restrict_root(members[0])
-            assert form is not None
-            total[form] += comp.rank
+            total[D.forms[members[0]]] += comp.rank
 
     bad = {f: k for f, k in total.items() if k < 1}
     if bad:
@@ -188,8 +192,7 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     return FactoredDeterminant(UNKNOWN, dict(total))
 
 
-def stratum_json_dict(D: Stratum, arrangement=None):
-    arr = arrangement if arrangement is not None else restricted_arrangement(D)
+def stratum_json_dict(D: Stratum):
     return {
         "group": f"{D.R.label}{D.R.rank}",
         "simple_indices": sorted(D.I),
@@ -206,5 +209,5 @@ def stratum_json_dict(D: Stratum, arrangement=None):
                             "rank": h.component0.rank,
                             "h": h.component0.coxeter_number},
              "r_d_beta_size": h.rd_beta.size}
-            for h in arr],
+            for h in D.arrangement],
     }

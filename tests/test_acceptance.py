@@ -45,8 +45,7 @@ def test_criterion_1_determinant_tables():
         R = build_root_system("E", int(key[1]))
         for row in golden[key]:
             D = make_stratum(R, row["simple_indices"])
-            arr = restricted_arrangement(D)
-            fd = predict_determinant(D, arr)
+            fd = predict_determinant(D)
             got = {(tuple(int(c) for c in f.coeffs), k)
                    for f, k in fd.factors.items()}
             want = {(tuple(f["form"]), f["exponent"])
@@ -226,10 +225,10 @@ def test_criterion_7_structural_identities(root_system):
         assert len(R.positive_roots) == n * h // 2          # |A| = r h / 2
         for I in _all_strata(R):
             D = make_stratum(R, I)
-            arr = restricted_arrangement(D)
-            fd = predict_determinant(D, arr)
+            fd = predict_determinant(D)
             if len(I) == 1:                                  # |A_H|
-                assert len(arr) == n * h // 2 - h + 1, (label, rank, I)
+                assert len(D.arrangement) == n * h // 2 - h + 1, \
+                    (label, rank, I)
             assert fd.degree() == h * D.dim                  # degree identity
             assert q_polynomial(D).multiset() == fd.multiset()
             for seed in (1, 2, 3):

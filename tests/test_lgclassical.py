@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from saitostrata.lgclassical import (StratumConfigA, StratumConfigBD,
-                                     kappa_A, kappa_BD, closed_form_det_A,
+                                     kappa_A, closed_form_det_A,
                                      closed_form_det_BD, residue_metric_at,
                                      frobenius_check_at, random_generic_point,
                                      NZero)

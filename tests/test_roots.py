@@ -1,10 +1,15 @@
 """Root system construction, subsystem spans, and fundamental reduction."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from saitostrata import roots
+from saitostrata.algebra import InvariantViolation
 from saitostrata.roots import (build_root_system, parse_group,
                                span_subsystem, reduce_to_fundamental)
 
@@ -169,3 +174,26 @@ def test_json_serialization_uses_exact_fractions():
     for row in doc["positive_roots"]:
         for entry in row:
             Fraction(entry)  # every coordinate parses back exactly
+
+
+# A2 in R^3 given the degrees of B2: h = 4 needs |R+| = n h / 2 = 4, not 3
+A2_ROOTS = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1),
+            (0, -1, 1)]
+A2_SIMPLE = [(1, -1, 0), (0, 1, -1)]
+
+
+def test_wrong_degrees_raise_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        roots.RootSystem("A", 2, 3, A2_ROOTS, A2_SIMPLE, (2, 4))
+    # the check must not be an assert that `python -O` strips
+    code = ("from saitostrata.roots import RootSystem\n"
+            "from saitostrata.algebra import InvariantViolation\n"
+            "try:\n"
+            f"    RootSystem('A', 2, 3, {A2_ROOTS!r}, {A2_SIMPLE!r}, (2, 4))\n"
+            "except InvariantViolation:\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.dirname(os.path.dirname(roots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr

@@ -8,8 +8,9 @@ from itertools import combinations
 
 import pytest
 
-from saitostrata.roots import (build_root_system, reduce_to_fundamental,
-                               span_subsystem)
+from saitostrata import strata
+from saitostrata.roots import reduce_to_fundamental, span_subsystem
+from saitostrata.saitosym import restricted_saito_det
 from saitostrata.strata import (make_stratum, restricted_arrangement,
                                 predict_determinant, q_polynomial,
                                 stratum_json_dict)
@@ -38,6 +39,27 @@ class TestStratumBasics:
         assert outside
         for beta in outside:
             assert D.restrict_root(beta) is not None
+        # the stratum's table is restrict_root on every positive root
+        assert list(D.forms) == list(R.positive_roots)
+        for beta in R.positive_roots:
+            assert D.forms[beta] == D.restrict_root(beta)
+
+    def test_arrangement_is_built_once(self, flat_basis, monkeypatch):
+        calls = []
+        real = strata.restricted_arrangement
+
+        def counted(D):
+            calls.append(D)
+            return real(D)
+
+        monkeypatch.setattr(strata, "restricted_arrangement", counted)
+        basis = flat_basis("A", 3)
+        D = make_stratum(basis.R, [2])
+        predict_determinant(D)
+        stratum_json_dict(D)
+        q_polynomial(D)
+        restricted_saito_det(basis, D)
+        assert calls == [D]
 
 
 class TestRestrictedArrangement:
@@ -183,6 +205,6 @@ def test_report_bytes_are_pinned(root_system):
         digest.update(json.dumps(R.to_json_dict(), sort_keys=True).encode())
         for I in _all_strata(R):
             D = make_stratum(R, I)
-            doc = stratum_json_dict(D, restricted_arrangement(D))
+            doc = stratum_json_dict(D)
             digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == REPORT_DIGEST
