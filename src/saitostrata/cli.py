@@ -19,8 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from .algebra import (FactoredDeterminant, IncompleteFactorization,
-                      factor_linear)
+from .algebra import IncompleteFactorization, factor_linear
 from .lgclassical import (StratumConfigA, StratumConfigBD, DegeneratePoint,
                           closed_form_det_A, closed_form_det_BD, kappa_A,
                           kappa_BD, residue_metric_at, frobenius_check_at)
@@ -129,9 +128,10 @@ def _form_coeffs(form):
             for c in form.coeffs]
 
 
-def _factor_list(fd: FactoredDeterminant):
+def _factor_list(factors):
+    """[{form, exponent}] for a mapping LinearForm -> exponent."""
     return [{"form": _form_coeffs(form), "exponent": int(e)}
-            for form, e in sorted(fd.factors.items())]
+            for form, e in sorted(factors.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +185,18 @@ def cmd_det(args):
     else:
         basis = saitosym.flat_coordinates(R)
         report["normalized_pairing"] = basis.normalized
-    if args.backend == "minor":
-        det = saitosym.general_formula_det(basis, D)
-        c = saitosym.frame_constant(basis, D)
-        det = det * c
-        try:
+    try:
+        if args.backend == "minor":
+            det = saitosym.general_formula_det(basis, D) \
+                * saitosym.frame_constant(basis, D)
             fd = factor_linear(det, [hp.form for hp in D.arrangement])
-        except IncompleteFactorization as exc:
-            return _incomplete(report, exc), 0
-    else:
-        try:
+        else:
             fd = saitosym.restricted_saito_det(basis, D)
-        except IncompleteFactorization as exc:
-            return _incomplete(report, exc), 0
+    except IncompleteFactorization as exc:
+        return _incomplete(report, exc), 0
     report["complete"] = True
     report["coefficient"] = _frac_str(fd.coefficient)
-    report["factors"] = _factor_list(fd)
+    report["factors"] = _factor_list(fd.factors)
     if args.dump_roots:
         report["roots"] = R.to_json_dict()
     return report, 0
@@ -208,9 +204,7 @@ def cmd_det(args):
 
 def _incomplete(report, exc: IncompleteFactorization):
     report["complete"] = False
-    report["partial_factors"] = [
-        {"form": _form_coeffs(form), "exponent": int(e)}
-        for form, e in sorted((exc.partial or {}).items())]
+    report["partial_factors"] = _factor_list(exc.partial or {})
     if exc.cofactor is not None:
         report["cofactor"] = [
             [list(e), _frac_str(c)]
@@ -241,7 +235,7 @@ def cmd_classical(args):
         "type": args.type,
         "mults": mults,
         "kappa": _frac_str(kap),
-        "factors": _factor_list(fd),
+        "factors": _factor_list(fd.factors),
     }
     if args.type != "A":
         report["m"] = cfg.m
@@ -249,13 +243,13 @@ def cmd_classical(args):
         xi = _parse_fracs(args.at, "--at")
         if len(xi) != cfg.d:
             raise InputError(f"--at needs {cfg.d} coordinates")
-        report["at"] = [_frac_str(x) for x in xi]
-        report["closed_form_det"] = _frac_str(fd.evaluate(xi))
         try:
             _, det = residue_metric_at(cfg, xi)
             res = frobenius_check_at(cfg, xi)
         except DegeneratePoint as exc:
             raise InputError(f"--at is not a generic point: {exc}")
+        report["at"] = [_frac_str(x) for x in xi]
+        report["closed_form_det"] = _frac_str(fd.evaluate(xi))
         det = complex(det)
         report["oracle_det"] = [det.real, det.imag]
         report["residuals"] = {k: res[k] for k in
@@ -348,17 +342,19 @@ def cmd_tables(args):
 
 # --- verify ----------------------------------------------------------------
 
-_WORKER_R = None
+_WORKER = (None, None)     # this process's root system and flat basis
 
 
-def _init_worker(label, rank):
-    global _WORKER_R
-    _WORKER_R = build_root_system(label, rank)
+def _init_worker(R, basis):
+    global _WORKER
+    _WORKER = (R, basis)
 
 
 def _verify_stratum(I):
-    """Per-stratum combinatorial checks; runs inside the worker pool."""
-    R = _WORKER_R
+    """Every check on one stratum, which is built once; runs inside the
+    worker pool.  With a flat basis this includes the restricted Saito
+    determinant against the prediction."""
+    R, basis = _WORKER
     out = []
 
     def add(check, passed, detail=""):
@@ -392,49 +388,42 @@ def _verify_stratum(I):
                 qr.multiset() == fd.multiset())
     except Exception as exc:  # noqa: BLE001 - report, never crash the pool
         add("q_polynomial_default", False, repr(exc))
+    if basis is not None:
+        try:
+            sym = saitosym.restricted_saito_det(basis, D)
+            add("restricted_det_matches_prediction",
+                sym.multiset() == fd.multiset())
+        except IncompleteFactorization as exc:
+            add("restricted_det_matches_prediction", False, str(exc))
     return out
 
 
 def cmd_verify(args):
-    global _WORKER_R
     R = _group(args)
     n = R.rank
     strata = [I for size in range(1, n)
               for I in combinations(range(1, n + 1), size)]
     checks = []
     nproc = min(worker_count(), len(strata))
-    if nproc > 1:
-        with ProcessPoolExecutor(max_workers=nproc,
-                                 initializer=_init_worker,
-                                 initargs=(R.label, R.rank)) as pool:
-            for res in pool.map(_verify_stratum, strata):
-                checks.extend(res)
-    else:
-        _WORKER_R = R
-        for I in strata:
-            checks.extend(_verify_stratum(I))
-
+    basis = None
     if (R.label, R.rank) in saitosym.SUPPORTED and not args.skip_symbolic:
         basis = saitosym.flat_coordinates(R)
         checks.append({"stratum": [], "check": "flat_pairing_normalized",
                        "passed": True,
                        "detail": f"normalized={basis.normalized}"})
+    if nproc > 1:
+        with ProcessPoolExecutor(max_workers=nproc,
+                                 initializer=_init_worker,
+                                 initargs=(R, basis)) as pool:
+            for res in pool.map(_verify_stratum, strata):
+                checks.extend(res)
+    else:
+        _init_worker(R, basis)
         for I in strata:
-            D = make_stratum(R, I)
-            pred = predict_determinant(D)
-            try:
-                fd = saitosym.restricted_saito_det(basis, D)
-                ok = fd.multiset() == pred.multiset()
-                detail = ""
-            except IncompleteFactorization as exc:
-                ok, detail = False, str(exc)
-            checks.append({"stratum": list(I),
-                           "check": "restricted_det_matches_prediction",
-                           "passed": ok, "detail": detail})
-        for item in saitosym.identity_field_checks(basis):
-            checks.append({"stratum": [], "check": item["check"],
-                           "passed": item["passed"],
-                           "detail": item.get("detail", "")})
+            checks.extend(_verify_stratum(I))
+    if basis is not None:
+        checks.extend({"stratum": [], **item}
+                      for item in saitosym.identity_field_checks(basis))
 
     checks.sort(key=lambda c: (len(c["stratum"]), c["stratum"], c["check"]))
     failures = [c for c in checks if not c["passed"]]

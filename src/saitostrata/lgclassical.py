@@ -293,11 +293,12 @@ def closed_form_det_BD(cfg: StratumConfigBD) -> FactoredDeterminant:
 # numeric residue oracle
 
 class CriticalData:
-    __slots__ = ("q", "u", "eps", "lam2", "cfg", "xi")
+    __slots__ = ("q", "u", "eps", "lam2", "cfg", "xi", "xs")
 
-    def __init__(self, cfg, xi, q, u, eps, lam2):
+    def __init__(self, cfg, xi, xs, q, u, eps, lam2):
         self.cfg = cfg
         self.xi = xi
+        self.xs = xs        # complex xi values (type A: xi_0 first)
         self.q = q          # critical points (complex array, d entries)
         self.u = u          # canonical coordinates lam(q_i)
         self.eps = eps      # 1 or 1/2 weights
@@ -312,7 +313,7 @@ def _critical_data_A(cfg, xi, tol=1e-12):
     wf = [float(c) for c in w]
     for qi in q:
         if not abs(_ueval(wf, qi)) < tol * max(1.0, abs(qi) ** cfg.d):
-            raise InvariantViolation("bad root")
+            raise DegeneratePoint("critical points are ill-conditioned here")
     lam = lambda p: np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
     lam2 = np.array([
         (cfg.n + 1)
@@ -321,7 +322,7 @@ def _critical_data_A(cfg, xi, tol=1e-12):
         for l in range(cfg.d)])
     u = np.array([lam(qi) for qi in q])
     eps = np.ones(cfg.d)
-    return CriticalData(cfg, xi, q, u, eps, lam2)
+    return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
 def _critical_data_BD(cfg, xi, tol=1e-12):
@@ -333,6 +334,7 @@ def _critical_data_BD(cfg, xi, tol=1e-12):
         order = np.argsort(np.abs(y))
         y, q = y[order], q[order]
         q[0] = 0.0
+    xs = [complex(Fraction(x)) for x in xi]
     xs2 = [complex(Fraction(x) ** 2) for x in xi]
     m = cfg.mults
     eps = np.array([0.5 if qi == 0 else 1.0 for qi in q])
@@ -344,7 +346,7 @@ def _critical_data_BD(cfg, xi, tol=1e-12):
     lam = lambda p: (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
         * np.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
     u = np.array([lam(qi) for qi in q])
-    return CriticalData(cfg, xi, q, u, eps, lam2)
+    return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
 def critical_data(cfg, xi, tol=1e-12):
@@ -355,40 +357,53 @@ def critical_data(cfg, xi, tol=1e-12):
 
 def _jacobi_matrix(cd):
     """M[i][a] = d xi_a / d u_i."""
-    cfg = cd.cfg
+    cfg, xs = cd.cfg, cd.xs
     d = cfg.d
     if isinstance(cfg, StratumConfigA):
-        xs = [complex(x) for x in cfg.xi_full(cd.xi)]
         return np.array([[1.0 / ((cd.q[l] - xs[a]) * cd.lam2[l])
                           for a in range(1, d + 1)] for l in range(d)])
-    xs = [complex(Fraction(x)) for x in cd.xi]
     return np.array([[2 * cd.eps[i] * xs[a] / ((cd.q[i] ** 2 - xs[a] ** 2) * cd.lam2[i])
                       for a in range(d)] for i in range(d)])
 
 
+def _transport(cfg, xi_point):
+    """(cd, K, eta_u, eta, det) at a point: the critical data, K[i][a] =
+    du_i/dxi_a, the metric in canonical coordinates, and eta_D in the xi
+    coordinates with its determinant.  Raises DegeneratePoint where
+    floating point cannot resolve the point; callers silence numpy's
+    warnings with np.errstate and check their own results."""
+    try:
+        cd = critical_data(cfg, xi_point)
+        K = np.linalg.inv(_jacobi_matrix(cd).T)
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        raise DegeneratePoint(f"out of floating-point range: {exc}")
+    eta_u = 2 * cd.eps / cd.lam2 if isinstance(cfg, StratumConfigBD) \
+        else 1.0 / cd.lam2
+    eta = K.T @ (eta_u[:, None] * K)
+    det = np.linalg.det(K) ** 2 * np.prod(eta_u)
+    _require_finite(eta, det)
+    return cd, K, eta_u, eta, det
+
+
+def _require_finite(*values):
+    if not all(np.isfinite(v).all() for v in values):
+        raise DegeneratePoint("out of floating-point range")
+
+
+@np.errstate(all="ignore")
 def residue_metric_at(cfg, xi_point):
     """eta_D in the xi coordinates at the given rational point, and its
     determinant, via canonical coordinates and Jacobi transport."""
-    cd = critical_data(cfg, xi_point)
-    d = cfg.d
-    M = _jacobi_matrix(cd)                 # M[i][a] = dxi_a/du_i
-    eta_u = 2 * cd.eps / cd.lam2 if isinstance(cfg, StratumConfigBD) \
-        else 1.0 / cd.lam2
-    K = np.linalg.inv(M.T)                 # K[i][a] = du_i/dxi_a
-    eta = K.T @ (eta_u[:, None] * K)
-    det = np.linalg.det(K) ** 2 * np.prod(eta_u)
+    _, _, _, eta, det = _transport(cfg, xi_point)
     return eta, det
 
 
 def _dxilam(cfg, cd, a, p):
     """d lam / d xi_a evaluated at p (a is 1-based for A, 0-based for BD)."""
+    xs, m = cd.xs, cfg.mults
     if isinstance(cfg, StratumConfigA):
-        xs = [complex(x) for x in cfg.xi_full(cd.xi)]
-        m = cfg.mults
         lam = np.prod([(p - xs[i]) ** m[i] for i in range(cfg.d + 1)])
         return lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
-    xs = [complex(Fraction(x)) for x in cd.xi]
-    m = cfg.mults
     lam = (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
         * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
     return lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
@@ -410,6 +425,7 @@ def _all_simple_critical_points(cfg, cd):
     return pts, l2
 
 
+@np.errstate(all="ignore")
 def frobenius_check_at(cfg, xi_point):
     """Euler/Frobenius identities at a point; returns max residuals.
 
@@ -418,13 +434,8 @@ def frobenius_check_at(cfg, xi_point):
     (iii) canonical idempotency, cross-checked through the residue formula
           for eta(d_a o d_b, d_c) in the xi frame.
     """
-    cd = critical_data(cfg, xi_point)
+    cd, K, eta_u, eta, det_eta = _transport(cfg, xi_point)
     d = cfg.d
-    M = _jacobi_matrix(cd)
-    eta_u = 2 * cd.eps / cd.lam2 if isinstance(cfg, StratumConfigBD) \
-        else 1.0 / cd.lam2
-    K = np.linalg.inv(M.T)
-    eta = K.T @ (eta_u[:, None] * K)
 
     # Constant Gram matrix of the stratum embedding. The residue formulae
     # determine the ambient invariant bilinear form only up to a constant
@@ -445,7 +456,6 @@ def frobenius_check_at(cfg, xi_point):
     # det(E_D o) = prod u_i since the operator is diagonal in canonical
     # coordinates; the matrix determinant of O loses precision when the
     # critical values span many orders of magnitude.
-    det_eta = np.linalg.det(K) ** 2 * np.prod(eta_u)
     res_ii = abs(det_eta - np.linalg.det(g) * np.prod(cd.u)) / abs(det_eta)
 
     # idempotency: structure constants two ways
@@ -462,6 +472,7 @@ def frobenius_check_at(cfg, xi_point):
                 via_canonical = np.sum(K[:, ia] * K[:, ib] * K[:, ic] * eta_u)
                 scale = max(1.0, abs(via_canonical))
                 res_iii = max(res_iii, abs(via_residues - via_canonical) / scale)
+    _require_finite(res_i, res_ii, res_iii)
     return {"gram_euler": float(res_i), "determinant": float(res_ii),
             "idempotency": float(res_iii), "gram": g, "det_eta": det_eta}
 

@@ -372,6 +372,8 @@ def build_root_system(label, rank=None):
 def parse_group(name):
     """'A3', 'B2', 'E8', 'F4', ... -> RootSystem."""
     name = name.strip().upper().replace("_", "")
+    if not name:
+        raise ValueError("empty group label")
     return build_root_system(name[0], int(name[1:]))
 
 

@@ -1,17 +1,22 @@
 """Command-line interface: reports, schema conformance, determinism, and
 exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from saitostrata import strata
 from saitostrata.cli import main, load_schema, worker_count
+from saitostrata.roots import parse_group
 
 SCHEMA = load_schema()
 
@@ -23,11 +28,13 @@ def run(capsys, *argv):
 
 
 def assert_input_error(capsys, *argv):
-    """Exit 2 with a JSON error on stderr and no traceback."""
+    """Exit 2 with one JSON error line on stderr, no traceback and
+    nothing on stdout."""
     capsys.readouterr()
     assert main(list(argv)) == 2
-    err = capsys.readouterr().err
-    assert "error" in json.loads(err)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
 
 
 def run_json(capsys, *argv):
@@ -121,6 +128,19 @@ class TestClassical:
                            "--mult", "1,1", "--at", "0")
         assert_input_error(capsys, "classical", "--type", "B",
                            "--mult", "1,1", "--at", "1,1")
+        # points beyond what the floating-point oracle resolves
+        for argv in FAR_OUT_POINTS:
+            assert_input_error(capsys, *argv)
+
+
+# --at points where the numeric oracle overflows, turns non-finite, loses
+# its critical points to conditioning, or meets a singular transport
+FAR_OUT_POINTS = (
+    ["classical", "--type", "A", "--mult", "1,1", "--at", "1e400"],
+    ["classical", "--type", "A", "--mult", "1,1", "--at", "1e300"],
+    ["classical", "--type", "A", "--mult", "1,3,3,5", "--at=0,2e50,3"],
+    ["classical", "--type", "D", "--mult", "1", "--m=3", "--at=2e50"],
+)
 
 
 class TestTables:
@@ -153,11 +173,34 @@ class TestVerify:
 
     def test_aggregation_independent_of_worker_count(self, capsys,
                                                      monkeypatch):
+        for flags in (["--skip-symbolic"], []):
+            monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+            _, out1 = run(capsys, "verify", "--group", "B3", *flags)
+            monkeypatch.setenv("SAITO_STRATA_THREADS", "3")
+            _, out2 = run(capsys, "verify", "--group", "B3", *flags)
+            assert out1 == out2
+
+    def test_each_stratum_restricts_once(self, capsys, monkeypatch):
+        # A_D once per stratum in the per-stratum checks (6 strata), plus
+        # once per codimension-1 stratum in identity_field_checks (3)
+        calls = []
+        real = strata.restricted_arrangement
+
+        def counted(D):
+            calls.append(D)
+            return real(D)
+
+        monkeypatch.setattr(strata, "restricted_arrangement", counted)
         monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
-        _, out1 = run(capsys, "verify", "--group", "B3", "--skip-symbolic")
-        monkeypatch.setenv("SAITO_STRATA_THREADS", "3")
-        _, out2 = run(capsys, "verify", "--group", "B3", "--skip-symbolic")
-        assert out1 == out2
+        status, _ = run(capsys, "verify", "--group", "B3")
+        assert status == 0
+        assert len(calls) == 9
+
+    def test_rank_one_has_no_strata(self, capsys):
+        status, rep = run_json(capsys, "verify", "--group", "A1")
+        assert status == 0
+        assert rep["passed"] is True
+        assert all(c["stratum"] == [] for c in rep["checks"])
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("SAITO_STRATA_THREADS", "5")
@@ -239,6 +282,18 @@ class TestInvariantViolation:
         status, out = run(capsys, *self.ARGV)
         self._assert_class_failure(status, json.loads(out))
 
+    def test_symbolic_checks_report_it_too(self, capsys, monkeypatch):
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        monkeypatch.setattr(strata, "_components", strata._components)
+        exec(SPLIT_COMPONENTS, {})
+        argv = [a for a in self.ARGV if a != "--skip-symbolic"]
+        status, out = run(capsys, *argv)
+        report = json.loads(out)
+        assert status == 1
+        jsonschema.validate(report, SCHEMA)
+        assert "arrangement_class_consistency" in \
+            {f["check"] for f in report["failures"]}
+
     def test_reported_under_optimize(self):
         # the check must not be an assert that `python -O` strips
         code = (SPLIT_COMPONENTS + "import sys\n"
@@ -250,3 +305,157 @@ class TestInvariantViolation:
                               capture_output=True, text=True, timeout=120)
         assert "Traceback" not in proc.stderr
         self._assert_class_failure(proc.returncode, json.loads(proc.stdout))
+
+
+# ---------------------------------------------------------------------------
+# the exit contract over generated command lines
+
+def _csv(xs):
+    return ",".join(str(x) for x in xs)
+
+
+INVALID_GROUPS = ("", " ", "Z9", "A0", "B1", "D2", "E5", "E9", "F3", "G2",
+                  "H3", "A", "3A", "A-1", "A1.5")
+_rational = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(1, 10 ** 3))
+
+
+def _rank(group):
+    """The rank a label names; invalid labels get index lists too."""
+    return int(group[1:]) if group[1:].isdigit() else 3
+
+
+@st.composite
+def _mostly(draw, valid, anything):
+    """Usually a draw from `valid` (if there is one), else from
+    `anything`, so that most command lines get past input validation."""
+    if valid is not None and draw(st.integers(0, 3)) < 3:
+        return draw(valid)
+    return draw(anything)
+
+
+def _proper_subsets(rank):
+    if rank < 2:
+        return None
+    return st.sets(st.integers(1, rank), min_size=1,
+                   max_size=rank - 1).map(sorted)
+
+
+def _simple(rank):
+    return _mostly(_proper_subsets(rank),
+                   st.lists(st.integers(-1, 9), max_size=5)).map(
+        lambda xs: ["--simple=" + _csv(xs)])
+
+
+@st.composite
+def _roots(draw, group):
+    """--roots, in simple-root or ambient coordinates: a Weyl image of
+    simple roots of a stratum, or arbitrary vectors."""
+    ambient = draw(st.booleans())
+    try:
+        R = parse_group(group)
+    except (ValueError, KeyError):
+        R = None
+    valid = None
+    if R is not None and R.rank > 1:
+        as_given = R.vector if ambient else tuple
+        valid = st.tuples(_proper_subsets(R.rank),
+                          st.lists(st.integers(1, R.rank), max_size=8)).map(
+            lambda t: [as_given(R.apply_word(t[1], R.simple[i - 1]))
+                       for i in t[0]])
+    vectors = draw(_mostly(valid, st.lists(
+        st.lists(st.integers(-2, 2), min_size=1, max_size=7),
+        min_size=1, max_size=3)))
+    return ["--roots=" + ";".join(_csv(v) for v in vectors)] \
+        + (["--ambient"] if ambient else [])
+
+
+def _verify():
+    return st.tuples(st.sampled_from(["A1", "A2", "B2", "D3"]),
+                     st.lists(st.sampled_from(["--dump-roots",
+                                               "--skip-symbolic"]),
+                              unique=True)).map(
+        lambda t: ["verify", "--group", t[0], *t[1]])
+
+
+@st.composite
+def _det(draw):
+    group = draw(st.sampled_from(["A1", "A2", "A3", "B2", "B3", "D3"]))
+    argv = ["det", "--group", group, *draw(_simple(_rank(group))),
+            "--backend", draw(st.sampled_from(["symbolic", "minor"]))]
+    if group == "D3" and draw(st.booleans()):
+        argv.append("--invariants=" + _csv(draw(st.lists(_rational,
+                                                         max_size=3))))
+    return argv
+
+
+@st.composite
+def _predict(draw):
+    group = draw(_mostly(
+        st.sampled_from(["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3",
+                         "D3", "D4", "D5", "E6", "F4"]),
+        st.sampled_from(INVALID_GROUPS)))
+    where = draw(st.one_of(_simple(_rank(group)), _roots(group)))
+    flags = draw(st.lists(st.sampled_from(["--dump-roots", "--fast"]),
+                          unique=True))
+    return ["predict", "--group", group, *where, *flags]
+
+
+def _tables():
+    which = st.one_of(st.integers(-3, 20).filter(lambda w: not 1 <= w <= 6)
+                      .map(str), st.sampled_from(["", "x", "1.5"]))
+    return which.map(lambda w: ["tables", "--which=" + w])
+
+
+@st.composite
+def _classical(draw):
+    kind = draw(st.sampled_from("ABD"))
+    mults = draw(_mostly(
+        st.lists(st.integers(1, 3), min_size=1 + (kind == "A"), max_size=4),
+        st.lists(st.integers(-1, 3), max_size=4)))
+    argv = ["classical", "--type", kind, "--mult=" + _csv(mults)]
+    if kind != "A" or draw(st.integers(0, 9)) == 0:
+        argv.append(f"--m={draw(st.integers(-3, 3))}")
+    if draw(st.booleans()):
+        d = max(len(mults) - (kind == "A"), 0)
+        size = draw(_mostly(st.just(d), st.integers(0, 4)))
+        argv.append("--at=" + _csv(draw(st.lists(_rational, min_size=size,
+                                                 max_size=size))))
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def _run_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:      # argparse rejected the argv
+            status = exc.code
+    return status, out.getvalue()
+
+
+class TestExitContract:
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              database=None)
+    @given(argv=st.one_of(_verify(), _det(), _predict(), _tables(),
+                          _classical()))
+    @example(argv=["verify", "--group", "A1"])
+    @example(argv=FAR_OUT_POINTS[0])
+    @example(argv=FAR_OUT_POINTS[1])
+    @example(argv=FAR_OUT_POINTS[2])
+    @example(argv=FAR_OUT_POINTS[3])
+    def test_status_and_report(self, argv):
+        with mock.patch.dict(os.environ, {"SAITO_STRATA_THREADS": "1"}):
+            status, out = _run_argv(argv)
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert out == ""
+            return
+        report = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(report, SCHEMA)
+        if status == 1:
+            assert report.get("failures") or report.get("diff")

@@ -1,6 +1,7 @@
 """Symbolic route: invariant bases, flat coordinates, exact restriction of
 the covariant metric, and the minor-formula path."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -123,6 +124,17 @@ class TestMainTheoremSmall:
             fd = restricted_saito_det(fb, D)
             assert fd.multiset() == predict_determinant(D).multiset()
             assert not isinstance(fd.coefficient, type(None))
+
+    def test_worker_initargs_survive_pickling(self, flat_basis):
+        # `verify` hands (R, basis) to its pool workers, pickled under the
+        # spawn and forkserver start methods
+        fb = flat_basis("B", 3)
+        R2, fb2 = pickle.loads(pickle.dumps((fb.R, fb)))
+        for I in _all_strata(fb.R):
+            got = restricted_saito_det(fb2, make_stratum(R2, I))
+            want = restricted_saito_det(fb, make_stratum(fb.R, I))
+            assert (got.coefficient, got.factors) == \
+                (want.coefficient, want.factors)
 
     def test_group_mismatch_rejected(self, flat_basis, root_system):
         D = make_stratum(root_system("B", 2), [1])
