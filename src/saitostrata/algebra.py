@@ -5,13 +5,37 @@ factorization into linear forms.
 Coefficients are `fractions.Fraction` throughout; nothing here ever rounds.
 Polynomials are stored sparsely as {exponent tuple: coefficient} with a
 graded-lexicographic term order used for canonical serialization and for
-exact division.
+exact division.  That stays the one storage: callers read `.terms`.
+
+The three hot kernels (polynomial product, `divide_exact`, `evaluate`)
+convert at their boundary and run their inner loops on Python ints, after
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors" (CASC 2007):
+
+- A monomial is packed into one int: the total degree in the top field,
+  the exponents below it in lex order, each field `w` bits wide.  So
+  grlex order is integer order and a monomial product is one addition.
+  `w` is chosen per call from the largest total degree that can occur,
+  plus one guard bit, so no field carries into the next and a negative
+  field of a packed difference shows up in its guard bit.
+- Coefficients are put over one common denominator, so the loops add and
+  multiply integer numerators, and one `Fraction` is built per output
+  term.
+- `divide_exact` scales the divisor to a primitive integer polynomial and
+  the numerator to integers.  By Gauss's lemma, if a primitive integer
+  polynomial divides an integer polynomial over Q, the quotient has
+  integer coefficients.  The division algorithm produces the quotient's
+  terms one by one, so a leading coefficient that the divisor's leading
+  coefficient does not divide in Z, or a quotient monomial with a
+  negative exponent, proves the division inexact and raises
+  `NotDivisible` at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
@@ -39,6 +63,34 @@ class IncompleteFactorization(ArithmeticError):
 def _grlex_key(expt):
     # graded lexicographic: total degree first, then lex on the exponent tuple
     return (sum(expt), expt)
+
+
+def _packing(nvars, top_degree):
+    """Field layout for monomials of total degree <= `top_degree`: the bit
+    offset of each exponent field (first variable highest), the offset of
+    the total-degree field above them, and the field mask.  A field holds
+    the value plus one guard bit on top, which stays clear."""
+    w = top_degree.bit_length() + 1
+    return [w * (nvars - 1 - i) for i in range(nvars)], nvars * w, (1 << w) - 1
+
+
+def _pack(e, shifts, top):
+    k = sum(e) << top
+    for x, s in zip(e, shifts):
+        k |= x << s
+    return k
+
+
+def _unpack(k, shifts, mask):
+    return tuple([(k >> s) & mask for s in shifts])
+
+
+def _int_terms(terms, shifts, top):
+    """[(packed monomial, integer numerator)] over the lcm `den` of the
+    coefficient denominators; returns (pairs, den)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(_pack(e, shifts, top), c.numerator * (den // c.denominator))
+            for e, c in terms.items()], den
 
 
 class MultiPoly:
@@ -162,18 +214,23 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        if not a or not b:
+            return self._wrap({})
+        shifts, top, mask = _packing(self.nvars,
+                                     self.degree() + other.degree())
+        pa, da = _int_terms(a, shifts, top)
+        pb, db = _int_terms(b, shifts, top)
+        if len(pa) > len(pb):
+            pa, pb = pb, pa
         out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return self._wrap(out)
+        get = out.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        den = da * db
+        return self._wrap({_unpack(k, shifts, mask): Fraction(c, den)
+                           for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -209,15 +266,36 @@ class MultiPoly:
         return self._wrap(out)
 
     def evaluate(self, point):
-        """Exact evaluation at a rational point (sequence of Fractions)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
-                if ei:
-                    v *= Fraction(xi) ** ei
-            total += v
-        return total
+        """Exact evaluation at a rational point (sequence of Fractions).
+
+        With the point as xs / d and the coefficients as cs / L, the value
+        is sum(cs * xs^e * d^(top - |e|)) / (L * d^top): integer work and
+        one Fraction at the end."""
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        pt = [Fraction(x) for x in point]
+        d = lcm(*(x.denominator for x in pt))
+        xs = [x.numerator * (d // x.denominator) for x in pt]
+        cden = lcm(*(c.denominator for c in terms.values()))
+        top = max(map(sum, terms))
+        dpow = [1]
+        for _ in range(top):
+            dpow.append(dpow[-1] * d)
+        pows = [{} for _ in xs]
+        total = 0
+        for e, c in terms.items():
+            v = c.numerator * (cden // c.denominator)
+            deg = 0
+            for x, cache, k in zip(xs, pows, e):
+                if k:
+                    deg += k
+                    xk = cache.get(k)
+                    if xk is None:
+                        xk = cache[k] = x ** k
+                    v *= xk
+            total += v * dpow[top - deg]
+        return Fraction(total, cden * dpow[top])
 
     def substitute(self, values):
         """Substitute MultiPoly values[i] for variable i (all same nvars)."""
@@ -501,26 +579,48 @@ def divide_exact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     if divisor.is_constant():
         c = divisor.constant_value()
         return numerator * (Fraction(1) / c)
-    rem = dict(numerator.terms)
-    de, dc = divisor.leading()
+    n = numerator.nvars
+    if not numerator.terms:
+        return MultiPoly.zero(n)
+    # every remainder term has total degree <= the numerator's, because a
+    # step subtracts q * divisor whose top total degree is that of q * lead
+    shifts, top, mask = _packing(n, max(numerator.degree(), divisor.degree()))
+    guard = sum((mask ^ (mask >> 1)) << s for s in shifts)
+    pairs, nden = _int_terms(numerator.terms, shifts, top)
+    rem = dict(pairs)
+    div, dden = _int_terms(divisor.terms, shifts, top)
+    content = 0
+    for _, c in div:
+        content = gcd(content, c)
+    div = sorted(((k, c // content) for k, c in div), reverse=True)
+    (dk, dc), rest = div[0], div[1:]
+    heap = [-k for k in rem]
+    heapify(heap)
     q = {}
     while rem:
-        e = max(rem, key=_grlex_key)
-        c = rem[e]
-        qe = tuple(a - b for a, b in zip(e, de))
-        if any(x < 0 for x in qe):
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue  # a stale heap entry: the term cancelled earlier
+        qk = k - dk
+        qc, r = divmod(c, dc)
+        if r or qk < 0 or qk & guard:
             raise NotDivisible("remainder nonzero")
-        qc = c / dc
-        q[qe] = qc
-        # rem -= qc * x^qe * divisor
-        for fe, fc in divisor.terms.items():
-            te = tuple(a + b for a, b in zip(qe, fe))
-            s = rem.get(te, Fraction(0)) - qc * fc
-            if s:
-                rem[te] = s
+        q[qk] = qc
+        for fk, fc in rest:
+            tk, t = fk + qk, qc * fc
+            s = rem.get(tk)
+            if s is None:
+                rem[tk] = -t
+                heappush(heap, -tk)
+            elif s == t:
+                del rem[tk]
             else:
-                rem.pop(te, None)
-    return MultiPoly(numerator.nvars, q)
+                rem[tk] = s - t
+    # numerator = (int part) / nden, divisor = content * primitive / dden
+    den = nden * content
+    return numerator._wrap({_unpack(k, shifts, mask): Fraction(c * dden, den)
+                            for k, c in q.items()})
 
 
 def try_divide(numerator, divisor):

@@ -248,8 +248,15 @@ def cmd_classical(args):
             res = frobenius_check_at(cfg, xi)
         except DegeneratePoint as exc:
             raise InputError(f"--at is not a generic point: {exc}")
-        report["at"] = [_frac_str(x) for x in xi]
-        report["closed_form_det"] = _frac_str(fd.evaluate(xi))
+        # format every value first, so a point whose exact determinant is
+        # too long to print fails as bad input, not halfway through
+        try:
+            at = [_frac_str(x) for x in xi]
+            closed = _frac_str(fd.evaluate(xi))
+        except ValueError as exc:
+            raise InputError(f"--at gives values too long to print: {exc}")
+        report["at"] = at
+        report["closed_form_det"] = closed
         det = complex(det)
         report["oracle_det"] = [det.real, det.imag]
         report["residuals"] = {k: res[k] for k in

@@ -1,11 +1,12 @@
 """Exact polynomial arithmetic: ring axioms, determinants, division, and
-linear factorization."""
+linear factorization; the integer kernels against Fraction reference
+loops."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
                                  UNKNOWN, poly_det, det_cofactor, det_bareiss,
@@ -102,6 +103,162 @@ class TestDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             divide_exact(MultiPoly.const(NVARS, 1), MultiPoly.zero(NVARS))
+
+
+# Reference kernels: the plain Fraction/tuple loops that `MultiPoly.__mul__`,
+# `divide_exact` and `MultiPoly.evaluate` replace with packed integers.
+
+def _ref_mul(p, q):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, Fraction(0)) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return MultiPoly(p.nvars, out)
+
+
+def _ref_divide_exact(numerator, divisor):
+    if divisor.is_constant():
+        return MultiPoly(numerator.nvars, {
+            e: c / divisor.constant_value()
+            for e, c in numerator.terms.items()})
+    rem = dict(numerator.terms)
+    de, dc = divisor.leading()
+    q = {}
+    while rem:
+        e = max(rem, key=lambda t: (sum(t), t))
+        c = rem[e]
+        qe = tuple(a - b for a, b in zip(e, de))
+        if any(x < 0 for x in qe):
+            raise NotDivisible("remainder nonzero")
+        qc = c / dc
+        q[qe] = qc
+        for fe, fc in divisor.terms.items():
+            te = tuple(a + b for a, b in zip(qe, fe))
+            s = rem.get(te, Fraction(0)) - qc * fc
+            if s:
+                rem[te] = s
+            else:
+                rem.pop(te, None)
+    return MultiPoly(numerator.nvars, q)
+
+
+def _ref_evaluate(p, point):
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = c
+        for xi, ei in zip(point, e):
+            if ei:
+                v *= Fraction(xi) ** ei
+        total += v
+    return total
+
+
+def _ref_quotient(numerator, divisor):
+    try:
+        return _ref_divide_exact(numerator, divisor)
+    except NotDivisible:
+        return None
+
+
+BIG = 10 ** 12
+# packed fields are as wide as the largest total degree needs, plus a guard
+# bit, so exponents at 2^k - 1 and 2^k sit on the width edges
+EDGE_EXPONENTS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32)
+KERNEL_SETTINGS = settings(derandomize=True, max_examples=150,
+                           deadline=None, database=None)
+
+
+def _rationals(bound=BIG):
+    return st.builds(Fraction, st.integers(-bound, bound),
+                     st.integers(1, bound))
+
+
+@st.composite
+def _wide_poly(draw, nvars, max_terms=4, nonzero=False):
+    exponents = st.one_of(st.sampled_from(EDGE_EXPONENTS),
+                          st.integers(0, 40))
+    terms = {}
+    for _ in range(draw(st.integers(int(nonzero), max_terms))):
+        e = tuple(draw(exponents) for _ in range(nvars))
+        terms[e] = draw(_rationals())
+    p = MultiPoly(nvars, terms)
+    if nonzero and p.is_zero():
+        p = MultiPoly.const(nvars, 1)
+    return p
+
+
+def _wide_pair(**divisor):
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        _wide_poly(n), _wide_poly(n, **divisor)))
+
+
+class TestIntegerKernels:
+    @KERNEL_SETTINGS
+    @given(_wide_pair())
+    @example(pq=(MultiPoly(2, {(31, 0): 1, (0, 16): Fraction(1, 3)}),
+                 MultiPoly(2, {(1, 0): Fraction(-BIG, 7), (0, 16): 1})))
+    def test_product_matches_reference(self, pq):
+        p, q = pq
+        assert (p * q).terms == _ref_mul(p, q).terms
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(nonzero=True))
+    @example(pq=(MultiPoly(2, {(15, 16): 1, (0, 0): Fraction(2, 3)}),
+                 MultiPoly(2, {(16, 15): Fraction(5, BIG), (0, 1): -1})))
+    def test_divisible_quotient_matches_reference(self, pq):
+        p, q = pq
+        prod = p * q
+        assert divide_exact(prod, q).terms == \
+            _ref_divide_exact(prod, q).terms == p.terms
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(nonzero=True), st.data())
+    def test_perturbed_quotient_matches_reference(self, pq, data):
+        p, q = pq
+        r = data.draw(_wide_poly(p.nvars, max_terms=2))
+        num = p * q + r
+        ref = _ref_quotient(num, q)
+        got = try_divide(num, q)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got.terms == ref.terms
+
+    @KERNEL_SETTINGS
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        _wide_poly(n, max_terms=5), st.lists(_rationals(10 ** 6),
+                                             min_size=n, max_size=n))))
+    def test_evaluate_matches_reference(self, p_point):
+        p, point = p_point
+        assert p.evaluate(point) == _ref_evaluate(p, point)
+
+    def test_rational_divisor_content(self):
+        x = MultiPoly.variable(1, 0)
+        assert divide_exact(x + Fraction(1, 2), x * 2 + 1) == \
+            MultiPoly.const(1, Fraction(1, 2))
+
+    def test_coefficient_or_monomial_blocks_division(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        with pytest.raises(NotDivisible):
+            divide_exact(x * x + y, x * 2)
+        # x y^3 outranks x^2 in total degree, but the x field goes negative
+        with pytest.raises(NotDivisible):
+            divide_exact(x * y ** 3, x ** 2)
+        with pytest.raises(NotDivisible):
+            divide_exact(x + 1, x * x)
+
+    def test_zero_numerator_and_constant_divisor(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        assert divide_exact(MultiPoly.zero(2), x + y).is_zero()
+        p = x * Fraction(3, 7) + y ** 2
+        assert divide_exact(p, MultiPoly.const(2, Fraction(-3, 5))) == \
+            p * Fraction(-5, 3)
+        assert MultiPoly.zero(2).evaluate([1, 2]) == 0
+        assert (p * MultiPoly.zero(2)).is_zero()
 
 
 class TestDeterminants:
