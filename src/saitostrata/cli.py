@@ -123,14 +123,9 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
-def _form_coeffs(form):
-    return [int(c) if Fraction(c).denominator == 1 else _frac_str(c)
-            for c in form.coeffs]
-
-
 def _factor_list(factors):
     """[{form, exponent}] for a mapping LinearForm -> exponent."""
-    return [{"form": _form_coeffs(form), "exponent": int(e)}
+    return [{"form": list(form.coeffs), "exponent": int(e)}
             for form, e in sorted(factors.items())]
 
 
@@ -176,12 +171,12 @@ def cmd_det(args):
         ab = _parse_fracs(args.invariants, "--invariants")
         if len(ab) != 2:
             raise InputError("--invariants needs two rationals a,b")
-        a, b = ab
+        invariants = _det_strs(ab)
         try:
-            basis = saitosym.quartic_family_d3(a, b)
+            basis = saitosym.quartic_family_d3(*ab)
         except saitosym.DegenerateBasis as exc:
             raise InputError(str(exc))
-        report["invariants"] = [_frac_str(a), _frac_str(b)]
+        report["invariants"] = invariants
     else:
         basis = saitosym.flat_coordinates(R)
         report["normalized_pairing"] = basis.normalized
@@ -195,20 +190,32 @@ def cmd_det(args):
     except IncompleteFactorization as exc:
         return _incomplete(report, exc), 0
     report["complete"] = True
-    report["coefficient"] = _frac_str(fd.coefficient)
+    report["coefficient"] = _det_strs([fd.coefficient])[0]
     report["factors"] = _factor_list(fd.factors)
     if args.dump_roots:
         report["roots"] = R.to_json_dict()
     return report, 0
 
 
+def _det_strs(values):
+    """The exact values of a det report as strings, formatted before they
+    go into the report.  Only --invariants can make one too long for
+    Python's int-to-str digit limit, so that is bad input."""
+    try:
+        return [_frac_str(x) for x in values]
+    except ValueError as exc:
+        raise InputError(f"--invariants gives values too long to print: "
+                         f"{exc}")
+
+
 def _incomplete(report, exc: IncompleteFactorization):
     report["complete"] = False
     report["partial_factors"] = _factor_list(exc.partial or {})
     if exc.cofactor is not None:
+        terms = exc.cofactor.sorted_terms()
         report["cofactor"] = [
-            [list(e), _frac_str(c)]
-            for e, c in exc.cofactor.sorted_terms()]
+            [list(e), c]
+            for (e, _), c in zip(terms, _det_strs(c for _, c in terms))]
     return report
 
 

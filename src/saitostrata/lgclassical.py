@@ -305,14 +305,19 @@ class CriticalData:
         self.lam2 = lam2    # lam''(q_i)
 
 
-def _critical_data_A(cfg, xi, tol=1e-12):
+# relative residual of lam'(q) at a numeric critical point q beyond which
+# the point counts as ill-conditioned
+_ROOT_TOL = 1e-12
+
+
+def _critical_data_A(cfg, xi):
     w = _check_generic_A(cfg, xi)
     q = _roots_numeric(w)
     xs = [complex(x) for x in cfg.xi_full(xi)]
     m = cfg.mults
     wf = [float(c) for c in w]
     for qi in q:
-        if not abs(_ueval(wf, qi)) < tol * max(1.0, abs(qi) ** cfg.d):
+        if not abs(_ueval(wf, qi)) < _ROOT_TOL * max(1.0, abs(qi) ** cfg.d):
             raise DegeneratePoint("critical points are ill-conditioned here")
     lam = lambda p: np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
     lam2 = np.array([
@@ -325,7 +330,7 @@ def _critical_data_A(cfg, xi, tol=1e-12):
     return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
-def _critical_data_BD(cfg, xi, tol=1e-12):
+def _critical_data_BD(cfg, xi):
     w = _check_generic_BD(cfg, xi)
     y = _roots_numeric(w)
     q = np.sqrt(y.astype(complex))
@@ -349,10 +354,10 @@ def _critical_data_BD(cfg, xi, tol=1e-12):
     return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
-def critical_data(cfg, xi, tol=1e-12):
+def critical_data(cfg, xi):
     if isinstance(cfg, StratumConfigA):
-        return _critical_data_A(cfg, xi, tol)
-    return _critical_data_BD(cfg, xi, tol)
+        return _critical_data_A(cfg, xi)
+    return _critical_data_BD(cfg, xi)
 
 
 def _jacobi_matrix(cd):

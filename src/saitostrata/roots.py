@@ -214,6 +214,17 @@ class RootSystem:
 # ---------------------------------------------------------------------------
 # builders
 
+def _pm_pairs(n):
+    """The roots +-e_i +-e_j (i < j) of R^n, for i, then j, then the sign of
+    e_i, then that of e_j; every builder lists them in this order."""
+    for i, j in itertools.combinations(range(n), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                v = [0] * n
+                v[i], v[j] = si, sj
+                yield tuple(v)
+
+
 def _build_A(n):
     dim = n + 1
     roots = []
@@ -238,13 +249,7 @@ def _build_B(n):
             v = [0] * n
             v[i] = s
             roots.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    roots.append(v)
+    roots.extend(_pm_pairs(n))
     simple = []
     for i in range(n - 1):
         v = [0] * n
@@ -257,14 +262,7 @@ def _build_B(n):
 
 
 def _build_D(n):
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    roots.append(v)
+    roots = list(_pm_pairs(n))
     simple = []
     for i in range(n - 1):
         v = [0] * n
@@ -278,14 +276,7 @@ def _build_D(n):
 
 
 def _e8_roots():
-    roots = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * 8
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
+    roots = list(_pm_pairs(8))
     half = Fraction(1, 2)
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
@@ -325,13 +316,7 @@ def _build_F4():
             v = [Fraction(0)] * 4
             v[i] = Fraction(s)
             roots.append(tuple(v))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * 4
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
+    roots.extend(_pm_pairs(4))
     half = Fraction(1, 2)
     for signs in itertools.product((1, -1), repeat=4):
         roots.append(tuple(half * s for s in signs))

@@ -10,12 +10,18 @@ setting z_i = 0 for i in I, and the directional derivatives are
 
     d/d(alpha_j) = sum_k (alpha_k, alpha_j) d/dz_k,
     d/d(w^i)     = d/dz_i.
+
+The convolution g^{ab} and the covariant metric, restricted or not, are
+one Gram contraction (`_gram`) of gradient rows against a constant matrix.
+A basis builds its Jacobian, its minors and the inverse identity 1-form
+once, so the per-stratum work is restriction plus one determinant.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import isqrt
 
@@ -52,10 +58,6 @@ def _ambient_coordinate_forms(R: RootSystem):
             for a in range(R.ambient_dim)]
 
 
-def _root_form(R: RootSystem, beta):
-    return MultiPoly.linear(list(beta))
-
-
 def _d_root(R: RootSystem, f: MultiPoly, beta):
     """Directional derivative along the root with coefficient tuple beta."""
     out = MultiPoly.zero(f.nvars)
@@ -66,10 +68,29 @@ def _d_root(R: RootSystem, f: MultiPoly, beta):
     return out
 
 
+def _gram(rows, C):
+    """The symmetric matrix G[a][b] = sum_{k,l} rows[a][k] C[k][l] rows[b][l]
+    of polynomial rows against a symmetric matrix C, whose entries may be
+    scalars or polynomials; zero scalars are skipped."""
+    m = len(rows)
+    if not m:
+        return []
+    zero = MultiPoly.zero(rows[0][0].nvars)
+    idx = range(len(C))
+    mixed = [[sum((row[l] * C[k][l] for l in idx if C[k][l]), zero)
+              for k in idx] for row in rows]
+    G = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            G[a][b] = G[b][a] = sum((rows[a][k] * mixed[b][k] for k in idx),
+                                    zero)
+    return G
+
+
 def _positive_product(R: RootSystem):
     prod = MultiPoly.const(R.rank, 1)
     for beta in R.positive_roots:
-        prod = prod * _root_form(R, beta)
+        prod = prod * MultiPoly.linear(beta)
     return prod
 
 
@@ -136,9 +157,10 @@ class InvariantBasis:
                 "perturb by products of lower invariants")
         return scale
 
-    def minor_dets(self):
-        """J_k for k = 1..n: eliminate the k-th column and n-th row of the
-        directional Jacobi matrix."""
+    @cached_property
+    def minors(self):
+        """J_k for k = 1..n, built on first access: eliminate the k-th
+        column and n-th row of the directional Jacobi matrix."""
         n = self.R.rank
         out = []
         for k in range(n):
@@ -171,7 +193,7 @@ def basic_invariants(R: RootSystem) -> InvariantBasis:
                 for d in range(2, 2 * R.rank - 1, 2)]
         polys = sorted(even + [pf], key=lambda p: p.degree())
     else:  # F_4
-        forms = [_root_form(R, b) for b in R.positive_roots]
+        forms = [MultiPoly.linear(b) for b in R.positive_roots]
         polys = [sum((f ** d for f in forms), MultiPoly.zero(R.rank))
                  for d in R.degrees]
     return InvariantBasis(R, polys, flat=False)
@@ -225,12 +247,14 @@ def _compose_monomial(polys, expt, cache):
     return out
 
 
-def express_in_invariants(q: MultiPoly, basis: InvariantBasis,
-                          rng=None) -> MultiPoly:
+_EVALUATION_SEED = 20240915
+
+
+def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
     """Write the invariant z-polynomial q as a polynomial in the basis
-    invariants, exactly.  Solves by evaluation at random rational points
-    and verifies by exact re-expansion."""
-    rng = rng or random.Random(20240915)
+    invariants, exactly.  Solves by evaluation at seeded random rational
+    points and verifies by exact re-expansion."""
+    rng = random.Random(_EVALUATION_SEED)
     n = basis.R.rank
     if q.is_zero():
         return MultiPoly.zero(n)
@@ -273,19 +297,9 @@ def _eval_monomial(vals, expt):
 
 def convolution_matrix(basis: InvariantBasis):
     """g^{ab}(z) = (grad p^a, grad p^b) as z-polynomials."""
-    R = basis.R
-    n = R.rank
-    grads = [[p.diff(k) for k in range(n)] for p in basis.polys]
-    mixed = [[sum((grads[b][l] * R._gram[k][l] for l in range(n)),
-                  MultiPoly.zero(n)) for k in range(n)]
-             for b in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            entry = sum((grads[a][k] * mixed[b][k] for k in range(n)),
-                        MultiPoly.zero(n))
-            out[a][b] = out[b][a] = entry
-    return out
+    n = basis.R.rank
+    return _gram([[p.diff(k) for k in range(n)] for p in basis.polys],
+                 basis.R._gram)
 
 
 def _sqrt_fraction(c: Fraction):
@@ -394,18 +408,11 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     if not gamma_top:
         raise SolverFailure(
             "top flat coordinate does not involve the top invariant")
-    dts = [[t.diff(c) for c in range(n)] for t in ts]
-    P0 = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            s = MultiPoly.zero(n)
-            for c in range(n):
-                for d in range(n):
-                    s = s + dts[a][c] * eta_p[c][d] * dts[b][d]
-            if not s.is_constant():
-                raise SolverFailure("flat pairing is not constant")
-            P0[a][b] = P0[b][a] = Fraction(0) if s.is_zero() \
-                else s.constant_value() / gamma_top
+    G = _gram([[t.diff(c) for c in range(n)] for t in ts], eta_p)
+    if not all(s.is_constant() for row in G for s in row):
+        raise SolverFailure("flat pairing is not constant")
+    P0 = [[Fraction(0) if s.is_zero() else s.constant_value() / gamma_top
+           for s in row] for row in G]
     tz = [t.substitute(base.polys) for t in ts]
 
     # normalize without rescaling the top flat coordinate, so the metric
@@ -557,26 +564,18 @@ def _hyperbolic_basis(S):
 # covariant metric and restriction
 
 def covariant_metric(basis: InvariantBasis):
-    """The covariant metric sum (P^-1)_{ab} dp^a dp^b in the z-frame."""
+    """The covariant metric sum (P^-1)_{ab} dp^a dp^b in the z-frame: the
+    Gram contraction of the transposed gradients against P^-1."""
     n = basis.R.rank
-    grads = [[p.diff(k) for k in range(n)] for p in basis.polys]
-    Pinv = basis.pairing_inv
-    mixed = [[sum((grads[b][l] * Pinv[a][b] for b in range(n)),
-                  MultiPoly.zero(n)) for l in range(n)] for a in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for l in range(r, n):
-            s = MultiPoly.zero(n)
-            for a in range(n):
-                s = s + grads[a][r] * mixed[a][l]
-            out[r][l] = out[l][r] = s
-    return out
+    return _gram([[p.diff(r) for p in basis.polys] for r in range(n)],
+                 basis.pairing_inv)
 
 
 def restricted_saito_det(basis: InvariantBasis,
                          D: Stratum) -> FactoredDeterminant:
     """Restrict the covariant metric to the stratum parameters and factor
-    the exact determinant over the restricted arrangement forms.
+    the exact determinant over the restricted arrangement forms.  The
+    metric is `covariant_metric`'s contraction of the restricted gradients.
 
     For a flat basis a complete factorization with exponents k_H is a
     theorem; for a non-flat basis IncompleteFactorization is a legal
@@ -584,23 +583,10 @@ def restricted_saito_det(basis: InvariantBasis,
     if basis.R is not D.R and (basis.R.label, basis.R.rank) != \
             (D.R.label, D.R.rank):
         raise ValueError("basis and stratum use different groups")
-    n = basis.R.rank
     I0 = [i - 1 for i in sorted(D.I)]
     params0 = [j - 1 for j in D.params]
-    rgrads = [[p.diff(r).set_vars_zero(I0, params0) for r in params0]
-              for p in basis.polys]
-    Pinv = basis.pairing_inv
-    dim = len(params0)
-    M = [[None] * dim for _ in range(dim)]
-    for r in range(dim):
-        for l in range(r, dim):
-            s = MultiPoly.zero(dim)
-            for a in range(n):
-                for b in range(n):
-                    c = Pinv[a][b]
-                    if c:
-                        s = s + rgrads[a][r] * rgrads[b][l] * c
-            M[r][l] = M[l][r] = s
+    M = _gram([[p.diff(r).set_vars_zero(I0, params0) for p in basis.polys]
+               for r in params0], basis.pairing_inv)
     return factor_linear(poly_det(M), [hp.form for hp in D.arrangement])
 
 
@@ -612,7 +598,7 @@ def _eta_numerators(basis: InvariantBasis, indices):
     R = basis.R
     n = R.rank
     J = basis.jacobian_det
-    Jk = basis.minor_dets()
+    Jk = basis.minors
     dJ = [J.diff(i) for i in range(n)]
     dJk = {k: [Jk[k].diff(i) for i in range(n)] for k in indices}
     out = {}
@@ -671,7 +657,7 @@ def identity_field_checks(basis: InvariantBasis):
     R = basis.R
     n = R.rank
     h = R.coxeter_number
-    Jk = basis.minor_dets()
+    Jk = basis.minors
     report = []
 
     def add(name, passed, detail=""):
@@ -682,7 +668,7 @@ def identity_field_checks(basis: InvariantBasis):
     # simple roots, and non-divisibility by alpha_k itself
     for k in range(n):
         alphas = [b for b in R.positive_roots if b[k] == 0]
-        ok = all(try_divide(Jk[k], _root_form(R, b)) is not None
+        ok = all(try_divide(Jk[k], MultiPoly.linear(b)) is not None
                  for b in alphas)
         add(f"minor_divisibility_k={k + 1}", ok,
             f"{len(alphas)} root forms")
@@ -736,28 +722,39 @@ def identity_field_checks(basis: InvariantBasis):
 
     # tangency of the inverse identity field to every stratum (flat basis)
     if basis.flat:
-        ts = basis.polys
-        degs = basis.degrees
-        Pinv = basis.pairing_inv
-        for I, D in strata.items():
-            I0 = [i - 1 for i in I]
-            keep = [j - 1 for j in D.params]
-            ok = True
-            for gamma in D.rd.roots:
-                if all(x <= 0 for x in gamma):
-                    continue
-                expr = MultiPoly.zero(n)
-                for a in range(n):
-                    for b in range(n):
-                        c = Pinv[a][b]
-                        if c:
-                            expr = expr + ts[a] * _d_root(
-                                R, ts[b], gamma) * (c * degs[a])
-                if not expr.set_vars_zero(I0, keep).is_zero():
-                    ok = False
+        for I, ok in _identity_tangency(basis, strata).items():
             add("inverse_identity_tangency_I=" +
                 ",".join(str(i) for i in I), ok)
         # degree count of the inverse identity field components
+        degs = basis.degrees
         add("inverse_identity_degree",
             all(degs[a] + degs[n - 1 - a] - 1 == h + 1 for a in range(n)))
     return report
+
+
+def _identity_one_form(basis: InvariantBasis):
+    """theta(alpha_k) for each simple root, read off the Jacobian, where
+    theta(gamma) = sum_ab (P^-1)_ab deg_a t^a d_gamma t^b is the inverse
+    identity 1-form; it is linear in gamma."""
+    n = basis.R.rank
+    Pinv = basis.pairing_inv
+    weighted = [basis.polys[a] * basis.degrees[a] for a in range(n)]
+    return [sum((weighted[a] * basis.jacobian[b][k] * Pinv[a][b]
+                 for a in range(n) for b in range(n) if Pinv[a][b]),
+                MultiPoly.zero(n)) for k in range(n)]
+
+
+def _identity_tangency(basis: InvariantBasis, strata):
+    """Whether theta(gamma) = sum_k gamma_k theta(alpha_k) vanishes on each
+    stratum for every positive root gamma of R_D."""
+    one_form = _identity_one_form(basis)
+    out = {}
+    for I, D in strata.items():
+        keep = [j - 1 for j in D.params]
+        theta = [f.set_vars_zero([i - 1 for i in I], keep) for f in one_form]
+        zero = MultiPoly.zero(len(keep))
+        out[I] = all(
+            sum((theta[k] * g for k, g in enumerate(gamma) if g), zero)
+            .is_zero()
+            for gamma in D.rd.roots if any(x > 0 for x in gamma))
+    return out

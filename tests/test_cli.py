@@ -134,15 +134,17 @@ class TestClassical:
 
 
 # --at points where the numeric oracle overflows, turns non-finite, loses
-# its critical points to conditioning, or meets a singular transport, and
-# one whose exact determinant has a denominator past Python's 4,300-digit
-# int-to-str limit
+# its critical points to conditioning, or meets a singular transport, one
+# whose exact determinant has a denominator past Python's 4,300-digit
+# int-to-str limit, and det --invariants pairs past the same limit
 FAR_OUT_POINTS = (
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e400"],
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e300"],
     ["classical", "--type", "A", "--mult", "1,3,3,5", "--at=0,2e50,3"],
     ["classical", "--type", "D", "--mult", "1", "--m=3", "--at=2e50"],
     ["classical", "--type", "A", "--mult", "3,3,3,3", "--at=1e-300,1,2"],
+    ["det", "--group", "D3", "--simple", "1", "--invariants", "1e-5000,1"],
+    ["det", "--group", "D3", "--simple", "1", "--invariants", "1,1e-5000"],
 )
 
 
@@ -452,6 +454,8 @@ class TestExitContract:
     @example(argv=FAR_OUT_POINTS[2])
     @example(argv=FAR_OUT_POINTS[3])
     @example(argv=FAR_OUT_POINTS[4])
+    @example(argv=FAR_OUT_POINTS[5])
+    @example(argv=FAR_OUT_POINTS[6])
     def test_status_and_report(self, argv):
         with mock.patch.dict(os.environ, {"SAITO_STRATA_THREADS": "1"}):
             status, out = _run_argv(argv)

@@ -1,5 +1,6 @@
 """Root system construction, subsystem spans, and fundamental reduction."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -87,6 +88,23 @@ def test_expansion_is_integral_and_one_signed():
     assert R.coefficients((Fraction(1),) * 3) is None
     E6 = build_root_system("E", 6)
     assert E6.coefficients((0, 0, 0, 0, 0, 0, 1, 1)) is None
+
+
+# sha256 of repr(R.roots): the builders' root order fixes every class
+# representative beta in the reports, so it must not move
+ROOT_ORDER_DIGESTS = {
+    ("B", 4): "2fc5898289b44c6d58997912d9da77fa24af9a464a6213015c17fc99f1c90cb6",
+    ("D", 5): "3919ba0d944bdd42215377fd62ba52e7b80e56e39af5442957b0619d89b70a4c",
+    ("E", 8): "575ced38cdc1bafae03e85401e35361d34650f9d62d461b80773239ebf9d7ad5",
+    ("F", 4): "9d15e7cb2025cde23d617b14cf59738295b6337590eeb0dd2a7b462bc7d27744",
+}
+
+
+@pytest.mark.parametrize("label,rank", sorted(ROOT_ORDER_DIGESTS))
+def test_root_order_is_pinned(label, rank):
+    R = build_root_system(label, rank)
+    digest = hashlib.sha256(repr(R.roots).encode()).hexdigest()
+    assert digest == ROOT_ORDER_DIGESTS[(label, rank)]
 
 
 def test_parse_group_forms():

@@ -1,21 +1,26 @@
 """Symbolic route: invariant bases, flat coordinates, exact restriction of
 the covariant metric, and the minor-formula path."""
 
+import copy
 import pickle
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from saitostrata.algebra import (MultiPoly, poly_det, IncompleteFactorization)
+from saitostrata import saitosym
+from saitostrata.algebra import (MultiPoly, poly_det, factor_linear,
+                                 IncompleteFactorization)
 from saitostrata.exactla import det_fraction
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (SUPPORTED, InvariantBasis, basic_invariants,
                                   quartic_family_d3, express_in_invariants,
                                   convolution_matrix, covariant_metric,
                                   restricted_saito_det, general_formula_det,
-                                  frame_constant, DegenerateBasis,
-                                  _self_pairing, _antidiag)
+                                  frame_constant, identity_field_checks,
+                                  DegenerateBasis, _self_pairing, _antidiag,
+                                  _d_root, _identity_one_form,
+                                  _identity_tangency)
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -169,3 +174,182 @@ class TestQuarticFamily:
         with pytest.raises(IncompleteFactorization) as exc:
             restricted_saito_det(basis, D)
         assert exc.value.cofactor.degree() == 2
+
+
+# reference implementations: the metric and the tangency check written out
+# term by term, without the shared Gram contraction or the per-basis 1-form
+
+def _ref_restricted_saito_det(basis, D):
+    """The restricted metric sum_ab (P^-1)_ab d_r t^a d_l t^b from the
+    restricted gradients, one product per (a, b)."""
+    n = basis.R.rank
+    I0 = [i - 1 for i in sorted(D.I)]
+    params0 = [j - 1 for j in D.params]
+    rgrads = [[p.diff(r).set_vars_zero(I0, params0) for r in params0]
+              for p in basis.polys]
+    Pinv = basis.pairing_inv
+    dim = len(params0)
+    M = [[None] * dim for _ in range(dim)]
+    for r in range(dim):
+        for l in range(r, dim):
+            s = MultiPoly.zero(dim)
+            for a in range(n):
+                for b in range(n):
+                    if Pinv[a][b]:
+                        s = s + rgrads[a][r] * rgrads[b][l] * Pinv[a][b]
+            M[r][l] = M[l][r] = s
+    return factor_linear(poly_det(M), [hp.form for hp in D.arrangement])
+
+
+def _ref_one_form(basis, gamma):
+    """The inverse identity 1-form at the root gamma, built from its own
+    directional derivative."""
+    R, n = basis.R, basis.R.rank
+    Pinv = basis.pairing_inv
+    expr = MultiPoly.zero(n)
+    for a in range(n):
+        for b in range(n):
+            if Pinv[a][b]:
+                expr = expr + basis.polys[a] * _d_root(
+                    R, basis.polys[b], gamma) * (Pinv[a][b]
+                                                  * basis.degrees[a])
+    return expr
+
+
+def _ref_tangency(basis, D):
+    """The 1-form rebuilt for each positive root of R_D and restricted root
+    by root."""
+    I0 = [i - 1 for i in sorted(D.I)]
+    keep = [j - 1 for j in D.params]
+    ok = True
+    for gamma in D.rd.roots:
+        if all(x <= 0 for x in gamma):
+            continue
+        if not _ref_one_form(basis, gamma).set_vars_zero(I0, keep).is_zero():
+            ok = False
+    return ok
+
+
+def _outcome(det, basis, D):
+    try:
+        fd = det(basis, D)
+    except IncompleteFactorization as exc:
+        return "incomplete", exc.cofactor, exc.partial
+    return "complete", fd.coefficient, fd.factors
+
+
+def _strata_up_to_codim_2(R):
+    return {I: make_stratum(R, I) for codim in (1, 2) if codim < R.rank
+            for I in combinations(range(1, R.rank + 1), codim)}
+
+
+def _perturbed(fb):
+    """A copy of the flat basis with z_1^{d_2} added to t^2, which breaks
+    W-invariance; the Jacobian is rebuilt to match."""
+    bad = copy.copy(fb)
+    bad.__dict__.pop("minors", None)
+    bad.polys = list(fb.polys)
+    bad.polys[1] = bad.polys[1] + MultiPoly.variable(fb.R.rank, 0) \
+        ** fb.degrees[1]
+    bad.jacobian = bad._jacobian_matrix()
+    return bad
+
+
+class TestOneGramContraction:
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 3),
+                                            ("D", 4)])
+    def test_restricted_metric_matches_reference(self, flat_basis,
+                                                 root_system, label, rank):
+        R = root_system(label, rank)
+        fb = flat_basis(label, rank)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            got = _outcome(restricted_saito_det, fb, D)
+            assert got[0] == "complete"
+            assert got == _outcome(_ref_restricted_saito_det, fb, D)
+
+    def test_quartic_family_matches_reference(self, root_system):
+        # at a generic point of the family both routes fail to factor on
+        # the mirrors and leave the same cofactor
+        basis = quartic_family_d3(3, 5)
+        R = root_system("D", 3)
+        kinds = set()
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            got = _outcome(restricted_saito_det, basis, D)
+            assert got == _outcome(_ref_restricted_saito_det, basis, D)
+            kinds.add((len(I), got[0]))
+        assert (1, "incomplete") in kinds
+
+    def test_covariant_metric_restricts_to_restricted_metric(self,
+                                                             flat_basis,
+                                                             root_system):
+        R = root_system("B", 3)
+        fb = flat_basis("B", 3)
+        G = covariant_metric(fb)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            I0 = [i - 1 for i in sorted(D.I)]
+            p0 = [j - 1 for j in D.params]
+            M = [[G[r][l].set_vars_zero(I0, p0) for l in p0] for r in p0]
+            got = factor_linear(poly_det(M),
+                                [hp.form for hp in D.arrangement])
+            want = restricted_saito_det(fb, D)
+            assert (got.coefficient, got.factors) == \
+                (want.coefficient, want.factors)
+
+
+class TestIdentityOneForm:
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3)])
+    def test_one_form_is_linear_in_the_root(self, flat_basis, label, rank):
+        # theta(gamma) = sum_k gamma_k theta(alpha_k) on every positive
+        # root, also for a basis that is no longer invariant
+        for basis in (flat_basis(label, rank),
+                      _perturbed(flat_basis(label, rank))):
+            theta = _identity_one_form(basis)
+            for gamma in basis.R.positive_roots:
+                combined = MultiPoly.zero(rank)
+                for k, g in enumerate(gamma):
+                    combined = combined + theta[k] * g
+                assert combined == _ref_one_form(basis, gamma)
+
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 3),
+                                            ("D", 4)])
+    def test_tangency_matches_reference(self, flat_basis, root_system,
+                                        label, rank):
+        fb = flat_basis(label, rank)
+        strata = _strata_up_to_codim_2(root_system(label, rank))
+        want = {I: _ref_tangency(fb, D) for I, D in strata.items()}
+        assert _identity_tangency(fb, strata) == want
+        assert all(want.values())
+
+    @pytest.mark.parametrize("label,rank,failing",
+                             [("A", 3, {(2,), (2, 3)}), ("B", 3, {(2,)})])
+    def test_perturbed_basis_fails_the_same_strata(self, flat_basis,
+                                                   root_system, label, rank,
+                                                   failing):
+        bad = _perturbed(flat_basis(label, rank))
+        strata = _strata_up_to_codim_2(root_system(label, rank))
+        want = {I: _ref_tangency(bad, D) for I, D in strata.items()}
+        assert _identity_tangency(bad, strata) == want
+        assert {I for I, ok in want.items() if not ok} == failing
+
+    def test_minors_are_built_once_per_basis(self, flat_basis, root_system,
+                                             monkeypatch):
+        # a fresh basis, so no earlier test has built its minors yet
+        fb = flat_basis("B", 3)
+        basis = InvariantBasis(fb.R, fb.polys, flat=True, pairing=fb.pairing)
+        jacobian = {id(e) for row in basis.jacobian for e in row}
+        minors = []
+
+        def counting_det(M):
+            if M and all(id(e) in jacobian for row in M for e in row):
+                minors.append(len(M))
+            return poly_det(M)
+        monkeypatch.setattr(saitosym, "poly_det", counting_det)
+        R = root_system("B", 3)
+        for I in _all_strata(R):
+            general_formula_det(basis, make_stratum(R, I))
+        report = identity_field_checks(basis)
+        assert all(item["passed"] for item in report)
+        assert minors == [R.rank - 1] * R.rank
