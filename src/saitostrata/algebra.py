@@ -130,6 +130,27 @@ class MultiPoly:
         return cls(nvars, {tuple(e): Fraction(1)})
 
     @classmethod
+    def sum(cls, nvars, polys):
+        """The sum of an iterable of polynomials in `nvars` variables,
+        accumulated in one dict (a chain of `+` copies every partial
+        sum); its terms come out in the order that chain gives."""
+        t = {}
+        get = t.get
+        for p in polys:
+            if p.nvars != nvars:
+                raise ValueError("variable count mismatch")
+            for e, c in p.terms.items():
+                s = get(e, 0) + c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = t
+        return out
+
+    @classmethod
     def linear(cls, coeffs):
         """Linear form sum_i coeffs[i] * x_i."""
         n = len(coeffs)
@@ -302,18 +323,18 @@ class MultiPoly:
         if not values:
             raise ValueError("empty substitution")
         tgt = values[0].nvars
-        out = MultiPoly.zero(tgt)
         pow_cache = [{} for _ in range(self.nvars)]
-        for e, c in self.terms.items():
-            term = MultiPoly.const(tgt, c)
+
+        def term(e, c):
+            out = MultiPoly.const(tgt, c)
             for i, ei in enumerate(e):
                 if ei:
                     cache = pow_cache[i]
                     if ei not in cache:
                         cache[ei] = values[i] ** ei
-                    term = term * cache[ei]
-            out = out + term
-        return out
+                    out = out * cache[ei]
+            return out
+        return MultiPoly.sum(tgt, (term(e, c) for e, c in self.terms.items()))
 
     def set_vars_zero(self, indices, keep=None):
         """Set the given variables to zero; optionally re-index onto `keep`
@@ -512,16 +533,13 @@ def det_cofactor(matrix):
         raise ValueError("empty matrix")
     if n == 1:
         return matrix[0][0]
-    nv = matrix[0][0].nvars
-    total = MultiPoly.zero(nv)
-    for j in range(n):
-        a = matrix[0][j]
-        if a.is_zero():
-            continue
+
+    def term(j):
         minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = det_cofactor(minor)
-        total = total + (a * sub if j % 2 == 0 else -(a * sub))
-    return total
+        t = matrix[0][j] * det_cofactor(minor)
+        return t if j % 2 == 0 else -t
+    return MultiPoly.sum(matrix[0][0].nvars, (
+        term(j) for j in range(n) if not matrix[0][j].is_zero()))
 
 
 def det_bareiss(matrix):

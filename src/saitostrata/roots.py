@@ -10,6 +10,18 @@ degrees and Coxeter number. E_7 and E_6 are realized inside the E_8
 coordinates via the sub-diagrams {a_1..a_7} and {a_1..a_6}, so no separate
 coordinate conventions exist.
 
+The construction runs on ints. The builders pass int coordinates, and a
+`Fraction` only for the half-integer ones of E_n and F_4. One common
+denominator q (2 for E_n and F_4, 1 for A, B, D) makes q a_i and q r integer
+vectors, so the q^2-scaled Gram matrix, the Cartan matrix, the coweights
+(an integer matrix over one denominator) and every root's simple-root
+coefficients come from int dot products, each integrality guard being an
+exact divisibility test. Fractions are still built for the public
+`simple_vectors`, `coweights` and `_gram` (read by the symbolic layer and
+the reports), for the one inverse of the Gram matrix, and one per output
+coordinate by `vector`; `coefficients`, which reads ambient input, still
+pairs it with the Fraction coweights.
+
 Type labels B_r and C_r are merged (they generate the same Coxeter group);
 reports use "B".
 """
@@ -19,7 +31,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .algebra import InvariantViolation
 from .exactla import IntSpan, matinv, nullspace
@@ -36,8 +49,10 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _frac_tuple(v):
-    return tuple(Fraction(x) for x in v)
+def _scaled(v, q):
+    """q v as a list of ints, for int or Fraction entries whose
+    denominators divide q."""
+    return [x.numerator * (q // x.denominator) for x in v]
 
 
 class Component:
@@ -97,35 +112,50 @@ class RootSystem:
         self.label = label
         self.rank = rank
         self.ambient_dim = ambient_dim
-        self.simple_vectors = tuple(_frac_tuple(a) for a in simple)
+        self.simple_vectors = tuple(tuple(Fraction(x) for x in a)
+                                    for a in simple)
         self.simple = tuple(tuple(int(i == j) for j in range(rank))
                             for i in range(rank))
         self.degrees = tuple(degrees)
         self.coxeter_number = degrees[-1]
 
-        gram = [[_dot(a, b) for b in self.simple_vectors]
-                for a in self.simple_vectors]
-        ginv = matinv(gram)
-        self._gram = gram
+        # one common denominator q of every coordinate: q a_i and q r are
+        # integer vectors, and all the work below is on them
+        q = lcm(*(x.denominator for v in itertools.chain(simple, roots)
+                  for x in v))
+        S = [_scaled(a, q) for a in simple]
+        self._q = q
+        self._qsimple_cols = tuple(zip(*S))
+
+        Q = [[_dot(a, b) for b in S] for a in S]   # q^2 times the Gram matrix
+        qq = q * q
+        self._gram = [[Fraction(g, qq) for g in row] for row in Q]
         # an integer multiple of the Gram matrix, for orthogonality and
         # length comparisons without Fractions
-        den = lcm(*(g.denominator for row in gram for g in row))
-        self._igram = [[int(g * den) for g in row] for row in gram]
+        k = gcd(qq, *(g for row in Q for g in row))
+        self._igram = [[g // k for g in row] for row in Q]
 
-        # fundamental coweights: w^i = sum_j (G^-1)_ij a_j
-        self.coweights = tuple(
-            tuple(sum(ginv[i][j] * self.simple_vectors[j][k]
-                      for j in range(rank))
-                  for k in range(ambient_dim))
-            for i in range(rank))
+        # fundamental coweights: w^i = sum_j (G^-1)_ij a_j = q W_i / d for
+        # the integer rows W_i of (d Q^-1) S, Q = q^2 G and d the least
+        # common denominator of Q^-1
+        qinv = matinv(Q)
+        d = lcm(*(x.denominator for row in qinv for x in row))
+        W = [[sum(map(mul, a, col)) for col in self._qsimple_cols]
+             for a in (_scaled(row, d) for row in qinv)]
+        g = gcd(d, *(x for row in W for x in row))
+        self._icoweights = tuple(tuple(x // g for x in row) for row in W)
+        self._icoweight_den = d = d // g
+        self.coweights = tuple(tuple(Fraction(q * x, d) for x in row)
+                               for row in self._icoweights)
 
-        # the coefficient of a_i in a root r is (w^i, r)
+        # the coefficient of a_i in a root r is (w^i, r) = (W_i, q r) / d
         coeffs = []
         for r in roots:
-            c = [_dot(w, r) for w in self.coweights]
-            if any(x.denominator != 1 for x in c):
+            r = _scaled(r, q)
+            c = [sum(map(mul, w, r)) for w in self._icoweights]
+            if any(x % d for x in c):
                 raise InvariantViolation("non-integer simple-root expansion")
-            c = tuple(int(x) for x in c)
+            c = tuple(x // d for x in c)
             if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
                 raise InvariantViolation("root with mixed-sign expansion")
             coeffs.append(c)
@@ -134,16 +164,17 @@ class RootSystem:
                                     if any(x > 0 for x in r))
 
         # Cartan pairing 2(a_i,a_j)/(a_j,a_j)
-        self.cartan = [[Fraction(2) * gram[i][j] / gram[j][j] for j in range(rank)]
-                       for i in range(rank)]
-        if any(c.denominator != 1 for row in self.cartan for c in row):
+        if any(2 * g % Q[j][j] for row in Q for j, g in enumerate(row)):
             raise InvariantViolation("non-integer Cartan matrix")
-        self.cartan = [[int(c) for c in row] for row in self.cartan]
+        self.cartan = [[2 * g // Q[j][j] for j, g in enumerate(row)]
+                       for row in Q]
 
-        self._check_invariants()
+        self._check_invariants(S)
 
     # -- construction-time invariants ---------------------------------
-    def _check_invariants(self):
+    def _check_invariants(self, S):
+        """The counting and closure invariants, and the duality of the
+        coweights against the q-scaled simple roots S."""
         n, h = self.rank, self.coxeter_number
         npos = len(self.positive_roots)
         if len(self.roots) != 2 * npos:
@@ -154,9 +185,11 @@ class RootSystem:
             raise InvariantViolation("sum of (degree - 1) != |R+|")
         if self.degrees[0] != 2 or self.degrees[-1] != h:
             raise InvariantViolation("degrees must run from 2 to h")
-        for i, w in enumerate(self.coweights):
-            for j, a in enumerate(self.simple_vectors):
-                if _dot(w, a) != (1 if i == j else 0):
+        # (w^i, a_j) = (W_i, q a_j) / d
+        d = self._icoweight_den
+        for i, w in enumerate(self._icoweights):
+            for j, a in enumerate(S):
+                if _dot(w, a) != (d if i == j else 0):
                     raise InvariantViolation("coweights not dual to a_j")
         rootset = set(self.roots)
         for r in self.roots:
@@ -166,8 +199,9 @@ class RootSystem:
     # -- the ambient encoding -----------------------------------------
     def vector(self, beta):
         """The ambient vector sum_i beta_i a_i of a coefficient tuple."""
-        return tuple(sum(b * a[k] for b, a in zip(beta, self.simple_vectors))
-                     for k in range(self.ambient_dim))
+        q = self._q
+        return tuple(Fraction(sum(map(mul, beta, col)), q)
+                     for col in self._qsimple_cols)
 
     def coefficients(self, v):
         """The coefficient tuple of the root with ambient vector v, or None
@@ -277,21 +311,18 @@ def _build_D(n):
 
 def _e8_roots():
     roots = list(_pm_pairs(8))
-    half = Fraction(1, 2)
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
-            roots.append(tuple(half * s for s in signs))
+            roots.append(tuple(Fraction(s, 2) for s in signs))
     return roots
 
 
 def _e8_simple():
-    half = Fraction(1, 2)
-    a1 = tuple(half * s for s in (1, -1, -1, -1, -1, -1, -1, 1))
-    a2 = (1, 1, 0, 0, 0, 0, 0, 0)
-    simple = [a1, _frac_tuple(a2)]
+    a1 = tuple(Fraction(s, 2) for s in (1, -1, -1, -1, -1, -1, -1, 1))
+    simple = [a1, (1, 1, 0, 0, 0, 0, 0, 0)]
     for k in range(3, 9):
-        v = [Fraction(0)] * 8
-        v[k - 2], v[k - 3] = Fraction(1), Fraction(-1)
+        v = [0] * 8
+        v[k - 2], v[k - 3] = 1, -1
         simple.append(tuple(v))
     return simple
 
@@ -304,8 +335,8 @@ def _build_E(rank):
     else:
         span = IntSpan(8)
         for a in simple:
-            span.add([int(2 * x) for x in a])
-        roots = [r for r in allroots if span.contains([int(2 * x) for x in r])]
+            span.add(_scaled(a, 2))
+        roots = [r for r in allroots if span.contains(_scaled(r, 2))]
     return RootSystem("E", rank, 8, roots, simple, DEGREES[f"E{rank}"])
 
 
@@ -313,19 +344,18 @@ def _build_F4():
     roots = []
     for i in range(4):
         for s in (1, -1):
-            v = [Fraction(0)] * 4
-            v[i] = Fraction(s)
+            v = [0] * 4
+            v[i] = s
             roots.append(tuple(v))
     roots.extend(_pm_pairs(4))
-    half = Fraction(1, 2)
     for signs in itertools.product((1, -1), repeat=4):
-        roots.append(tuple(half * s for s in signs))
+        roots.append(tuple(Fraction(s, 2) for s in signs))
     # long-long-short-short simple system
     simple = [
-        _frac_tuple((0, 1, -1, 0)),
-        _frac_tuple((0, 0, 1, -1)),
-        _frac_tuple((0, 0, 0, 1)),
-        (half, -half, -half, -half),
+        (0, 1, -1, 0),
+        (0, 0, 1, -1),
+        (0, 0, 0, 1),
+        tuple(Fraction(s, 2) for s in (1, -1, -1, -1)),
     ]
     return RootSystem("F", 4, 4, roots, simple, DEGREES["F4"])
 

@@ -60,12 +60,10 @@ def _ambient_coordinate_forms(R: RootSystem):
 
 def _d_root(R: RootSystem, f: MultiPoly, beta):
     """Directional derivative along the root with coefficient tuple beta."""
-    out = MultiPoly.zero(f.nvars)
-    for k in range(R.rank):
-        c = sum(R._gram[k][j] * b for j, b in enumerate(beta))
-        if c:
-            out = out + f.diff(k) * c
-    return out
+    cs = [sum(R._gram[k][j] * b for j, b in enumerate(beta))
+          for k in range(R.rank)]
+    return MultiPoly.sum(f.nvars,
+                         (f.diff(k) * c for k, c in enumerate(cs) if c))
 
 
 def _gram(rows, C):
@@ -75,15 +73,15 @@ def _gram(rows, C):
     m = len(rows)
     if not m:
         return []
-    zero = MultiPoly.zero(rows[0][0].nvars)
+    nv = rows[0][0].nvars
     idx = range(len(C))
-    mixed = [[sum((row[l] * C[k][l] for l in idx if C[k][l]), zero)
+    mixed = [[MultiPoly.sum(nv, (row[l] * C[k][l] for l in idx if C[k][l]))
               for k in idx] for row in rows]
     G = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(a, m):
-            G[a][b] = G[b][a] = sum((rows[a][k] * mixed[b][k] for k in idx),
-                                    zero)
+            G[a][b] = G[b][a] = MultiPoly.sum(
+                nv, (rows[a][k] * mixed[b][k] for k in idx))
     return G
 
 
@@ -182,19 +180,19 @@ def basic_invariants(R: RootSystem) -> InvariantBasis:
         raise ValueError(f"unsupported group {R.label}{R.rank}")
     if R.label in ("A", "B"):
         xs = _ambient_coordinate_forms(R)
-        polys = [sum((x ** d for x in xs), MultiPoly.zero(R.rank))
+        polys = [MultiPoly.sum(R.rank, (x ** d for x in xs))
                  for d in R.degrees]
     elif R.label == "D":
         xs = _ambient_coordinate_forms(R)
         pf = MultiPoly.const(R.rank, 1)
         for x in xs:
             pf = pf * x
-        even = [sum((x ** d for x in xs), MultiPoly.zero(R.rank))
+        even = [MultiPoly.sum(R.rank, (x ** d for x in xs))
                 for d in range(2, 2 * R.rank - 1, 2)]
         polys = sorted(even + [pf], key=lambda p: p.degree())
     else:  # F_4
         forms = [MultiPoly.linear(b) for b in R.positive_roots]
-        polys = [sum((f ** d for f in forms), MultiPoly.zero(R.rank))
+        polys = [MultiPoly.sum(R.rank, (f ** d for f in forms))
                  for d in R.degrees]
     return InvariantBasis(R, polys, flat=False)
 
@@ -207,9 +205,9 @@ def quartic_family_d3(a, b) -> InvariantBasis:
         raise DegenerateBasis("a = 0 makes p3 a multiple of p1^2")
     R = build_root_system("D", 3)
     xs = _ambient_coordinate_forms(R)
-    p1 = sum((x ** 2 for x in xs), MultiPoly.zero(3)) * Fraction(1, 8)
+    p1 = MultiPoly.sum(3, (x ** 2 for x in xs)) * Fraction(1, 8)
     p2 = xs[0] * xs[1] * xs[2]
-    p3 = sum((x ** 4 for x in xs), MultiPoly.zero(3)) * a + p1 * p1 * b
+    p3 = MultiPoly.sum(3, (x ** 4 for x in xs)) * a + p1 * p1 * b
     return InvariantBasis(R, [p1, p2, p3], flat=False)
 
 
@@ -276,9 +274,8 @@ def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
     cache = getattr(basis, "_mono_cache", None)
     if cache is None:
         cache = basis._mono_cache = {}
-    recon = MultiPoly.zero(n)
-    for e, c in result.terms.items():
-        recon = recon + _compose_monomial(basis.polys, e, cache) * c
+    recon = MultiPoly.sum(n, (_compose_monomial(basis.polys, e, cache) * c
+                              for e, c in result.terms.items()))
     if recon != q:
         raise SolverFailure("re-expansion mismatch in invariant expression")
     return result
@@ -350,11 +347,10 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                s = MultiPoly.zero(n)
-                for l in range(n):
-                    s = s + eta_p[k][l] * (eta_cov[l][j].diff(i)
-                                           + eta_cov[i][l].diff(j)
-                                           - eta_cov[i][j].diff(l))
+                s = MultiPoly.sum(n, (eta_p[k][l] * (eta_cov[l][j].diff(i)
+                                                     + eta_cov[i][l].diff(j)
+                                                     - eta_cov[i][j].diff(l))
+                                      for l in range(n)))
                 gamma[k][i][j] = gamma[k][j][i] = s * half
 
     # flatness equations per degree block
@@ -438,8 +434,8 @@ def _transpose(M):
 
 def _apply_transform(T, ts):
     n = len(ts)
-    zero = MultiPoly.zero(ts[0].nvars)
-    return [sum((ts[b] * T[a][b] for b in range(n) if T[a][b]), zero)
+    return [MultiPoly.sum(ts[0].nvars,
+                          (ts[b] * T[a][b] for b in range(n) if T[a][b]))
             for a in range(n)]
 
 
@@ -739,9 +735,10 @@ def _identity_one_form(basis: InvariantBasis):
     n = basis.R.rank
     Pinv = basis.pairing_inv
     weighted = [basis.polys[a] * basis.degrees[a] for a in range(n)]
-    return [sum((weighted[a] * basis.jacobian[b][k] * Pinv[a][b]
-                 for a in range(n) for b in range(n) if Pinv[a][b]),
-                MultiPoly.zero(n)) for k in range(n)]
+    return [MultiPoly.sum(n, (weighted[a] * basis.jacobian[b][k] * Pinv[a][b]
+                              for a in range(n) for b in range(n)
+                              if Pinv[a][b]))
+            for k in range(n)]
 
 
 def _identity_tangency(basis: InvariantBasis, strata):
@@ -752,9 +749,9 @@ def _identity_tangency(basis: InvariantBasis, strata):
     for I, D in strata.items():
         keep = [j - 1 for j in D.params]
         theta = [f.set_vars_zero([i - 1 for i in I], keep) for f in one_form]
-        zero = MultiPoly.zero(len(keep))
         out[I] = all(
-            sum((theta[k] * g for k, g in enumerate(gamma) if g), zero)
+            MultiPoly.sum(len(keep),
+                          (theta[k] * g for k, g in enumerate(gamma) if g))
             .is_zero()
             for gamma in D.rd.roots if any(x > 0 for x in gamma))
     return out

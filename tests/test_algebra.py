@@ -54,6 +54,22 @@ class TestRingAxioms:
     def test_distributivity(self, p, q, r):
         assert p * (q + r) == p * q + p * r
 
+    @given(st.lists(polys(), max_size=6))
+    @example(ps=[_poly({(1, 0, 0): 1, (0, 1, 0): 2}), _poly({(1, 0, 0): -1}),
+                 _poly({(1, 0, 0): 3, (0, 0, 1): 1})])
+    def test_n_ary_sum_is_the_chain_of_additions(self, ps):
+        # equal terms in the same dict order, cancellations included
+        chain = MultiPoly.zero(NVARS)
+        for p in ps:
+            chain = chain + p
+        total = MultiPoly.sum(NVARS, iter(ps))
+        assert list(total.terms.items()) == list(chain.terms.items())
+        assert all(type(c) is Fraction for c in total.terms.values())
+
+    def test_n_ary_sum_checks_variable_count(self):
+        with pytest.raises(ValueError):
+            MultiPoly.sum(NVARS, [MultiPoly.const(2, 1)])
+
     @given(polys())
     def test_additive_inverse(self, p):
         assert (p - p).is_zero()

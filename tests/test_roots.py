@@ -1,6 +1,7 @@
 """Root system construction, subsystem spans, and fundamental reduction."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from saitostrata import roots
 from saitostrata.algebra import InvariantViolation
+from saitostrata.exactla import matinv
 from saitostrata.roots import (build_root_system, parse_group,
                                span_subsystem, reduce_to_fundamental)
 
@@ -200,14 +202,14 @@ A2_ROOTS = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1),
 A2_SIMPLE = [(1, -1, 0), (0, 1, -1)]
 
 
-def test_wrong_degrees_raise_invariant_violation():
-    with pytest.raises(InvariantViolation):
-        roots.RootSystem("A", 2, 3, A2_ROOTS, A2_SIMPLE, (2, 4))
-    # the check must not be an assert that `python -O` strips
-    code = ("from saitostrata.roots import RootSystem\n"
+def _raises_under_python_O(args):
+    """Whether RootSystem(*args) raises InvariantViolation under `python
+    -O`, so the check is not an assert that -O strips."""
+    code = ("from fractions import Fraction\n"
+            "from saitostrata.roots import RootSystem\n"
             "from saitostrata.algebra import InvariantViolation\n"
             "try:\n"
-            f"    RootSystem('A', 2, 3, {A2_ROOTS!r}, {A2_SIMPLE!r}, (2, 4))\n"
+            f"    RootSystem(*{args!r})\n"
             "except InvariantViolation:\n"
             "    raise SystemExit(3)\n")
     src = os.path.dirname(os.path.dirname(roots.__file__))
@@ -215,3 +217,139 @@ def test_wrong_degrees_raise_invariant_violation():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
+
+
+def test_wrong_degrees_raise_invariant_violation():
+    args = ("A", 2, 3, A2_ROOTS, A2_SIMPLE, (2, 4))
+    with pytest.raises(InvariantViolation):
+        roots.RootSystem(*args)
+    _raises_under_python_O(args)
+
+
+# -- the integer constructor against the Fraction one it replaced -------------
+
+def _frac_dot(u, v):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+
+
+class _RefRootSystem:
+    """The Fraction-arithmetic constructor, `vector` and `coefficients`
+    that the integer ones replaced, kept as a reference."""
+
+    def __init__(self, rank, ambient_dim, roots, simple):
+        self.ambient_dim = ambient_dim
+        self.simple_vectors = tuple(tuple(Fraction(x) for x in a)
+                                    for a in simple)
+        gram = [[_frac_dot(a, b) for b in self.simple_vectors]
+                for a in self.simple_vectors]
+        ginv = matinv(gram)
+        self._gram = gram
+        den = math.lcm(*(g.denominator for row in gram for g in row))
+        self._igram = [[int(g * den) for g in row] for row in gram]
+        self.coweights = tuple(
+            tuple(sum(ginv[i][j] * self.simple_vectors[j][k]
+                      for j in range(rank))
+                  for k in range(ambient_dim))
+            for i in range(rank))
+        self.roots = tuple(tuple(int(_frac_dot(w, r)) for w in self.coweights)
+                           for r in roots)
+        self.positive_roots = tuple(r for r in self.roots
+                                    if any(x > 0 for x in r))
+        self.cartan = [[int(Fraction(2) * gram[i][j] / gram[j][j])
+                        for j in range(rank)] for i in range(rank)]
+
+    def vector(self, beta):
+        return tuple(sum(b * a[k] for b, a in zip(beta, self.simple_vectors))
+                     for k in range(self.ambient_dim))
+
+    def coefficients(self, v):
+        c = tuple(_frac_dot(w, v) for w in self.coweights)
+        if self.vector(c) != tuple(v) \
+                or any(Fraction(x).denominator != 1 for x in c):
+            return None
+        c = tuple(int(x) for x in c)
+        return c if c in set(self.roots) else None
+
+
+def _ref_root_system(monkeypatch, label, rank):
+    """(R, the reference built from the same builder inputs)."""
+    args = []
+
+    class Capture(roots.RootSystem):
+        def __init__(self, *a):
+            args.append(a)
+            super().__init__(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(roots, "RootSystem", Capture)
+        R = build_root_system(label, rank)
+    _, rank, dim, ambient_roots, simple, _ = args[0]
+    return R, _RefRootSystem(rank, dim, ambient_roots, simple)
+
+
+REFERENCE_GROUPS = ([("A", r) for r in range(1, 7)]
+                    + [("B", r) for r in range(2, 7)] + [("C", 3)]
+                    + [("D", r) for r in range(3, 7)]
+                    + [("E", 6), ("E", 7), ("E", 8), ("F", 4)])
+
+
+@pytest.mark.parametrize("label,rank", REFERENCE_GROUPS)
+def test_integer_constructor_matches_fraction_reference(monkeypatch, label,
+                                                        rank):
+    R, ref = _ref_root_system(monkeypatch, label, rank)
+    for attr in ("roots", "positive_roots", "simple_vectors", "coweights",
+                 "_gram", "_igram", "cartan"):
+        # repr also pins the types: Fractions stay Fractions, ints ints
+        assert repr(getattr(R, attr)) == repr(getattr(ref, attr)), attr
+    vectors = [ref.vector(r) for r in ref.roots]
+    probes = list(vectors)
+    probes += [tuple(2 * x for x in v) for v in vectors[:12]]      # non-roots
+    probes += [tuple(x + y for x, y in zip(u, v))                  # sums
+               for u, v in zip(vectors, vectors[1:12])]
+    probes += [tuple(x / 3 for x in v) for v in vectors[:12]]      # off-lattice
+    probes += [tuple(x + 1 for x in v) for v in vectors[:12]]      # off-span in A
+    probes += [tuple(Fraction(1, 2) for _ in vectors[0]),
+               tuple(1 for _ in vectors[0]), tuple(0 for _ in vectors[0])]
+    probes += [v[:-1] for v in vectors[:4]] + [v + (0,) for v in vectors[:4]]
+    for r, v in zip(R.roots, vectors):
+        assert repr(R.vector(r)) == repr(v)
+    for v in probes:
+        assert R.coefficients(v) == ref.coefficients(v), v
+    assert R.coefficients(vectors[0]) == R.roots[0]
+
+
+@pytest.mark.parametrize("rank", [6, 7])
+def test_e6_e7_are_the_e8_roots_in_their_span(rank):
+    # a_1..a_rank of E_rank are those of E_8, so an E_8 root lies in their
+    # span exactly when its last 8 - rank coefficients vanish
+    E8, R = build_root_system("E", 8), build_root_system("E", rank)
+    assert R.roots == tuple(c[:rank] for c in E8.roots if not any(c[rank:]))
+
+
+# crafted inputs that each fail one integrality guard of the constructor
+HALF_ROOT_A2 = A2_ROOTS + [(Fraction(1, 2), Fraction(-1, 2), 0),
+                           (Fraction(-1, 2), Fraction(1, 2), 0)]
+MIXED_SIGN_A2 = A2_ROOTS + [(1, -2, 1), (-1, 2, -1)]   # +-(a_1 - a_2)
+# (a_1, a_1) = 9, (a_2, a_2) = 2, (a_1, a_2) = -3: 2(a_2, a_1)/(a_1, a_1) = -2/3
+BAD_CARTAN_SIMPLE = [(3, 0), (-1, 1)]
+BAD_CARTAN_ROOTS = [(3, 0), (-3, 0), (-1, 1), (1, -1)]
+
+GUARD_CASES = {
+    "non-integer simple-root expansion": (
+        2, 3, HALF_ROOT_A2, A2_SIMPLE, (2, 3)),
+    "root with mixed-sign expansion": (
+        2, 3, MIXED_SIGN_A2, A2_SIMPLE, (2, 3)),
+    "non-integer Cartan matrix": (
+        2, 2, BAD_CARTAN_ROOTS, BAD_CARTAN_SIMPLE, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(GUARD_CASES))
+def test_integrality_guards_raise_invariant_violation(message):
+    with pytest.raises(InvariantViolation, match=message):
+        roots.RootSystem("A", *GUARD_CASES[message])
+
+
+def test_integrality_guard_survives_python_O():
+    _raises_under_python_O(
+        ("A",) + GUARD_CASES["non-integer simple-root expansion"])
