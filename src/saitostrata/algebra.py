@@ -1,6 +1,6 @@
 """Exact polynomial arithmetic: rational scalars, sparse multivariate
-polynomials, polynomial-matrix determinants, exact division and trial
-factorization into linear forms.
+polynomials, polynomial-matrix determinants (Bareiss), exact division and
+trial factorization into linear forms.
 
 Coefficients are `fractions.Fraction` throughout; nothing here ever rounds.
 Polynomials are stored sparsely as {exponent tuple: coefficient} with a
@@ -139,6 +139,9 @@ class MultiPoly:
         for p in polys:
             if p.nvars != nvars:
                 raise ValueError("variable count mismatch")
+            if not t:
+                t.update(p.terms)   # one C-level copy, no Fraction additions
+                continue
             for e, c in p.terms.items():
                 s = get(e, 0) + c
                 if s:
@@ -202,16 +205,7 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return self._wrap(t)
+        return MultiPoly.sum(self.nvars, (self, other))
 
     __radd__ = __add__
 
@@ -254,6 +248,11 @@ class MultiPoly:
                            for k, c in out.items() if c})
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient (`divide_exact`), so that `poly_det` runs the
+        same elimination on polynomials and on ints."""
+        return divide_exact(self, other)
 
     def __pow__(self, k):
         if k < 0:
@@ -523,27 +522,10 @@ class FactoredDeterminant:
 # ---------------------------------------------------------------------------
 # determinants
 
-def det_cofactor(matrix):
-    """Cofactor (Laplace) expansion along the first row."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix not square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return matrix[0][0]
-
-    def term(j):
-        minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        t = matrix[0][j] * det_cofactor(minor)
-        return t if j % 2 == 0 else -t
-    return MultiPoly.sum(matrix[0][0].nvars, (
-        term(j) for j in range(n) if not matrix[0][j].is_zero()))
-
-
-def det_bareiss(matrix):
-    """Fraction-free Bareiss elimination; every division is exact."""
+def poly_det(matrix):
+    """Exact determinant of a square matrix by fraction-free Bareiss
+    elimination.  The entries are MultiPolys, or ints (`exactla.det_fraction`
+    scales a rational matrix to them); every division is exact."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -551,38 +533,23 @@ def det_bareiss(matrix):
     if n == 0:
         raise ValueError("empty matrix")
     m = [list(row) for row in matrix]
-    nv = m[0][0].nvars
-    one = MultiPoly.const(nv, 1)
-    sign = 1
-    prev = one
+    sign, prev = 1, 1       # the first step would divide by 1 and skips it
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if m[k][k] == 0:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero():
+                if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return MultiPoly.zero(nv)
+                return m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = divide_exact(num, prev)
-            m[i][k] = MultiPoly.zero(nv)
+                m[i][j] = num // prev if k else num
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def poly_det(matrix):
-    """Exact determinant of a square MultiPoly matrix.
-
-    Small matrices go through cofactor expansion, larger ones through
-    fraction-free elimination; both are exact and agree (tested)."""
-    n = len(matrix)
-    if n <= 3:
-        return det_cofactor(matrix)
-    return det_bareiss(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything works on lists of lists of Fractions (or ints). IntSpan is a
-fraction-free integer row-echelon span used for the many root-span
+Everything works on lists of lists of Fractions (or ints); the determinant
+is the Bareiss elimination of `algebra.poly_det`, run on integers. IntSpan
+is a fraction-free integer row-echelon span used for the many root-span
 membership tests; it avoids Fraction overhead on hot paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .algebra import poly_det
 
 
 def rref(matrix):
@@ -93,29 +96,15 @@ def matmul(A, B):
 
 
 def det_fraction(A):
-    """Determinant of a Fraction matrix by elimination."""
-    n = len(A)
-    m = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    d = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        d *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return d * sign
+    """Determinant of a rational matrix: each row is scaled to integers by
+    the lcm of its denominators, and `poly_det` eliminates on the ints."""
+    scale, rows = 1, []
+    for row in A:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    return Fraction(poly_det(rows), scale)
 
 
 class IntSpan:

@@ -7,16 +7,26 @@ Type A: superpotential lam(p) = prod_{i=0}^d (p - xi_i)^{m_i} on the
 sum-zero stratum (xi_0 = -sum (m_i/m_0) xi_i, sum m_i = n+1).
 Types B/D: lam(p) = p^{2m} prod (p^2 - xi_i^2)^{m_i}, N = m + sum m_i != 0;
 m >= -1 corresponds to actual group strata (m = l for B, m = l - 1 for D).
+
+The exact side works on `algebra.MultiPoly` in one variable: the deflated
+critical polynomial w (monic, its roots the critical points, in y = p^2 for
+B/D) is built from products of linear factors. A point is generic when the
+resultant of w and w' (`exactla.det_fraction` of their Sylvester matrix) is
+nonzero and w vanishes at no xi value. The oracle then finds the roots of w
+and computes everything after them in floating point.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import LinearForm, FactoredDeterminant, InvariantViolation
+from .algebra import (LinearForm, FactoredDeterminant, InvariantViolation,
+                      MultiPoly)
+from .exactla import det_fraction
 
 
 class DegeneratePoint(ValueError):
@@ -74,101 +84,45 @@ class StratumConfigBD:
 
 
 # ---------------------------------------------------------------------------
-# exact univariate helpers (coefficient lists, low degree first)
+# deflated critical polynomials, as MultiPoly in the one variable p (y = p^2
+# for B/D)
 
-def _umul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+_P = MultiPoly.variable(1, 0)
 
-
-def _uadd(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _uscale(a, c):
-    return [x * c for x in a]
-
-
-def _uder(a):
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def _ueval(a, x):
-    v = Fraction(0) if isinstance(x, Fraction) else 0.0
-    for c in reversed(a):
-        v = v * x + (c if isinstance(x, Fraction) else complex(c))
-    return v
-
-
-def _utrim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _umod(a, b):
-    r = _utrim([Fraction(x) for x in a])
-    while len(r) >= len(b) and not (len(r) == 1 and r[0] == 0):
-        f = r[-1] / b[-1]
-        k = len(r) - len(b)
-        for i in range(len(b)):
-            r[k + i] -= f * b[i]
-        r.pop()
-        r = _utrim(r)
-    return r
-
-
-def _ugcd_is_const(a, b):
-    """True iff gcd(a, b) is constant (so a is squarefree when b = a')."""
-    a = _utrim([Fraction(x) for x in a])
-    b = _utrim([Fraction(x) for x in b])
-    while not (len(b) == 1 and b[0] == 0):
-        if len(b) == 1:
-            return True
-        a, b = b, _umod(a, b)
-    return len(a) == 1
-
-
-def _prod_linear(points):
-    """prod (p - c) as a coefficient list."""
-    out = [Fraction(1)]
-    for c in points:
-        out = _umul(out, [-Fraction(c), Fraction(1)])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# deflated critical polynomials
 
 def critical_poly_A(cfg: StratumConfigA, xi):
     """prod_{i=1}^d (p - q_i) = (n+1)^{-1} sum_a m_a prod_{j != a}(p - xi_j),
-    exact in Fractions."""
-    xs = cfg.xi_full(xi)
-    m = cfg.mults
-    total = [Fraction(0)]
-    for a in range(cfg.d + 1):
-        term = _prod_linear([xs[j] for j in range(cfg.d + 1) if j != a])
-        total = _uadd(total, _uscale(term, Fraction(m[a])))
-    return _uscale(total, Fraction(1, cfg.n + 1))
+    exact."""
+    lin = [_P - x for x in cfg.xi_full(xi)]
+    return MultiPoly.sum(1, (
+        math.prod(lin[:a] + lin[a + 1:]) * Fraction(m, cfg.n + 1)
+        for a, m in enumerate(cfg.mults)))
 
 
 def critical_poly_BD(cfg: StratumConfigBD, xi):
     """prod (y - q_i^2) in y = p^2:
     N^{-1} [ m prod (y - xi_a^2) + sum_a m_a y prod_{b != a}(y - xi_b^2) ]."""
-    xs2 = [Fraction(x) ** 2 for x in xi]
-    m = cfg.mults
-    total = _uscale(_prod_linear(xs2), Fraction(cfg.m))
-    for a in range(cfg.d):
-        term = _prod_linear([xs2[b] for b in range(cfg.d) if b != a])
-        term = _umul(term, [Fraction(0), Fraction(1)])   # * y
-        total = _uadd(total, _uscale(term, Fraction(m[a])))
-    return _uscale(total, Fraction(1, cfg.N))
+    lin = [_P - Fraction(x) ** 2 for x in xi]
+    return MultiPoly.sum(1, [
+        math.prod(lin) * Fraction(cfg.m, cfg.N),
+        *(math.prod([_P] + lin[:a] + lin[a + 1:]) * Fraction(m, cfg.N)
+          for a, m in enumerate(cfg.mults))])
+
+
+def _coeffs(w):
+    """The coefficients of a one-variable polynomial, high degree first."""
+    return [w.terms.get((k,), 0) for k in range(w.degree(), -1, -1)]
+
+
+def _squarefree(w):
+    """True iff the monic w of degree >= 1 has no repeated root, that is
+    iff the resultant of w and w' (the determinant of their Sylvester
+    matrix) is nonzero."""
+    f, g = _coeffs(w), _coeffs(w.diff(0))
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return det_fraction(rows) != 0
 
 
 def _check_generic_A(cfg, xi):
@@ -176,10 +130,10 @@ def _check_generic_A(cfg, xi):
     if len(set(xs)) != len(xs):
         raise DegeneratePoint("xi values collide")
     w = critical_poly_A(cfg, xi)
-    if not _ugcd_is_const(w, _uder(w)):
+    if not _squarefree(w):
         raise DegeneratePoint("critical points collide")
     for x in xs:
-        if _ueval(w, Fraction(x)) == 0:
+        if w.evaluate([x]) == 0:
             raise DegeneratePoint("critical point hits a xi value")
     return w
 
@@ -189,12 +143,12 @@ def _check_generic_BD(cfg, xi):
     if any(x == 0 for x in xs2) or len(set(xs2)) != len(xs2):
         raise DegeneratePoint("xi values collide or vanish")
     w = critical_poly_BD(cfg, xi)
-    if not _ugcd_is_const(w, _uder(w)):
+    if not _squarefree(w):
         raise DegeneratePoint("critical points collide")
     for x in xs2:
-        if _ueval(w, x) == 0:
+        if w.evaluate([x]) == 0:
             raise DegeneratePoint("critical point hits a xi value")
-    w0 = _ueval(w, Fraction(0))
+    w0 = w.evaluate([0])
     if cfg.m == 0:
         if w0 != 0:
             raise InvariantViolation("m = 0 must force a zero critical point")
@@ -203,10 +157,18 @@ def _check_generic_BD(cfg, xi):
     return w
 
 
-def _roots_numeric(w):
-    coeffs = [float(c) for c in w]
-    r = np.roots(list(reversed(coeffs)))
-    return np.sort_complex(r)
+def _float_coeffs(w):
+    """The coefficients of a one-variable polynomial as floats, high degree
+    first."""
+    return [float(c) for c in _coeffs(w)]
+
+
+def _horner(coeffs, x):
+    """Float Horner evaluation of a coefficient list, high degree first."""
+    v = 0.0
+    for c in coeffs:
+        v = v * x + complex(c)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +273,12 @@ _ROOT_TOL = 1e-12
 
 
 def _critical_data_A(cfg, xi):
-    w = _check_generic_A(cfg, xi)
-    q = _roots_numeric(w)
+    wf = _float_coeffs(_check_generic_A(cfg, xi))
+    q = np.sort_complex(np.roots(wf))
     xs = [complex(x) for x in cfg.xi_full(xi)]
     m = cfg.mults
-    wf = [float(c) for c in w]
     for qi in q:
-        if not abs(_ueval(wf, qi)) < _ROOT_TOL * max(1.0, abs(qi) ** cfg.d):
+        if not abs(_horner(wf, qi)) < _ROOT_TOL * max(1.0, abs(qi) ** cfg.d):
             raise DegeneratePoint("critical points are ill-conditioned here")
     lam = lambda p: np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
     lam2 = np.array([
@@ -331,8 +292,7 @@ def _critical_data_A(cfg, xi):
 
 
 def _critical_data_BD(cfg, xi):
-    w = _check_generic_BD(cfg, xi)
-    y = _roots_numeric(w)
+    y = np.sort_complex(np.roots(_float_coeffs(_check_generic_BD(cfg, xi))))
     q = np.sqrt(y.astype(complex))
     if cfg.m == 0:
         # exact zero critical point: put it first, exactly zero

@@ -191,7 +191,9 @@ class RootSystem:
             for j, a in enumerate(S):
                 if _dot(w, a) != (d if i == j else 0):
                     raise InvariantViolation("coweights not dual to a_j")
-        rootset = set(self.roots)
+        # kept for the membership tests of `coefficients` and
+        # `reduce_to_fundamental`
+        self._rootset = rootset = set(self.roots)
         for r in self.roots:
             if tuple(-x for x in r) not in rootset:
                 raise InvariantViolation("R not closed under negation")
@@ -211,7 +213,7 @@ class RootSystem:
                 or any(Fraction(x).denominator != 1 for x in c):
             return None
         c = tuple(int(x) for x in c)
-        return c if c in set(self.roots) else None
+        return c if c in self._rootset else None
 
     # -- basic helpers ------------------------------------------------
     def reflect(self, i, beta):
@@ -466,7 +468,11 @@ def _components(R: RootSystem, sub_pos):
 # ---------------------------------------------------------------------------
 # fundamental reduction
 
-def reduce_to_fundamental(R: RootSystem, S, rng=None):
+# seed of the generic point drawn in each stratum
+_REDUCE_SEED = 0xC0C0
+
+
+def reduce_to_fundamental(R: RootSystem, S):
     """Find w in W (as a word in simple reflections, 1-based) and an index
     set I with w(D_S) = the intersection of the simple walls {a_i, i in I}.
     S is a list of coefficient tuples.
@@ -474,9 +480,8 @@ def reduce_to_fundamental(R: RootSystem, S, rng=None):
     Walks a generic point x of D_S into the closed fundamental chamber by
     simple reflections, in the coordinates z_i = (a_i, x): a root b is the
     form sum b_i z_i there, and s_i sends z to z - z_i C[.][i]."""
-    rng = rng or random.Random(0xC0C0)
-    rootset = set(R.roots)
-    if any(tuple(s) not in rootset for s in S):
+    rng = random.Random(_REDUCE_SEED)
+    if any(tuple(s) not in R._rootset for s in S):
         raise ValueError("S must consist of roots")
     S = [tuple(int(x) for x in s) for s in S]
     n = R.rank

@@ -28,7 +28,8 @@ from math import isqrt
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization,
                       InvariantViolation)
-from .exactla import matinv, matmul, det_fraction, nullspace, rank as mat_rank
+from .exactla import (matinv, matmul, det_fraction, nullspace, solve,
+                      rank as mat_rank)
 from .roots import RootSystem, build_root_system, span_subsystem
 from .strata import Stratum, make_stratum
 
@@ -126,6 +127,9 @@ class InvariantBasis:
         if normalized is None:
             normalized = self.pairing == _antidiag(R.rank)
         self.normalized = normalized
+        # products of the invariants, keyed by exponent tuple, for the
+        # re-expansion check of `express_in_invariants`
+        self._mono_cache = {}
         self.jacobian = self._jacobian_matrix()
         self.jacobian_det = poly_det(self.jacobian)
         self.jacobian_scale = self._check_jacobian()
@@ -267,14 +271,11 @@ def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
         rhs.append(q.evaluate(pt))
     if mat_rank(rows) < len(monos):
         raise SolverFailure("evaluation points failed to separate monomials")
-    from .exactla import solve
     coeffs = solve(rows, rhs)
     result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
     # exact re-expansion check
-    cache = getattr(basis, "_mono_cache", None)
-    if cache is None:
-        cache = basis._mono_cache = {}
-    recon = MultiPoly.sum(n, (_compose_monomial(basis.polys, e, cache) * c
+    recon = MultiPoly.sum(n, (_compose_monomial(basis.polys, e,
+                                                basis._mono_cache) * c
                               for e, c in result.terms.items()))
     if recon != q:
         raise SolverFailure("re-expansion mismatch in invariant expression")

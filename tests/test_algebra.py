@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
-                                 UNKNOWN, poly_det, det_cofactor, det_bareiss,
-                                 divide_exact, try_divide, factor_linear,
-                                 NotDivisible, IncompleteFactorization)
+                                 UNKNOWN, poly_det, divide_exact, try_divide,
+                                 factor_linear, NotDivisible,
+                                 IncompleteFactorization)
+from saitostrata.exactla import det_fraction
 
 NVARS = 3
 
@@ -277,6 +278,20 @@ class TestIntegerKernels:
         assert (p * MultiPoly.zero(2)).is_zero()
 
 
+def _ref_det_cofactor(matrix):
+    """Laplace expansion along the first row: the reference for the
+    Bareiss elimination of `poly_det`."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = MultiPoly.zero(matrix[0][0].nvars)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        t = matrix[0][j] * _ref_det_cofactor(minor)
+        total = total + t if j % 2 == 0 else total - t
+    return total
+
+
 class TestDeterminants:
     def _random_matrix(self, rng, n):
         def entry():
@@ -292,7 +307,7 @@ class TestDeterminants:
         for n in (1, 2, 3, 4):
             for _ in range(4):
                 m = self._random_matrix(rng, n)
-                assert det_bareiss(m) == det_cofactor(m)
+                assert poly_det(m) == _ref_det_cofactor(m)
 
     def test_poly_det_alternating(self):
         rng = random.Random(11)
@@ -303,8 +318,31 @@ class TestDeterminants:
     def test_singular_matrix(self):
         x = MultiPoly.variable(NVARS, 0)
         m = [[x, x, x], [x, x, x], [x, x, x]]
-        for n in (det_bareiss, det_cofactor):
-            assert n(m).is_zero()
+        for det in (poly_det, _ref_det_cofactor):
+            assert det(m).is_zero()
+
+    def test_det_fraction(self):
+        # singular, a row swap flips the sign, and the 1x1 case
+        F = Fraction
+        a = [[F(1, 2), F(2), F(-3)], [F(4), F(0), F(5, 3)], [F(7), F(1), F(1)]]
+        want = F(5, 2)
+        assert det_fraction(a) == want
+        assert det_fraction([a[1], a[0], a[2]]) == -want
+        assert det_fraction([a[0], a[1], [x + y for x, y in zip(*a[:2])]]) == 0
+        assert det_fraction([[0, 1], [0, 2]]) == 0
+        assert det_fraction([[F(-3, 7)]]) == F(-3, 7)
+        assert det_fraction([[0]]) == 0
+
+    def test_det_fraction_agrees_with_cofactor(self):
+        # small entries, so that zero pivots and row swaps are common
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(20):
+                a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                      for _ in range(n)] for _ in range(n)]
+                want = _ref_det_cofactor(
+                    [[MultiPoly.const(1, x) for x in row] for row in a])
+                assert det_fraction(a) == want.constant_value()
 
 
 class TestLinearForm:

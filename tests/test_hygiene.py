@@ -1,0 +1,30 @@
+"""Code hygiene: every top-level function and class of the package is named
+somewhere besides its own definition, in the Python files of the package,
+the tests or the benchmark. A helper whose last caller is gone fails here."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "saitostrata"
+SEARCHED = ("src", "tests", "benchmark")
+
+
+def _top_level_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
+def test_no_unreferenced_top_level_definitions():
+    words = Counter(w for d in SEARCHED
+                    for p in sorted((ROOT / d).rglob("*.py"))
+                    for w in re.findall(r"[A-Za-z_]\w*", p.read_text()))
+    # the definition itself is one occurrence
+    unused = [f"{path.name}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name in _top_level_names(path) if words[name] < 2]
+    assert not unused, "defined but never named: " + ", ".join(unused)

@@ -7,11 +7,15 @@ from itertools import combinations
 
 import pytest
 
+from saitostrata import lgclassical
+from saitostrata.algebra import MultiPoly
 from saitostrata.lgclassical import (StratumConfigA, StratumConfigBD,
                                      kappa_A, closed_form_det_A,
                                      closed_form_det_BD, residue_metric_at,
                                      frobenius_check_at, random_generic_point,
-                                     NZero)
+                                     critical_data, critical_poly_A,
+                                     critical_poly_BD, DegeneratePoint,
+                                     NZero, _squarefree)
 from saitostrata.strata import make_stratum, predict_determinant
 
 REL_TOL = 1e-8
@@ -101,6 +105,102 @@ class TestFrobeniusStructure:
 
 # ---------------------------------------------------------------------------
 # exponent consistency with the combinatorial predictor
+
+# Euclid's gcd on coefficient lists (low degree first): the reference for
+# the resultant test of `_squarefree`.
+
+def _ref_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _ref_mod(a, b):
+    r = _ref_trim([Fraction(x) for x in a])
+    while len(r) >= len(b) and not (len(r) == 1 and r[0] == 0):
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        for i in range(len(b)):
+            r[k + i] -= f * b[i]
+        r.pop()
+        r = _ref_trim(r)
+    return r
+
+
+def _ref_gcd_is_const(a, b):
+    a = _ref_trim([Fraction(x) for x in a])
+    b = _ref_trim([Fraction(x) for x in b])
+    while not (len(b) == 1 and b[0] == 0):
+        if len(b) == 1:
+            return True
+        a, b = b, _ref_mod(a, b)
+    return len(a) == 1
+
+
+def _univariate(coeffs):
+    """The one-variable MultiPoly with the given coefficients, low degree
+    first."""
+    return MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+
+
+class TestSquarefree:
+    def test_resultant_agrees_with_euclid(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                # a product of linear factors, roots drawn from a small
+                # range so that they often repeat
+                w = _univariate([1])
+                for _ in range(d):
+                    w = w * _univariate([-rng.randint(-3, 3), 1])
+            else:
+                w = _univariate([rng.randint(-9, 9) for _ in range(d)] + [1])
+            c = [w.terms.get((k,), 0) for k in range(d + 1)]
+            want = _ref_gcd_is_const(c, [k * c[k] for k in range(1, d + 1)])
+            assert _squarefree(w) == want, c
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("cfg", [StratumConfigA((1, 1, 1)),
+                                     StratumConfigA((2, 1, 1, 1)),
+                                     StratumConfigBD(1, (1, 1, 1)),
+                                     StratumConfigBD(0, (2, 1)),
+                                     StratumConfigBD(-1, (1, 1, 2)),
+                                     StratumConfigBD(-5, (1, 2))])
+    def test_critical_points_never_collide_at_rational_points(self, cfg):
+        # The critical points are the zeros of lam'/lam, a sum of simple
+        # poles at the distinct real xi values (xi^2 and 0 for B/D). There
+        # is a zero in each gap between consecutive poles, and for B/D one
+        # more outside them, which makes deg w zeros in disjoint intervals.
+        # So at a rational point with distinct xi values the critical
+        # points are simple, and the guard below cannot fire there.
+        rng = random.Random(7)
+        for _ in range(40):
+            xi = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(cfg.d))
+            if isinstance(cfg, StratumConfigA):
+                xs = cfg.xi_full(xi)
+                if len(set(xs)) == len(xs):
+                    assert _squarefree(critical_poly_A(cfg, xi))
+            elif 0 not in xi and len({x * x for x in xi}) == len(xi):
+                assert _squarefree(critical_poly_BD(cfg, xi))
+
+    @pytest.mark.parametrize("cfg,xi,poly", [
+        (StratumConfigA((1, 1, 1)), (1, 2), "critical_poly_A"),
+        (StratumConfigBD(1, (1, 1)), (1, 2), "critical_poly_BD")])
+    def test_degenerate_points(self, monkeypatch, cfg, xi, poly):
+        with pytest.raises(DegeneratePoint, match="xi values collide"):
+            critical_data(cfg, (xi[0], xi[0]))
+        critical_data(cfg, xi)
+        # a double critical point, which no rational point produces (see
+        # above), reaches the guard through a substituted w = (p - 5)^2
+        monkeypatch.setattr(lgclassical, poly,
+                            lambda cfg, xi: _univariate([25, -10, 1]))
+        with pytest.raises(DegeneratePoint, match="critical points collide"):
+            critical_data(cfg, xi)
+
 
 def _a_stratum_indices(mults):
     """Simple wall indices of the A_n stratum with consecutive coordinate
