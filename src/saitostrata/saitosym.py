@@ -15,6 +15,26 @@ The convolution g^{ab} and the covariant metric, restricted or not, are
 one Gram contraction (`_gram`) of gradient rows against a constant matrix.
 A basis builds its Jacobian, its minors and the inverse identity 1-form
 once, so the per-stratum work is restriction plus one determinant.
+
+`express_in_invariants` finds the coefficients of an invariant in a basis
+by evaluation and certifies them by exact re-expansion.  Each basis keeps
+one evaluation plan: a seeded sequence of integer points, the invariants'
+values there, and per degree the monomial rows, whose rank is checked
+once.  A call evaluates q at the plan's points and solves.  The
+re-expansion compares every term on integer numerators over one common
+denominator, with the products of the invariants cached on the basis.  In
+an algebraically independent basis the coefficients are unique, so the
+choice of points never shows in the output.
+
+The flat basis takes its Jacobian by the chain rule, J_t = det(dt/dp) J_p.
+Each flat coordinate t^a is weighted-homogeneous of degree d_a in the basic
+invariants p, so dt^a/dp^b has weighted degree d_a - d_b: zero if d_b > d_a
+and constant if d_b = d_a.  Ordered by degree, dt/dp is block-triangular
+with constant diagonal blocks, and its determinant is the product of
+theirs: a nonzero constant c, the determinant of the linear part of t
+(`_constant_jacobian`).  So J_t = c J_p, and the check of the basic
+basis (J_p is a scalar times the mirror product) covers the flat one: no
+second Bareiss and no second check.
 """
 
 from __future__ import annotations
@@ -23,7 +43,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization,
@@ -108,10 +128,12 @@ class InvariantBasis:
     identity by convention for a non-flat basis (the generalized constant
     metric sum_i dp^i dp^{n+1-i}), the verified flat pairing for solver
     output.  `normalized` records whether that pairing is exactly the
-    anti-diagonal identity."""
+    anti-diagonal identity.  `flat_coordinates` passes `_chain_rule =
+    (base, det(dt/dp))` to take the Jacobian from the basic basis (see the
+    module docstring)."""
 
     def __init__(self, R: RootSystem, polys, flat=False, pairing=None,
-                 normalized=None):
+                 normalized=None, *, _chain_rule=None):
         self.R = R
         self.polys = list(polys)
         self.degrees = tuple(p.degree() for p in self.polys)
@@ -128,11 +150,21 @@ class InvariantBasis:
             normalized = self.pairing == _antidiag(R.rank)
         self.normalized = normalized
         # products of the invariants, keyed by exponent tuple, for the
-        # re-expansion check of `express_in_invariants`
+        # re-expansion check of `express_in_invariants`; its evaluation
+        # points are `_evaluation_plan`
         self._mono_cache = {}
         self.jacobian = self._jacobian_matrix()
-        self.jacobian_det = poly_det(self.jacobian)
-        self.jacobian_scale = self._check_jacobian()
+        if _chain_rule is None:
+            self.jacobian_det = poly_det(self.jacobian)
+            self.jacobian_scale = self._check_jacobian()
+        else:
+            # these invariants are polynomials t(p) in the checked basis
+            # `base`, and c = det(dt/dp) is constant: J_t = c J_p
+            base, c = _chain_rule
+            if not c:
+                raise DegenerateBasis("Jacobian vanishes: det(dt/dp) = 0")
+            self.jacobian_det = base.jacobian_det * c
+            self.jacobian_scale = base.jacobian_scale * c
 
     def _jacobian_matrix(self):
         R = self.R
@@ -158,6 +190,10 @@ class InvariantBasis:
                 "Jacobian is not proportional to the mirror product; "
                 "perturb by products of lower invariants")
         return scale
+
+    @cached_property
+    def _evaluation_plan(self):
+        return _EvaluationPlan(self.polys)
 
     @cached_property
     def minors(self):
@@ -236,50 +272,43 @@ def _weighted_monomials(weights, total):
     return out
 
 
-def _compose_monomial(polys, expt, cache):
-    key = expt
-    if key in cache:
-        return cache[key]
-    n = polys[0].nvars
-    out = MultiPoly.const(n, 1)
-    for p, e in zip(polys, expt):
-        if e:
-            out = out * p ** e
-    cache[key] = out
-    return out
-
-
 _EVALUATION_SEED = 20240915
 
 
-def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
-    """Write the invariant z-polynomial q as a polynomial in the basis
-    invariants, exactly.  Solves by evaluation at seeded random rational
-    points and verifies by exact re-expansion."""
-    rng = random.Random(_EVALUATION_SEED)
-    n = basis.R.rank
-    if q.is_zero():
-        return MultiPoly.zero(n)
-    deg = q.degree()
-    monos = _weighted_monomials(basis.degrees, deg)
-    rows, rhs = [], []
-    for _ in range(len(monos) + 6):
-        pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 5))
-              for _ in range(n)]
-        vals = [p.evaluate(pt) for p in basis.polys]
-        rows.append([_eval_monomial(vals, e) for e in monos])
-        rhs.append(q.evaluate(pt))
-    if mat_rank(rows) < len(monos):
-        raise SolverFailure("evaluation points failed to separate monomials")
-    coeffs = solve(rows, rhs)
-    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
-    # exact re-expansion check
-    recon = MultiPoly.sum(n, (_compose_monomial(basis.polys, e,
-                                                basis._mono_cache) * c
-                              for e, c in result.terms.items()))
-    if recon != q:
-        raise SolverFailure("re-expansion mismatch in invariant expression")
-    return result
+class _EvaluationPlan:
+    """The points at which `express_in_invariants` evaluates, shared by
+    every call on one basis: one seeded sequence of integer points, the
+    basis invariants' values at each point (computed once), and per
+    degree d the weighted monomials of degree d with their value rows at
+    the first len(monomials) + 6 points, whose full column rank is checked
+    once."""
+
+    def __init__(self, polys):
+        self.polys = polys
+        self.degrees = [p.degree() for p in polys]
+        self.rng = random.Random(_EVALUATION_SEED)
+        self.points = []
+        self.values = []
+        self.by_degree = {}
+
+    def degree(self, d):
+        """(monomials, points, rows) for invariants of degree d."""
+        plan = self.by_degree.get(d)
+        if plan is None:
+            monos = _weighted_monomials(self.degrees, d)
+            count = len(monos) + 6
+            n = self.polys[0].nvars
+            while len(self.points) < count:
+                pt = [self.rng.randint(-40, 40) for _ in range(n)]
+                self.points.append(pt)
+                self.values.append([p.evaluate(pt) for p in self.polys])
+            rows = [[_eval_monomial(vals, e) for e in monos]
+                    for vals in self.values[:count]]
+            if mat_rank(rows) < len(monos):
+                raise SolverFailure(
+                    "evaluation points failed to separate monomials")
+            plan = self.by_degree[d] = (monos, self.points[:count], rows)
+        return plan
 
 
 def _eval_monomial(vals, expt):
@@ -288,6 +317,58 @@ def _eval_monomial(vals, expt):
         if e:
             out *= v ** e
     return out
+
+
+def _integer_product(basis: InvariantBasis, expt):
+    """prod_i p_i^expt_i as (polynomial, denominator, {exponent: integer
+    numerator}).  Built as the product for expt less one unit of its first
+    (lowest degree) nonzero exponent, times that invariant, and cached on
+    the basis with every shorter product the chain passes through."""
+    cache = basis._mono_cache
+    hit = cache.get(expt)
+    if hit is not None:
+        return hit
+    if not any(expt):
+        poly = MultiPoly.const(len(expt), 1)
+    else:
+        i = next(k for k, e in enumerate(expt) if e)
+        rest = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
+        poly = basis.polys[i]
+        if any(rest):
+            poly = poly * _integer_product(basis, rest)[0]
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    cache[expt] = out = (poly, den, {e: c.numerator * (den // c.denominator)
+                                    for e, c in poly.terms.items()})
+    return out
+
+
+def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
+    """Write the invariant z-polynomial q as a polynomial in the basis
+    invariants, exactly.  Solves by evaluation at the basis's seeded
+    integer points (`_EvaluationPlan`) and verifies by exact re-expansion,
+    compared term by term on integer numerators over one common
+    denominator."""
+    n = basis.R.rank
+    if q.is_zero():
+        return MultiPoly.zero(n)
+    monos, points, rows = basis._evaluation_plan.degree(q.degree())
+    coeffs = solve(rows, [q.evaluate(pt) for pt in points])
+    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
+    products = [(c, _integer_product(basis, e))
+                for e, c in result.terms.items()]
+    den = lcm(*(c.denominator * d for c, (_, d, _) in products),
+              *(c.denominator for c in q.terms.values()))
+    recon = {}
+    get = recon.get
+    for c, (_, d, ints) in products:
+        f = c.numerator * (den // (c.denominator * d))
+        for e, v in ints.items():
+            recon[e] = get(e, 0) + f * v
+    want = {e: c.numerator * (den // c.denominator)
+            for e, c in q.terms.items()}
+    if {e: v for e, v in recon.items() if v} != want:
+        raise SolverFailure("re-expansion mismatch in invariant expression")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +505,23 @@ def flat_coordinates(R: RootSystem) -> InvariantBasis:
                             "anti-diagonal identity")
 
     out = InvariantBasis(R, tz, flat=True, pairing=pairing,
-                         normalized=normalized)
+                         normalized=normalized,
+                         _chain_rule=(base, _constant_jacobian(ts)))
     out.polys_in_invariants = ts
     return out
+
+
+def _constant_jacobian(ts):
+    """det(dt^a/dp^b) for t^a weighted-homogeneous in the p^b (degree
+    d_a, respectively d_b).  The entry has weighted degree d_a - d_b: zero
+    when that is negative, and when it is zero the constant coefficient of
+    p^b in t^a.  In degree order the matrix is block-triangular with these
+    constant blocks on the diagonal, so its determinant is the product of
+    theirs, which is the determinant of the linear part of t (the
+    coefficient of p^b in t^a vanishes unless d_a = d_b)."""
+    n = len(ts)
+    unit = [tuple(int(i == b) for i in range(n)) for b in range(n)]
+    return det_fraction([[t.terms.get(e, 0) for e in unit] for t in ts])
 
 
 def _transpose(M):

@@ -3,6 +3,7 @@ the covariant metric, and the minor-formula path."""
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +12,7 @@ import pytest
 from saitostrata import saitosym
 from saitostrata.algebra import (MultiPoly, poly_det, factor_linear,
                                  IncompleteFactorization)
-from saitostrata.exactla import det_fraction
+from saitostrata.exactla import det_fraction, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (SUPPORTED, InvariantBasis, basic_invariants,
                                   quartic_family_d3, express_in_invariants,
@@ -46,6 +47,37 @@ class TestBasicInvariants:
             quartic_family_d3(0, 5)
 
 
+def _ref_express_in_invariants(q, basis):
+    """The solve written out per call: fresh seeded rational points, the
+    invariants evaluated and the rank checked on every call, and the
+    re-expansion summed in Fraction arithmetic."""
+    rng = random.Random(saitosym._EVALUATION_SEED)
+    n = basis.R.rank
+    if q.is_zero():
+        return MultiPoly.zero(n)
+    monos = saitosym._weighted_monomials(basis.degrees, q.degree())
+    rows, rhs = [], []
+    for _ in range(len(monos) + 6):
+        pt = [Fraction(rng.randint(-40, 40), rng.randint(1, 5))
+              for _ in range(n)]
+        vals = [p.evaluate(pt) for p in basis.polys]
+        rows.append([saitosym._eval_monomial(vals, e) for e in monos])
+        rhs.append(q.evaluate(pt))
+    if rank(rows) < len(monos):
+        raise saitosym.SolverFailure("points failed to separate monomials")
+    coeffs = solve(rows, rhs)
+    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
+    recon = MultiPoly.zero(n)
+    for e, c in result.terms.items():
+        term = MultiPoly.const(n, c)
+        for p, k in zip(basis.polys, e):
+            term = term * p ** k
+        recon = recon + term
+    if recon != q:
+        raise saitosym.SolverFailure("re-expansion mismatch")
+    return result
+
+
 class TestExpressInInvariants:
     def test_round_trip_of_monomials(self, root_system):
         basis = basic_invariants(root_system("B", 2))
@@ -57,6 +89,63 @@ class TestExpressInInvariants:
         basis = basic_invariants(root_system("A", 2))
         assert express_in_invariants(
             MultiPoly.zero(2), basis).is_zero()
+
+    def test_constant(self, root_system):
+        basis = basic_invariants(root_system("B", 2))
+        q = MultiPoly.const(2, Fraction(-3, 7))
+        assert express_in_invariants(q, basis).terms == \
+            _ref_express_in_invariants(q, basis).terms == \
+            {(0, 0): Fraction(-3, 7)}
+
+    @pytest.mark.parametrize("label,rank", SMALL + [("F", 4)])
+    def test_convolution_matches_reference(self, root_system, label, rank):
+        # every g^{ab} of the basic basis: the same terms in the same order
+        basis = basic_invariants(root_system(label, rank))
+        g = convolution_matrix(basis)
+        for a in range(rank):
+            for b in range(a, rank):
+                got = express_in_invariants(g[a][b], basis)
+                want = _ref_express_in_invariants(g[a][b], basis)
+                assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_plan_belongs_to_its_basis(self, root_system):
+        # two bases of one group, used in turn: a plan shared by the group
+        # would evaluate the wrong invariants for one of them
+        bases = [quartic_family_d3(1, 0), quartic_family_d3(2, 3)]
+        basic = basic_invariants(root_system("D", 3))
+        g = convolution_matrix(basic)
+        qs = [g[a][b] for a in range(3) for b in range(a, 3)] \
+            + [basic.polys[0] * basic.polys[2], basic.polys[1] ** 2]
+        for q in qs:
+            for basis in bases:
+                got = express_in_invariants(q, basis)
+                want = _ref_express_in_invariants(q, basis)
+                assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_rank_is_checked_once_per_degree(self, root_system,
+                                             monkeypatch):
+        calls = []
+
+        def counting_rank(rows):
+            calls.append(len(rows[0]) if rows else 0)
+            return rank(rows)
+        monkeypatch.setattr(saitosym, "mat_rank", counting_rank)
+        basis = basic_invariants(root_system("B", 3))
+        g = convolution_matrix(basis)
+        degrees = set()
+        for a in range(3):
+            for b in range(a, 3):
+                express_in_invariants(g[a][b], basis)
+                express_in_invariants(g[a][b], basis)
+                degrees.add(g[a][b].degree())
+        assert len(calls) == len(degrees)
+
+    @pytest.mark.parametrize("expt", [(2, 0), (3, 0), (1, 3)])
+    def test_non_invariant_input_is_inconsistent(self, root_system, expt):
+        basis = basic_invariants(root_system("B", 2))
+        with pytest.raises(ValueError, match="inconsistent linear system"):
+            express_in_invariants(MultiPoly(2, {expt: 1}), basis)
+        assert express_in_invariants(MultiPoly.zero(2), basis).is_zero()
 
 
 class TestFlatCoordinates:
@@ -87,6 +176,14 @@ class TestFlatCoordinates:
         fb = flat_basis("D", 4)
         S = [[fb.pairing[i][j] for j in (1, 2)] for i in (1, 2)]
         assert det_fraction(S) > 0 and S[0][0] > 0
+
+    @pytest.mark.parametrize("label,rank", [("A", 1)] + SMALL + [("F", 4)])
+    def test_chain_rule_jacobian(self, flat_basis, label, rank):
+        # J_t = det(dt/dp) J_p equals the determinant of the flat Jacobian
+        # matrix, and its scalar is the one the mirror-product check reads
+        fb = flat_basis(label, rank)
+        assert fb.jacobian_det == poly_det(fb.jacobian)
+        assert fb.jacobian_scale == fb._check_jacobian()
 
     def test_flat_polys_expressed_in_basics(self, flat_basis, root_system):
         fb = flat_basis("B", 2)
