@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -170,6 +171,18 @@ class RootSystem:
                        for row in Q]
 
         self._check_invariants(S)
+        # the positive roots split by the 2-planes through a root gamma,
+        # keyed by gamma and filled on first use by `strata._planes_through`
+        self._planes = {}
+
+    @cached_property
+    def _gram_rows(self):
+        """The row ((b, a_j))_j under the integer Gram matrix `_igram` of
+        every positive root b, built on first use (`_igram` is symmetric,
+        so its rows serve as its columns)."""
+        G = self._igram
+        return {b: tuple(sum(map(mul, b, col)) for col in G)
+                for b in self.positive_roots}
 
     # -- construction-time invariants ---------------------------------
     def _check_invariants(self, S):
@@ -437,7 +450,7 @@ def _components(R: RootSystem, sub_pos):
     """Irreducible components of the subsystem with positive roots
     `sub_pos` (in R.positive_roots order): the connected components of the
     non-orthogonality graph under the integer Gram matrix."""
-    n, G = R.rank, R._igram
+    n, rows = R.rank, R._gram_rows
     unseen = set(sub_pos)
     components = []
     for seed in sub_pos:
@@ -447,8 +460,7 @@ def _components(R: RootSystem, sub_pos):
         stack, comp, lengths = [seed], [seed], set()
         while stack:
             b = stack.pop()
-            # the scaled pairings (b, a_j)
-            row = [sum(b[i] * G[i][j] for i in range(n)) for j in range(n)]
+            row = rows[b]
             lengths.add(_dot(row, b))
             linked = [r for r in unseen if _dot(row, r)]
             unseen.difference_update(linked)

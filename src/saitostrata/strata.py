@@ -12,6 +12,20 @@ it once: `D.forms` sends each positive root to its canonical form, or to
 None exactly on R_D.  The arrangement A_D is built from it on first use
 and kept as `D.arrangement`; the predictor, the Q-polynomial and the
 reports all read these two attributes.
+
+No graph search runs per hyperplane.  R_{D,beta} = R_D u +-class(H) gets
+its components by merging those of R_D (parabolic, so one per connected
+piece of the Dynkin subdiagram on I) through the class members that touch
+them, with the Gram row of each positive root computed once per root
+system (`RootSystem._gram_rows`).  R_{D,beta} has rank |I| + 1, so only
+one merged piece can hold class members; `restricted_arrangement` states
+the argument.  The Q-polynomial's split of R+ into the 2-planes through a
+root gamma depends on (R, gamma) only, and is built once per pair and kept
+in `RootSystem._planes`.  Both caches live on the root system, whose
+lifetime the caller controls, and not on strata.  They are O(|R+|^2) at
+most: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every positive
+root serves as gamma (250 KiB after a full `verify`, 26 gammas), while
+keeping every stratum alive cost 20 MiB.
 """
 
 from __future__ import annotations
@@ -22,7 +36,9 @@ from math import gcd
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
                       InvariantViolation)
-from .roots import RootSystem, SubsystemReport, span_subsystem, _components
+from .exactla import IntSpan
+from .roots import (Component, RootSystem, SubsystemReport, span_subsystem,
+                    _dot, _type_label)
 
 
 class NegativeFinalExponent(ArithmeticError):
@@ -106,8 +122,28 @@ def restricted_arrangement(D: Stratum):
 
     Restriction to D truncates simple-root coefficients and has kernel
     span(a_I), so a root g lies in span(a_I, beta) exactly when g|_D is
-    proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H)."""
-    pos = D.R.positive_roots
+    proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H).
+
+    Its components are merged from those of R_D, with no graph search:
+    R_D is parabolic, so its components are the connected pieces of the
+    Dynkin subdiagram on I, with simple roots a_i (i in I), and they are
+    mutually orthogonal.  A class member b is linked to another member b'
+    when (b, b') != 0, and to a component of R_D when (b, a_i) != 0 for
+    one of its simple roots (`_class_pieces`); components that no member
+    reaches stay as they are.  A merged component takes its rank from an
+    `IntSpan` over its a_i and members, the union of their root lengths,
+    its roots in sorted order (positives, then negatives), and its place
+    in the list as `roots._components` would give it: by (-rank, -size),
+    ties by first appearance in R.positive_roots.
+
+    The check that the component through beta holds the whole class
+    cannot fail: R_{D,beta} lies in span(a_I, beta), so its rank is
+    |I| + 1, and every merged piece with a member has rank at least one
+    more than the R_D components it merges (b is not in span(a_I)), so
+    only one piece can hold members.  It stays as an `InvariantViolation`
+    to guard the merge."""
+    R = D.R
+    pos = R.positive_roots
     rd_idx, classes = [], {}
     for i, beta in enumerate(pos):
         form = D.forms[beta]
@@ -116,23 +152,79 @@ def restricted_arrangement(D: Stratum):
         else:
             classes.setdefault(form, []).append(i)
 
+    # once per stratum: the component of R_D holding each root and each
+    # a_i (i in I, 0-based), where each component first appears in
+    # R.positive_roots, and its root lengths, which are those of its
+    # simple roots (every root of an irreducible system is W-conjugate to
+    # a simple one)
+    rd_comps = D.rd.components
+    rd_pos = [c.roots[:c.size // 2] for c in rd_comps]   # sorted positives
+    comp_of = {r: ci for ci, rs in enumerate(rd_pos) for r in rs}
+    first = {}
+    for i in rd_idx:
+        first.setdefault(comp_of[pos[i]], i)
+    owner = {i - 1: comp_of[R.simple[i - 1]] for i in sorted(D.I)}
+    simple_of = [[j for j in owner if owner[j] == ci]
+                 for ci in range(len(rd_comps))]
+    G, rows = R._igram, R._gram_rows
+
     out = []
     for form in sorted(classes):
         idx = classes[form]
         members = [pos[i] for i in idx]
-        comps = _components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
+        at = dict(zip(members, idx))
+        beta = members[0]
+        pieces = _class_pieces(R, members, owner)
+        merged = set().union(*(cis for _, cis in pieces))
+        keyed = [((-c.rank, -c.size, first[ci]), c)
+                 for ci, c in enumerate(rd_comps) if ci not in merged]
+        for ms, cis in pieces:
+            span = IntSpan(R.rank)
+            for g in [R.simple[j] for ci in cis for j in simple_of[ci]] + ms:
+                span.add(g)
+            lengths = {G[j][j] for ci in cis for j in simple_of[ci]}
+            lengths.update(_dot(rows[b], b) for b in ms)
+            comp = sorted(ms + [r for ci in cis for r in rd_pos[ci]])
+            full = comp + [tuple(-x for x in r) for r in comp]
+            c = Component(full, span.rank,
+                          _type_label(span.rank, len(full), lengths))
+            start = min([at[b] for b in ms] + [first[ci] for ci in cis])
+            keyed.append(((-c.rank, -c.size, start), c))
+            if beta in ms:
+                comp0, ms0 = c, ms
+        keyed.sort(key=lambda kc: kc[0])
+        comps = [c for _, c in keyed]
         rep = SubsystemReport([r for c in comps for r in c.roots],
                               D.rd.rank + 1, comps)
-        beta = members[0]
-        comp0 = next(c for c in comps if beta in c.roots)
         # the multiplicity data must not depend on the representative
         # root in the projective class
-        comp0_roots = set(comp0.roots)
-        if not all(b in comp0_roots for b in members):
+        if len(ms0) != len(members):
             raise InvariantViolation(
                 "component through beta differs within a projective class")
         out.append(RestrictedHyperplane(form, beta, members, rep, comp0))
     return out
+
+
+def _class_pieces(R: RootSystem, members, owner):
+    """The pieces into which R_D u +-class links the class `members`: b
+    and b' are linked when (b, b') != 0, and b reaches the component
+    owner[j] of R_D when (b, a_j) != 0.  One (members, set of R_D
+    component indices) pair per piece, from the Gram rows of `R`."""
+    rows = R._gram_rows
+    pieces = []
+    for b in members:
+        row = rows[b]
+        ms, cis = [b], {ci for j, ci in owner.items() if row[j]}
+        rest = []
+        for p in pieces:
+            if cis.isdisjoint(p[1]) and not any(_dot(row, c) for c in p[0]):
+                rest.append(p)
+            else:
+                ms += p[0]
+                cis |= p[1]
+        rest.append((ms, cis))
+        pieces = rest
+    return pieces
 
 
 def predict_determinant(D: Stratum) -> FactoredDeterminant:
@@ -171,17 +263,9 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     # the I_i factors, with exponent r_i each
     for comp, gamma in zip(comps, gamma_choices):
         g = tuple(gamma)
-        if g not in set(comp.roots):
+        if g not in comp.roots:
             raise ValueError("gamma must lie in its component of R_D")
-        piv = next(i for i, x in enumerate(g) if x)
-        hyperplanes = {}
-        for beta in R.positive_roots:
-            v = [bi * g[piv] - gi * beta[piv] for bi, gi in zip(beta, g)]
-            key = _canon_int(v)
-            if key is None:      # beta proportional to gamma
-                continue
-            hyperplanes.setdefault(key, []).append(beta)
-        for members in hyperplanes.values():
+        for members in _planes_through(R, g):
             if any(D.forms[b] is None for b in members):
                 continue         # hyperplane belongs to A^D restricted
             total[D.forms[members[0]]] += comp.rank
@@ -190,6 +274,26 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     if bad:
         raise NegativeFinalExponent(f"non-positive exponents: {bad}")
     return FactoredDeterminant(UNKNOWN, dict(total))
+
+
+def _planes_through(R: RootSystem, g):
+    """The positive roots not proportional to the root g, grouped by the
+    2-plane through g that holds them, each group in R.positive_roots
+    order.  b and b' share a plane when b g_p - g b_p and b' g_p - g b'_p
+    (p the first nonzero place of g) are proportional.  The split
+    depends on R and g only, so it is built once per pair and kept in
+    R._planes."""
+    planes = R._planes.get(g)
+    if planes is None:
+        piv = next(i for i, x in enumerate(g) if x)
+        split = {}
+        for beta in R.positive_roots:
+            v = [bi * g[piv] - gi * beta[piv] for bi, gi in zip(beta, g)]
+            key = _canon_int(v)
+            if key is not None:      # None: beta proportional to gamma
+                split.setdefault(key, []).append(beta)
+        planes = R._planes[g] = tuple(split.values())
+    return planes
 
 
 def stratum_json_dict(D: Stratum):

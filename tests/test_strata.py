@@ -4,14 +4,18 @@ multiplicity predictor, and the Q-polynomial cross-check."""
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from saitostrata import strata
-from saitostrata.roots import reduce_to_fundamental, span_subsystem
+from saitostrata.algebra import FactoredDeterminant, UNKNOWN
+from saitostrata.roots import (SubsystemReport, _components,
+                               reduce_to_fundamental, span_subsystem)
 from saitostrata.saitosym import restricted_saito_det
-from saitostrata.strata import (make_stratum, restricted_arrangement,
+from saitostrata.strata import (RestrictedHyperplane, _canon_int,
+                                make_stratum, restricted_arrangement,
                                 predict_determinant, q_polynomial,
                                 stratum_json_dict)
 
@@ -99,6 +103,104 @@ class TestRestrictedArrangement:
             assert hp.beta in set(hp.rd_beta.roots)
 
 
+def _ref_restricted_arrangement(D):
+    """A_D by one graph search over R_D u class(H) per hyperplane: the
+    reference for the merge of R_D's components."""
+    pos = D.R.positive_roots
+    rd_idx, classes = [], {}
+    for i, beta in enumerate(pos):
+        form = D.forms[beta]
+        if form is None:
+            rd_idx.append(i)
+        else:
+            classes.setdefault(form, []).append(i)
+    out = []
+    for form in sorted(classes):
+        idx = classes[form]
+        members = [pos[i] for i in idx]
+        comps = _components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
+        rep = SubsystemReport([r for c in comps for r in c.roots],
+                              D.rd.rank + 1, comps)
+        comp0 = next(c for c in comps if members[0] in c.roots)
+        assert all(b in set(comp0.roots) for b in members)
+        out.append(RestrictedHyperplane(form, members[0], members, rep,
+                                        comp0))
+    return out
+
+
+def _ref_q_polynomial(D, gamma_choices=None, rng=None):
+    """The Q-polynomial with the planes through gamma split afresh on
+    every call: the reference for the per-root-system plane cache."""
+    comps = D.rd.components
+    m = 2 - sum(c.rank for c in comps)
+    if gamma_choices is None:
+        positive = [[r for r in c.roots if any(x > 0 for x in r)]
+                    for c in comps]
+        gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
+                         for pos in positive]
+    total = Counter()
+    for form in D.forms.values():
+        if form is not None:
+            total[form] += m
+    for comp, g in zip(comps, gamma_choices):
+        piv = next(i for i, x in enumerate(g) if x)
+        hyperplanes = {}
+        for beta in D.R.positive_roots:
+            key = _canon_int([bi * g[piv] - gi * beta[piv]
+                              for bi, gi in zip(beta, g)])
+            if key is not None:
+                hyperplanes.setdefault(key, []).append(beta)
+        for members in hyperplanes.values():
+            if any(D.forms[b] is None for b in members):
+                continue
+            total[D.forms[members[0]]] += comp.rank
+    return FactoredDeterminant(UNKNOWN, dict(total))
+
+
+def _component_data(c):
+    return c.type_label, c.rank, c.size, c.roots
+
+
+MERGE_STRATA = [(label, rank, size)
+                for label, rank in (("B", 4), ("D", 5), ("E", 6), ("E", 7),
+                                    ("F", 4))
+                for size in range(1, rank)] + [("E", 8, 1), ("E", 8, 2)]
+
+
+class TestMergedComponents:
+    @pytest.mark.parametrize("label,rank,size", MERGE_STRATA)
+    def test_matches_graph_search(self, root_system, label, rank, size):
+        # every output of the merge equals that of one graph search per
+        # hyperplane, component order and root order included
+        R = root_system(label, rank)
+        for I in combinations(range(1, rank + 1), size):
+            D = make_stratum(R, I)
+            got, ref = restricted_arrangement(D), _ref_restricted_arrangement(D)
+            assert len(got) == len(ref)
+            for h, r in zip(got, ref):
+                assert (h.form, h.beta, h.roots, h.k) == \
+                    (r.form, r.beta, r.roots, r.k)
+                assert h.rd_beta.rank == r.rd_beta.rank
+                assert h.rd_beta.roots == r.rd_beta.roots
+                comps, ref_comps = h.rd_beta.components, r.rd_beta.components
+                assert [_component_data(c) for c in comps] == \
+                    [_component_data(c) for c in ref_comps]
+                at = [i for i, c in enumerate(comps) if c is h.component0]
+                ref_at = [i for i, c in enumerate(ref_comps)
+                          if c is r.component0]
+                assert at == ref_at and len(at) == 1
+
+    def test_gram_rows_are_cached_on_the_root_system(self, root_system):
+        R = root_system("D", 5)
+        rows = R._gram_rows
+        assert R._gram_rows is rows
+        assert list(rows) == list(R.positive_roots)
+        for b, row in rows.items():
+            assert row == tuple(sum(b[i] * R._igram[i][j]
+                                    for i in range(R.rank))
+                                for j in range(R.rank))
+
+
 class TestPredictor:
     def test_a3_line_stratum(self, root_system):
         D = make_stratum(root_system("A", 3), [1, 2])
@@ -166,6 +268,22 @@ class TestQPolynomial:
         for seed in range(5):
             q = q_polynomial(D, rng=random.Random(seed))
             assert q.multiset() == fd.multiset()
+
+    @pytest.mark.parametrize("label,rank", [("D", 5), ("E", 6), ("F", 4)])
+    def test_plane_cache_matches_reference(self, root_system, label, rank):
+        R = root_system(label, rank)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            for seed in (None, 1, 2, 3):
+                rng = None if seed is None else random.Random(seed)
+                ref_rng = None if seed is None else random.Random(seed)
+                got = q_polynomial(D, rng=rng)
+                ref = _ref_q_polynomial(D, rng=ref_rng)
+                assert list(got.factors.items()) == \
+                    list(ref.factors.items())
+        # one split per root system and gamma, kept on the root system
+        g = R.positive_roots[0]
+        assert strata._planes_through(R, g) is R._planes[g]
 
     def test_gamma_validation(self, root_system):
         R = root_system("A", 3)
