@@ -75,12 +75,15 @@ class Component:
 
 
 class SubsystemReport:
+    """A root subsystem: its irreducible components in order, and its roots
+    as theirs concatenated in that order."""
+
     __slots__ = ("roots", "rank", "size", "components")
 
-    def __init__(self, roots, rank, components):
-        self.roots = roots
+    def __init__(self, rank, components):
+        self.roots = [r for c in components for r in c.roots]
         self.rank = rank
-        self.size = len(roots)
+        self.size = len(self.roots)
         self.components = components
 
     @property
@@ -435,46 +438,65 @@ def _type_label(rank, size, lengths):
 
 def span_subsystem(R: RootSystem, S):
     """All roots of R in the rational span of the coefficient tuples S,
-    with its irreducible decomposition (components of the
-    non-orthogonality graph)."""
-    span = IntSpan(R.rank)
+    with its irreducible decomposition: the pieces of `_link` on its
+    positive roots, each ranked by an `IntSpan`, listed by (-rank, -size)
+    and then by first appearance in R.positive_roots."""
+    n = R.rank
+    span = IntSpan(n)
     for s in S:
         span.add(s)
-    sub_pos = [r for r in R.positive_roots if span.contains(r)]
-    components = _components(R, sub_pos)
-    allroots = [r for c in components for r in c.roots]
-    return SubsystemReport(allroots, span.rank, components)
-
-
-def _components(R: RootSystem, sub_pos):
-    """Irreducible components of the subsystem with positive roots
-    `sub_pos` (in R.positive_roots order): the connected components of the
-    non-orthogonality graph under the integer Gram matrix."""
-    n, rows = R.rank, R._gram_rows
-    unseen = set(sub_pos)
     components = []
-    for seed in sub_pos:
-        if seed not in unseen:
-            continue
-        unseen.discard(seed)
-        stack, comp, lengths = [seed], [seed], set()
-        while stack:
-            b = stack.pop()
-            row = rows[b]
-            lengths.add(_dot(row, b))
-            linked = [r for r in unseen if _dot(row, r)]
-            unseen.difference_update(linked)
-            comp.extend(linked)
-            stack.extend(linked)
-        comp.sort()
+    for _, members, _ in _link(
+            R, [r for r in R.positive_roots if span.contains(r)]):
         cs = IntSpan(n)
-        for r in comp:
+        for r in members:
             cs.add(r)
-        full = comp + [tuple(-x for x in r) for r in comp]
-        components.append(Component(full, cs.rank,
-                                    _type_label(cs.rank, len(full), lengths)))
+        components.append(_component(R, members, cs.rank))
     components.sort(key=lambda c: (-c.rank, -c.size))
-    return components
+    return SubsystemReport(span.rank, components)
+
+
+def _link(R: RootSystem, roots, pieces=()):
+    """The connected pieces of the non-orthogonality graph on the positive
+    roots `roots`, joined to the seed `pieces`.
+
+    A piece is a triple (probes, members, tags) of two lists of roots and
+    a set.  Each root b in turn joins every piece with a probe p such that
+    (b, p) != 0 under the integer Gram matrix; those pieces merge into one
+    that holds b as a probe and a member, their probes, members and tags,
+    and takes the place of the first of them (b starts a new last piece
+    ([b], [b], set()) when it joins none).  So without seeds the pieces
+    come in order of first appearance in `roots`.  The seeds are read and
+    never changed."""
+    rows = R._gram_rows
+    pieces = list(pieces)
+    for b in roots:
+        row = rows[b]
+        probes, members, tags = [b], [b], set()
+        kept, at = [], None
+        for p in pieces:
+            if any(sum(map(mul, row, a)) for a in p[0]):
+                if at is None:
+                    at = len(kept)
+                probes += p[0]
+                members += p[1]
+                tags |= p[2]
+            else:
+                kept.append(p)
+        kept.insert(len(kept) if at is None else at, (probes, members, tags))
+        pieces = kept
+    return pieces
+
+
+def _component(R: RootSystem, pos, rank):
+    """The irreducible component of the given rank with positive roots
+    `pos` (any order): its roots sorted, then their negatives, and its
+    type from its rank, size and root lengths."""
+    rows = R._gram_rows
+    pos = sorted(pos)
+    full = pos + [tuple(-x for x in r) for r in pos]
+    lengths = {sum(map(mul, rows[b], b)) for b in pos}
+    return Component(full, rank, _type_label(rank, len(full), lengths))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ reports all read these two attributes.
 No graph search runs per hyperplane.  R_{D,beta} = R_D u +-class(H) gets
 its components by merging those of R_D (parabolic, so one per connected
 piece of the Dynkin subdiagram on I) through the class members that touch
-them, with the Gram row of each positive root computed once per root
-system (`RootSystem._gram_rows`).  R_{D,beta} has rank |I| + 1, so only
-one merged piece can hold class members; `restricted_arrangement` states
-the argument.  The Q-polynomial's split of R+ into the 2-planes through a
+them.  The merge is `roots._link`, the one routine that splits roots into
+non-orthogonality pieces (`span_subsystem` runs it too), seeded with R_D's
+components, and it reads the Gram row of each positive root computed once
+per root system (`RootSystem._gram_rows`).  R_{D,beta} has rank |I| + 1,
+so the one merged piece that holds class members has rank 1 + the ranks
+of the R_D components it merges; `restricted_arrangement` states the
+argument.  The Q-polynomial's split of R+ into the 2-planes through a
 root gamma depends on (R, gamma) only, and is built once per pair and kept
 in `RootSystem._planes`.  Both caches live on the root system, whose
 lifetime the caller controls, and not on strata.  They are O(|R+|^2) at
@@ -36,9 +39,8 @@ from math import gcd
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
                       InvariantViolation)
-from .exactla import IntSpan
-from .roots import (Component, RootSystem, SubsystemReport, span_subsystem,
-                    _dot, _type_label)
+from .roots import (RootSystem, SubsystemReport, span_subsystem, _component,
+                    _link)
 
 
 class NegativeFinalExponent(ArithmeticError):
@@ -124,107 +126,65 @@ def restricted_arrangement(D: Stratum):
     span(a_I), so a root g lies in span(a_I, beta) exactly when g|_D is
     proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H).
 
-    Its components are merged from those of R_D, with no graph search:
+    Its components are merged from those of R_D, with no graph search.
     R_D is parabolic, so its components are the connected pieces of the
-    Dynkin subdiagram on I, with simple roots a_i (i in I), and they are
-    mutually orthogonal.  A class member b is linked to another member b'
-    when (b, b') != 0, and to a component of R_D when (b, a_i) != 0 for
-    one of its simple roots (`_class_pieces`); components that no member
-    reaches stay as they are.  A merged component takes its rank from an
-    `IntSpan` over its a_i and members, the union of their root lengths,
-    its roots in sorted order (positives, then negatives), and its place
-    in the list as `roots._components` would give it: by (-rank, -size),
-    ties by first appearance in R.positive_roots.
+    Dynkin subdiagram on I, with simple roots a_i (i in I).  `roots._link`
+    joins the class members to them, seeded with one piece per component
+    whose probes are its a_i; components that no member reaches stay as
+    they are.
 
-    The check that the component through beta holds the whole class
-    cannot fail: R_{D,beta} lies in span(a_I, beta), so its rank is
-    |I| + 1, and every merged piece with a member has rank at least one
-    more than the R_D components it merges (b is not in span(a_I)), so
-    only one piece can hold members.  It stays as an `InvariantViolation`
-    to guard the merge."""
+    The rank argument gives the merged rank.  R_{D,beta} spans
+    span(a_I, beta), of rank |I| + 1, and its components are mutually
+    orthogonal, so their ranks add up to |I| + 1.  The untouched
+    components of R_D keep their ranks, so the one piece that holds class
+    members has rank 1 + the sum of the ranks of the R_D components it
+    merges.  Two pieces with members would each have rank at least one
+    more than the R_D components they merge (b is not in span(a_I)), so
+    that cannot happen; it is still checked, as an `InvariantViolation`.
+    The component list is ordered as `roots.span_subsystem` orders it:
+    by (-rank, -size), ties by first appearance in R.positive_roots."""
     R = D.R
     pos = R.positive_roots
-    rd_idx, classes = [], {}
+    rd_at, classes = {}, {}
     for i, beta in enumerate(pos):
         form = D.forms[beta]
         if form is None:
-            rd_idx.append(i)
+            rd_at[beta] = i
         else:
             classes.setdefault(form, []).append(i)
 
-    # once per stratum: the component of R_D holding each root and each
-    # a_i (i in I, 0-based), where each component first appears in
-    # R.positive_roots, and its root lengths, which are those of its
-    # simple roots (every root of an irreducible system is W-conjugate to
-    # a simple one)
+    # once per stratum: one seed per component of R_D, probed by its a_i,
+    # and where the component first appears in R.positive_roots
     rd_comps = D.rd.components
-    rd_pos = [c.roots[:c.size // 2] for c in rd_comps]   # sorted positives
-    comp_of = {r: ci for ci, rs in enumerate(rd_pos) for r in rs}
-    first = {}
-    for i in rd_idx:
-        first.setdefault(comp_of[pos[i]], i)
-    owner = {i - 1: comp_of[R.simple[i - 1]] for i in sorted(D.I)}
-    simple_of = [[j for j in owner if owner[j] == ci]
-                 for ci in range(len(rd_comps))]
-    G, rows = R._igram, R._gram_rows
+    simple_I = [R.simple[i - 1] for i in sorted(D.I)]
+    seeds = [([a for a in simple_I if a in c.roots], [], {ci})
+             for ci, c in enumerate(rd_comps)]
+    first = [min(rd_at[r] for r in c.roots[:c.size // 2]) for c in rd_comps]
 
     out = []
     for form in sorted(classes):
         idx = classes[form]
         members = [pos[i] for i in idx]
-        at = dict(zip(members, idx))
-        beta = members[0]
-        pieces = _class_pieces(R, members, owner)
-        merged = set().union(*(cis for _, cis in pieces))
-        keyed = [((-c.rank, -c.size, first[ci]), c)
-                 for ci, c in enumerate(rd_comps) if ci not in merged]
-        for ms, cis in pieces:
-            span = IntSpan(R.rank)
-            for g in [R.simple[j] for ci in cis for j in simple_of[ci]] + ms:
-                span.add(g)
-            lengths = {G[j][j] for ci in cis for j in simple_of[ci]}
-            lengths.update(_dot(rows[b], b) for b in ms)
-            comp = sorted(ms + [r for ci in cis for r in rd_pos[ci]])
-            full = comp + [tuple(-x for x in r) for r in comp]
-            c = Component(full, span.rank,
-                          _type_label(span.rank, len(full), lengths))
-            start = min([at[b] for b in ms] + [first[ci] for ci in cis])
-            keyed.append(((-c.rank, -c.size, start), c))
-            if beta in ms:
-                comp0, ms0 = c, ms
-        keyed.sort(key=lambda kc: kc[0])
-        comps = [c for _, c in keyed]
-        rep = SubsystemReport([r for c in comps for r in c.roots],
-                              D.rd.rank + 1, comps)
+        held = [p for p in _link(R, members, seeds) if p[1]]
         # the multiplicity data must not depend on the representative
         # root in the projective class
-        if len(ms0) != len(members):
+        if len(held) != 1:
             raise InvariantViolation(
                 "component through beta differs within a projective class")
-        out.append(RestrictedHyperplane(form, beta, members, rep, comp0))
+        _, ms, cis = held[0]
+        merged = [rd_comps[ci] for ci in cis]
+        comp0 = _component(
+            R, ms + [r for c in merged for r in c.roots[:c.size // 2]],
+            1 + sum(c.rank for c in merged))
+        keyed = [((-c.rank, -c.size, first[ci]), c)
+                 for ci, c in enumerate(rd_comps) if ci not in cis]
+        keyed.append(((-comp0.rank, -comp0.size,
+                       min([idx[0]] + [first[ci] for ci in cis])), comp0))
+        keyed.sort(key=lambda kc: kc[0])
+        rep = SubsystemReport(D.rd.rank + 1, [c for _, c in keyed])
+        out.append(RestrictedHyperplane(form, members[0], members, rep,
+                                        comp0))
     return out
-
-
-def _class_pieces(R: RootSystem, members, owner):
-    """The pieces into which R_D u +-class links the class `members`: b
-    and b' are linked when (b, b') != 0, and b reaches the component
-    owner[j] of R_D when (b, a_j) != 0.  One (members, set of R_D
-    component indices) pair per piece, from the Gram rows of `R`."""
-    rows = R._gram_rows
-    pieces = []
-    for b in members:
-        row = rows[b]
-        ms, cis = [b], {ci for j, ci in owner.items() if row[j]}
-        rest = []
-        for p in pieces:
-            if cis.isdisjoint(p[1]) and not any(_dot(row, c) for c in p[0]):
-                rest.append(p)
-            else:
-                ms += p[0]
-                cis |= p[1]
-        rest.append((ms, cis))
-        pieces = rest
-    return pieces
 
 
 def predict_determinant(D: Stratum) -> FactoredDeterminant:
@@ -246,8 +206,7 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     m = 2 - sum(c.rank for c in comps)
 
     if gamma_choices is None:
-        positive = [[r for r in c.roots if any(x > 0 for x in r)]
-                    for c in comps]
+        positive = [c.roots[:c.size // 2] for c in comps]
         gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
                          for pos in positive]
     if len(gamma_choices) != len(comps):

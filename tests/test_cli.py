@@ -259,12 +259,13 @@ class TestPlumbing:
         jsonschema.validate(report, SCHEMA)
 
 
-# a broken `strata._class_pieces` that makes every class member its own
-# piece, reaching no component of R_D
+# a broken `strata._link` that returns the seeds untouched and makes every
+# class member its own piece, reaching no component of R_D
 SPLIT_COMPONENTS = """
 from saitostrata import strata
-strata._class_pieces = lambda R, members, owner: [([b], set())
-                                                  for b in members]
+strata._link = lambda R, roots, pieces=(): (list(pieces)
+                                            + [([b], [b], set())
+                                               for b in roots])
 """
 
 
@@ -282,14 +283,14 @@ class TestInvariantViolation:
                                                    monkeypatch):
         monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
         # registers the original for restoring; the exec then breaks it
-        monkeypatch.setattr(strata, "_class_pieces", strata._class_pieces)
+        monkeypatch.setattr(strata, "_link", strata._link)
         exec(SPLIT_COMPONENTS, {})
         status, out = run(capsys, *self.ARGV)
         self._assert_class_failure(status, json.loads(out))
 
     def test_symbolic_checks_report_it_too(self, capsys, monkeypatch):
         monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
-        monkeypatch.setattr(strata, "_class_pieces", strata._class_pieces)
+        monkeypatch.setattr(strata, "_link", strata._link)
         exec(SPLIT_COMPONENTS, {})
         argv = [a for a in self.ARGV if a != "--skip-symbolic"]
         status, out = run(capsys, *argv)

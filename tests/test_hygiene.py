@@ -1,6 +1,8 @@
 """Code hygiene: every top-level function and class of the package is named
 somewhere besides its own definition, in the Python files of the package,
-the tests or the benchmark. A helper whose last caller is gone fails here."""
+the tests or the benchmark, and every name a module of the package imports
+is used in that module. A helper whose last caller is gone, or an import
+whose last use is gone, fails here."""
 
 import ast
 import re
@@ -28,3 +30,28 @@ def test_no_unreferenced_top_level_definitions():
               for path in sorted(PACKAGE.glob("*.py"))
               for name in _top_level_names(path) if words[name] < 2]
     assert not unused, "defined but never named: " + ", ".join(unused)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export
+    unused = [f"{path.name}:{line}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(path)]
+    assert not unused, "imported but never used: " + ", ".join(unused)

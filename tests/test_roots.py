@@ -1,6 +1,7 @@
 """Root system construction, subsystem spans, and fundamental reduction."""
 
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from saitostrata import roots
 from saitostrata.algebra import InvariantViolation
-from saitostrata.exactla import matinv
+from saitostrata.exactla import IntSpan, matinv
 from saitostrata.roots import (build_root_system, parse_group,
                                span_subsystem, reduce_to_fundamental)
 
@@ -152,6 +153,77 @@ class TestSpanSubsystem:
         rep = span_subsystem(R, S)
         total = sum(c.size for c in rep.components)
         assert total == rep.size == len(rep.roots)
+
+
+def _ref_components(R, sub_pos):
+    """Irreducible components of the subsystem with positive roots
+    `sub_pos` (in R.positive_roots order) by one graph search that pops a
+    root and scans every unseen one: the reference for `roots._link`."""
+    n, rows = R.rank, R._gram_rows
+    unseen = set(sub_pos)
+    components = []
+    for seed in sub_pos:
+        if seed not in unseen:
+            continue
+        unseen.discard(seed)
+        stack, comp, lengths = [seed], [seed], set()
+        while stack:
+            b = stack.pop()
+            row = rows[b]
+            lengths.add(roots._dot(row, b))
+            linked = [r for r in unseen if roots._dot(row, r)]
+            unseen.difference_update(linked)
+            comp.extend(linked)
+            stack.extend(linked)
+        comp.sort()
+        cs = IntSpan(n)
+        for r in comp:
+            cs.add(r)
+        full = comp + [tuple(-x for x in r) for r in comp]
+        components.append(roots.Component(
+            full, cs.rank, roots._type_label(cs.rank, len(full), lengths)))
+    components.sort(key=lambda c: (-c.rank, -c.size))
+    return components
+
+
+def _assert_span_matches_reference(R, S):
+    span = IntSpan(R.rank)
+    for s in S:
+        span.add(s)
+    ref = _ref_components(R, [r for r in R.positive_roots
+                              if span.contains(r)])
+    rep = span_subsystem(R, S)
+    assert rep.rank == span.rank
+    assert [(c.type_label, c.rank, c.size, c.roots)
+            for c in rep.components] == \
+        [(c.type_label, c.rank, c.size, c.roots) for c in ref]
+    assert rep.roots == [r for c in ref for r in c.roots]
+
+
+class TestLinkMatchesGraphSearch:
+    @pytest.mark.parametrize("label,rank", [("B", 4), ("D", 5), ("E", 6),
+                                            ("F", 4)])
+    def test_simple_root_subsets(self, label, rank):
+        R = build_root_system(label, rank)
+        for size in range(rank + 1):
+            for I in itertools.combinations(range(rank), size):
+                _assert_span_matches_reference(R, [R.simple[i] for i in I])
+
+    @pytest.mark.parametrize("label,rank", [("B", 3), ("B", 4), ("D", 5),
+                                            ("E", 6), ("E", 7), ("F", 4)])
+    def test_random_independent_sets(self, label, rank):
+        # root sets not in standard position, e.g. B3 {e1, e2} -> B2
+        R = build_root_system(label, rank)
+        rng = random.Random(rank * 101 + ord(label))
+        for _ in range(12):
+            while True:
+                S = rng.sample(R.positive_roots, rng.randint(1, rank))
+                span = IntSpan(rank)
+                if all(span.add(s) for s in S):
+                    break
+            _assert_span_matches_reference(R, S)
+        if (label, rank) == ("B", 3):
+            _assert_span_matches_reference(R, [(1, 1, 1), (0, 1, 1)])
 
 
 class TestReduceToFundamental:

@@ -11,13 +11,14 @@ import pytest
 
 from saitostrata import strata
 from saitostrata.algebra import FactoredDeterminant, UNKNOWN
-from saitostrata.roots import (SubsystemReport, _components,
-                               reduce_to_fundamental, span_subsystem)
+from saitostrata.roots import (SubsystemReport, reduce_to_fundamental,
+                               span_subsystem)
 from saitostrata.saitosym import restricted_saito_det
 from saitostrata.strata import (RestrictedHyperplane, _canon_int,
                                 make_stratum, restricted_arrangement,
                                 predict_determinant, q_polynomial,
                                 stratum_json_dict)
+from test_roots import _ref_components
 
 
 def _all_strata(R):
@@ -118,9 +119,8 @@ def _ref_restricted_arrangement(D):
     for form in sorted(classes):
         idx = classes[form]
         members = [pos[i] for i in idx]
-        comps = _components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
-        rep = SubsystemReport([r for c in comps for r in c.roots],
-                              D.rd.rank + 1, comps)
+        comps = _ref_components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
+        rep = SubsystemReport(D.rd.rank + 1, comps)
         comp0 = next(c for c in comps if members[0] in c.roots)
         assert all(b in set(comp0.roots) for b in members)
         out.append(RestrictedHyperplane(form, members[0], members, rep,
