@@ -335,13 +335,11 @@ class MultiPoly:
             return out
         return MultiPoly.sum(tgt, (term(e, c) for e, c in self.terms.items()))
 
-    def set_vars_zero(self, indices, keep=None):
-        """Set the given variables to zero; optionally re-index onto `keep`
-        (an ordered list of surviving variable indices) producing a
-        polynomial in len(keep) variables."""
+    def set_vars_zero(self, indices):
+        """Set the given variables to zero, producing a polynomial in the
+        remaining variables, in their order."""
         idx = set(indices)
-        if keep is None:
-            keep = [i for i in range(self.nvars) if i not in idx]
+        keep = [i for i in range(self.nvars) if i not in idx]
         out = {}
         for e, c in self.terms.items():
             if any(e[i] for i in idx):

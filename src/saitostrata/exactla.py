@@ -1,67 +1,71 @@
 """Small exact linear algebra helpers over the rationals.
 
-Everything works on lists of lists of Fractions (or ints); the determinant
-is the Bareiss elimination of `algebra.poly_det`, run on integers. IntSpan
-is a fraction-free integer row-echelon span used for the many root-span
-membership tests; it avoids Fraction overhead on hot paths.
+Matrices are lists of rows of Fractions or ints.  Each row is scaled to
+integers by the lcm of its denominators (`_int_row`), and one elimination
+runs on the ints: `IntSpan`'s fraction-free row echelon for `rank` and
+`rref` (and through it `solve`, `nullspace`, `matinv`), and the Bareiss
+elimination of `algebra.poly_det` for `det_fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .algebra import poly_det
 
 
+def _int_row(row):
+    """(d, d * row) for d the lcm of the row's denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _echelon(matrix):
+    """The rows of a rational matrix in one `IntSpan`."""
+    span = IntSpan(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        span.add(_int_row(row)[1])
+    return span
+
+
 def rref(matrix):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form. Returns (rows, pivot_columns); zero rows
+    pad the result to the height of `matrix`."""
+    span = _echelon(matrix)
+    rows, pivots = span.rows, span.pivots
+    # clear each pivot column above its pivot, last row first, so every
+    # row is reduced by rows that are already reduced
+    for i in range(len(rows) - 2, -1, -1):
+        v = rows[i]
+        for row, p in zip(rows[i + 1:], pivots[i + 1:]):
+            if v[p]:
+                g = gcd(row[p], v[p])
+                fa, fb = row[p] // g, v[p] // g
+                v = [fa * x - fb * y for x, y in zip(v, row)]
+        rows[i] = v
+    out = [[Fraction(x, v[p]) for x in v] for v, p in zip(rows, pivots)]
+    out += [[Fraction(0)] * span.dim for _ in range(len(matrix) - len(out))]
+    return out, pivots
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return _echelon(matrix).rank
 
 
 def solve(A, b):
     """Solve A x = b exactly; raises ValueError if inconsistent.
     Under-determined systems return one solution (free vars = 0)."""
-    rows = len(A)
-    aug = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(rows)]
     cols = len(A[0])
-    m, pivots = rref(aug)
+    m, pivots = rref([[*row, y] for row, y in zip(A, b)])
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         if c == cols:
             raise ValueError("inconsistent linear system")
         x[c] = m[r][cols]
     # verify (cheap insurance for under-determined inputs)
-    for i in range(rows):
-        if sum(Fraction(A[i][j]) * x[j] for j in range(cols)) != Fraction(b[i]):
+    for row, y in zip(A, b):
+        if sum(a * v for a, v in zip(row, x)) != y:
             raise ValueError("inconsistent linear system")
     return x
 
@@ -83,9 +87,8 @@ def nullspace(A):
 
 def matinv(A):
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    m, pivots = rref(aug)
+    m, pivots = rref([[*row, *(int(i == j) for j in range(n))]
+                      for i, row in enumerate(A)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in m]
@@ -98,13 +101,9 @@ def matmul(A, B):
 def det_fraction(A):
     """Determinant of a rational matrix: each row is scaled to integers by
     the lcm of its denominators, and `poly_det` eliminates on the ints."""
-    scale, rows = 1, []
-    for row in A:
-        row = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    return Fraction(poly_det(rows), scale)
+    scaled = [_int_row(row) for row in A]
+    return Fraction(poly_det([row for _, row in scaled]),
+                    prod(den for den, _ in scaled))
 
 
 class IntSpan:

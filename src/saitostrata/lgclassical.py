@@ -19,7 +19,6 @@ and computes everything after them in floating point.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +269,8 @@ class CriticalData:
 # relative residual of lam'(q) at a numeric critical point q beyond which
 # the point counts as ill-conditioned
 _ROOT_TOL = 1e-12
+# `random_generic_point` draws numerators from [-_POINT_SPAN, _POINT_SPAN]
+_POINT_SPAN = 20
 
 
 def _critical_data_A(cfg, xi):
@@ -445,10 +446,10 @@ def frobenius_check_at(cfg, xi_point):
 # ---------------------------------------------------------------------------
 # random generic rational points
 
-def random_generic_point(cfg, rng=None, span=20):
-    rng = rng or random.Random()
+def random_generic_point(cfg, rng):
     for _ in range(500):
-        xi = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 7))
+        xi = tuple(Fraction(rng.randint(-_POINT_SPAN, _POINT_SPAN),
+                            rng.randint(1, 7))
                    for _ in range(cfg.d))
         try:
             if isinstance(cfg, StratumConfigA):

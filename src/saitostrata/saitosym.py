@@ -677,7 +677,7 @@ def restricted_saito_det(basis: InvariantBasis,
         raise ValueError("basis and stratum use different groups")
     I0 = [i - 1 for i in sorted(D.I)]
     params0 = [j - 1 for j in D.params]
-    M = _gram([[p.diff(r).set_vars_zero(I0, params0) for p in basis.polys]
+    M = _gram([[p.diff(r).set_vars_zero(I0) for p in basis.polys]
                for r in params0], basis.pairing_inv)
     return factor_linear(poly_det(M), [hp.form for hp in D.arrangement])
 
@@ -712,13 +712,12 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
     I0 = [i - 1 for i in sorted(D.I)]
     if not I0:
         raise ValueError("need |I| >= 1")
-    params0 = [j - 1 for j in D.params]
     N = _eta_numerators(basis, I0)
     k = len(I0)
     num = poly_det([[N[(i, j)] for j in I0] for i in I0])
     J = basis.jacobian_det
     P = num if k == 1 else divide_exact(num, J ** (2 * k - 2))
-    return -P.set_vars_zero(I0, params0)
+    return -P.set_vars_zero(I0)
 
 
 def frame_constant(basis: InvariantBasis, D: Stratum) -> Fraction:
@@ -779,8 +778,7 @@ def identity_field_checks(basis: InvariantBasis):
         if len(I) != 1:
             continue
         k = I[0] - 1
-        keep = [j - 1 for j in D.params]
-        rk = Jk[k].set_vars_zero([k], keep)
+        rk = Jk[k].set_vars_zero([k])
         try:
             forms = [hp.form for hp in D.arrangement]
             detail = f"|A_D| = {len(forms)}"
@@ -806,9 +804,8 @@ def identity_field_checks(basis: InvariantBasis):
         sub = span_subsystem(R, [R.simple[l], R.simple[m]])
         if sub.size // 2 <= 2:
             continue
-        keep = [j for j in range(n) if j not in (l, m)]
-        lhs = Ik[m].set_vars_zero([l, m], keep)
-        rhs = Ik[l].set_vars_zero([l, m], keep) * ((-1) ** ((l - m - 1) % 2))
+        lhs = Ik[m].set_vars_zero([l, m])
+        rhs = Ik[l].set_vars_zero([l, m]) * ((-1) ** ((l - m - 1) % 2))
         add(f"minor_sign_relation_{l + 1}{m + 1}", lhs == rhs,
             f"subsystem size {sub.size // 2}")
 
@@ -843,10 +840,9 @@ def _identity_tangency(basis: InvariantBasis, strata):
     one_form = _identity_one_form(basis)
     out = {}
     for I, D in strata.items():
-        keep = [j - 1 for j in D.params]
-        theta = [f.set_vars_zero([i - 1 for i in I], keep) for f in one_form]
+        theta = [f.set_vars_zero([i - 1 for i in I]) for f in one_form]
         out[I] = all(
-            MultiPoly.sum(len(keep),
+            MultiPoly.sum(D.dim,
                           (theta[k] * g for k, g in enumerate(gamma) if g))
             .is_zero()
             for gamma in D.rd.roots if any(x > 0 for x in gamma))

@@ -99,7 +99,7 @@ class TestCalculus:
 
     def test_set_vars_zero_reindexes(self):
         p = _poly({(1, 0, 2): Fraction(3), (0, 1, 0): Fraction(1)})
-        q = p.set_vars_zero([1], [0, 2])
+        q = p.set_vars_zero([1])
         assert q == MultiPoly(2, {(1, 2): Fraction(3)})
 
 

@@ -282,7 +282,7 @@ def _ref_restricted_saito_det(basis, D):
     n = basis.R.rank
     I0 = [i - 1 for i in sorted(D.I)]
     params0 = [j - 1 for j in D.params]
-    rgrads = [[p.diff(r).set_vars_zero(I0, params0) for r in params0]
+    rgrads = [[p.diff(r).set_vars_zero(I0) for r in params0]
               for p in basis.polys]
     Pinv = basis.pairing_inv
     dim = len(params0)
@@ -317,12 +317,11 @@ def _ref_tangency(basis, D):
     """The 1-form rebuilt for each positive root of R_D and restricted root
     by root."""
     I0 = [i - 1 for i in sorted(D.I)]
-    keep = [j - 1 for j in D.params]
     ok = True
     for gamma in D.rd.roots:
         if all(x <= 0 for x in gamma):
             continue
-        if not _ref_one_form(basis, gamma).set_vars_zero(I0, keep).is_zero():
+        if not _ref_one_form(basis, gamma).set_vars_zero(I0).is_zero():
             ok = False
     return ok
 
@@ -388,7 +387,7 @@ class TestOneGramContraction:
             D = make_stratum(R, I)
             I0 = [i - 1 for i in sorted(D.I)]
             p0 = [j - 1 for j in D.params]
-            M = [[G[r][l].set_vars_zero(I0, p0) for l in p0] for r in p0]
+            M = [[G[r][l].set_vars_zero(I0) for l in p0] for r in p0]
             got = factor_linear(poly_det(M),
                                 [hp.form for hp in D.arrangement])
             want = restricted_saito_det(fb, D)
