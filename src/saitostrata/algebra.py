@@ -8,20 +8,23 @@ graded-lexicographic term order used for canonical serialization and for
 exact division.  That stays the one storage: callers read `.terms`.
 
 The three hot kernels (polynomial product, `divide_exact`, `evaluate`)
-convert at their boundary and run their inner loops on Python ints, after
-Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (CASC 2007):
+run their inner loops on Python ints, after Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (CASC
+2007).  The product and the division loops live once, in the private
+packed type `_Packed`; `MultiPoly.__mul__` and `divide_exact` pack their
+operands, run it and unpack, and a caller that chains many products and
+divisions (the minor formula of `saitosym`) packs once and stays packed:
 
 - A monomial is packed into one int: the total degree in the top field,
-  the exponents below it in lex order, each field `w` bits wide.  So
-  grlex order is integer order and a monomial product is one addition.
-  `w` is chosen per call from the largest total degree that can occur,
-  plus one guard bit, so no field carries into the next and a negative
-  field of a packed difference shows up in its guard bit.
+  the exponents below it in lex order, each field `w` bits wide
+  (`_Layout`).  So grlex order is integer order and a monomial product is
+  one addition.  `w` is chosen from the largest total degree that can
+  occur, plus one guard bit, so no field carries into the next and a
+  negative field of a packed difference shows up in its guard bit.
 - Coefficients are put over one common denominator, so the loops add and
   multiply integer numerators, and one `Fraction` is built per output
   term.
-- `divide_exact` scales the divisor to a primitive integer polynomial and
+- The division scales the divisor to a primitive integer polynomial and
   the numerator to integers.  By Gauss's lemma, if a primitive integer
   polynomial divides an integer polynomial over Q, the quotient has
   integer coefficients.  The division algorithm produces the quotient's
@@ -65,32 +68,169 @@ def _grlex_key(expt):
     return (sum(expt), expt)
 
 
-def _packing(nvars, top_degree):
-    """Field layout for monomials of total degree <= `top_degree`: the bit
-    offset of each exponent field (first variable highest), the offset of
-    the total-degree field above them, and the field mask.  A field holds
-    the value plus one guard bit on top, which stays clear."""
-    w = top_degree.bit_length() + 1
-    return [w * (nvars - 1 - i) for i in range(nvars)], nvars * w, (1 << w) - 1
+class _Layout:
+    """Field layout for monomials in `nvars` variables of total degree <=
+    `degree`: the bit offset of each exponent field (first variable
+    highest), the offset `top` of the total-degree field above them, the
+    field mask.  A field holds the value plus one guard bit on top, which
+    stays clear."""
+
+    __slots__ = ("degree", "shifts", "top", "mask")
+
+    def __init__(self, nvars, degree):
+        w = degree.bit_length() + 1
+        self.degree = degree
+        self.shifts = [w * (nvars - 1 - i) for i in range(nvars)]
+        self.top = nvars * w
+        self.mask = (1 << w) - 1
 
 
-def _pack(e, shifts, top):
-    k = sum(e) << top
-    for x, s in zip(e, shifts):
-        k |= x << s
-    return k
+class _Packed:
+    """A polynomial on a `_Layout`: {packed monomial: nonzero int} over one
+    positive denominator `den`.  It has `+`, `-`, unary `-`, `*`, `== 0`
+    and the exact quotient `//`, so `poly_det` eliminates on it as on ints.
+    The operands of one operation share one layout, and every total degree
+    stays <= `layout.degree`: `pack` and `*` raise `ValueError` otherwise,
+    because a wider monomial would carry into the next field."""
 
+    __slots__ = ("layout", "terms", "den")
 
-def _unpack(k, shifts, mask):
-    return tuple([(k >> s) & mask for s in shifts])
+    def __init__(self, layout, terms, den=1):
+        self.layout = layout
+        self.terms = terms
+        self.den = den
 
+    @classmethod
+    def pack(cls, poly, layout):
+        terms = poly.terms
+        if not terms:
+            return cls(layout, {})
+        shifts, top = layout.shifts, layout.top
+        den = lcm(*(c.denominator for c in terms.values()))
+        packed = {}
+        for e, c in terms.items():
+            k = sum(e) << top
+            for x, s in zip(e, shifts):
+                k |= x << s
+            packed[k] = c.numerator * (den // c.denominator)
+        if max(packed) >> top > layout.degree:
+            raise ValueError("polynomial degree exceeds the layout")
+        return cls(layout, packed, den)
 
-def _int_terms(terms, shifts, top):
-    """[(packed monomial, integer numerator)] over the lcm `den` of the
-    coefficient denominators; returns (pairs, den)."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(_pack(e, shifts, top), c.numerator * (den // c.denominator))
-            for e, c in terms.items()], den
+    def unpack(self, zero=()):
+        """The MultiPoly of these terms with the variables in `zero` set to
+        0, in the remaining variables and in their order."""
+        lay = self.layout
+        mask, den, keep = lay.mask, self.den, lay.shifts
+        items = self.terms.items()
+        if zero:
+            keep = [s for i, s in enumerate(keep) if i not in zero]
+            zmask = sum(mask << lay.shifts[i] for i in zero)
+            items = [(k, c) for k, c in items if not k & zmask]
+        p = MultiPoly.__new__(MultiPoly)
+        p.nvars = len(keep)
+        p.terms = {tuple([(k >> s) & mask for s in keep]): Fraction(c, den)
+                   for k, c in items}
+        return p
+
+    def _plus(self, other, sign):
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = dict(self.terms) if sa == 1 else \
+            {k: c * sa for k, c in self.terms.items()}
+        get = out.get
+        for k, c in other.terms.items():
+            s = get(k, 0) + c * sb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _Packed(self.layout, out, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return _Packed(self.layout, {k: -c for k, c in self.terms.items()},
+                       self.den)
+
+    def __eq__(self, other):
+        if isinstance(other, int) and other == 0:
+            return not self.terms
+        return NotImplemented
+
+    def __mul__(self, other):
+        lay = self.layout
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _Packed(lay, {})
+        # the top field of a key sum is at least the true total degree
+        if (max(a) + max(b)) >> lay.top > lay.degree:
+            raise ValueError("product degree exceeds the layout")
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        get = out.get
+        b = b.items()
+        for ka, ca in a.items():
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _Packed(lay, out, self.den * other.den)
+
+    def __floordiv__(self, other):
+        """The exact quotient by the heap division of Monagan & Pearce, or
+        `NotDivisible` (see the module docstring)."""
+        lay = self.layout
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not self.terms:
+            return _Packed(lay, {})
+        guard = sum((lay.mask ^ (lay.mask >> 1)) << s for s in lay.shifts)
+        content = 0
+        for c in other.terms.values():
+            content = gcd(content, c)
+        div = sorted(((k, c // content) for k, c in other.terms.items()),
+                     reverse=True)
+        (dk, dc), rest = div[0], div[1:]
+        # every remainder term has total degree <= the numerator's, because
+        # a step subtracts q * divisor whose top total degree is that of
+        # q * lead
+        rem = dict(self.terms)
+        heap = [-k for k in rem]
+        heapify(heap)
+        q = {}
+        while rem:
+            k = -heappop(heap)
+            c = rem.pop(k, 0)
+            if not c:
+                continue  # a stale heap entry: the term cancelled earlier
+            qk = k - dk
+            qc, r = divmod(c, dc)
+            if r or qk < 0 or qk & guard:
+                raise NotDivisible("remainder nonzero")
+            q[qk] = qc
+            for fk, fc in rest:
+                tk, t = fk + qk, qc * fc
+                s = rem.get(tk)
+                if s is None:
+                    rem[tk] = -t
+                    heappush(heap, -tk)
+                elif s == t:
+                    del rem[tk]
+                else:
+                    rem[tk] = s - t
+        # self = (int part) / den, other = content * primitive / other.den
+        den = self.den * content
+        g = gcd(other.den, den)
+        scale = other.den // g
+        return _Packed(lay, {k: c * scale for k, c in q.items()}, den // g)
 
 
 class MultiPoly:
@@ -228,24 +368,10 @@ class MultiPoly:
             return self._wrap({e: co * c for e, co in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return self._wrap({})
-        shifts, top, mask = _packing(self.nvars,
-                                     self.degree() + other.degree())
-        pa, da = _int_terms(a, shifts, top)
-        pb, db = _int_terms(b, shifts, top)
-        if len(pa) > len(pb):
-            pa, pb = pb, pa
-        out = {}
-        get = out.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        den = da * db
-        return self._wrap({_unpack(k, shifts, mask): Fraction(c, den)
-                           for k, c in out.items() if c})
+        lay = _Layout(self.nvars, self.degree() + other.degree())
+        return (_Packed.pack(self, lay) * _Packed.pack(other, lay)).unpack()
 
     __rmul__ = __mul__
 
@@ -565,45 +691,8 @@ def divide_exact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     n = numerator.nvars
     if not numerator.terms:
         return MultiPoly.zero(n)
-    # every remainder term has total degree <= the numerator's, because a
-    # step subtracts q * divisor whose top total degree is that of q * lead
-    shifts, top, mask = _packing(n, max(numerator.degree(), divisor.degree()))
-    guard = sum((mask ^ (mask >> 1)) << s for s in shifts)
-    pairs, nden = _int_terms(numerator.terms, shifts, top)
-    rem = dict(pairs)
-    div, dden = _int_terms(divisor.terms, shifts, top)
-    content = 0
-    for _, c in div:
-        content = gcd(content, c)
-    div = sorted(((k, c // content) for k, c in div), reverse=True)
-    (dk, dc), rest = div[0], div[1:]
-    heap = [-k for k in rem]
-    heapify(heap)
-    q = {}
-    while rem:
-        k = -heappop(heap)
-        c = rem.pop(k, 0)
-        if not c:
-            continue  # a stale heap entry: the term cancelled earlier
-        qk = k - dk
-        qc, r = divmod(c, dc)
-        if r or qk < 0 or qk & guard:
-            raise NotDivisible("remainder nonzero")
-        q[qk] = qc
-        for fk, fc in rest:
-            tk, t = fk + qk, qc * fc
-            s = rem.get(tk)
-            if s is None:
-                rem[tk] = -t
-                heappush(heap, -tk)
-            elif s == t:
-                del rem[tk]
-            else:
-                rem[tk] = s - t
-    # numerator = (int part) / nden, divisor = content * primitive / dden
-    den = nden * content
-    return numerator._wrap({_unpack(k, shifts, mask): Fraction(c * dden, den)
-                            for k, c in q.items()})
+    lay = _Layout(n, max(numerator.degree(), divisor.degree()))
+    return (_Packed.pack(numerator, lay) // _Packed.pack(divisor, lay)).unpack()
 
 
 def try_divide(numerator, divisor):

@@ -197,8 +197,10 @@ def test_criterion_5_main_theorem(flat_basis, root_system, label, rank,
 
 
 # (largest codimension checked, budget in s) per group; D4 codim 3 is left
-# out.  On 2 cores D4 took a median of 1.3 s over three runs with the
-# integer kernels, and 22.5 s with the Fraction loops before them.
+# out.  On 2 cores D4 took a median of 0.9 s over five runs with the
+# packed minor formula, against 1.6 s in the same alternating runs with
+# the η numerators rebuilt per stratum on Fractions, and 22.5 s with the
+# Fraction loops before the integer kernels.
 TWO_ROUTE = {("A", 3): (2, 120.0), ("B", 3): (2, 120.0), ("D", 4): (2, 10.0)}
 
 

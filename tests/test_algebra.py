@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
                                  UNKNOWN, poly_det, divide_exact, try_divide,
                                  factor_linear, NotDivisible,
-                                 IncompleteFactorization)
+                                 IncompleteFactorization, _Layout, _Packed)
 from saitostrata.exactla import det_fraction
 
 NVARS = 3
@@ -182,6 +182,19 @@ def _ref_quotient(numerator, divisor):
         return None
 
 
+def _packed_quotient(numerator, divisor):
+    """The packed `//` on its own, on a layout wider than the one
+    `divide_exact` picks, as the minor formula of `saitosym` runs it; None
+    when it raises NotDivisible."""
+    lay = _Layout(numerator.nvars,
+                  2 * max(numerator.degree(), divisor.degree()) + 1)
+    try:
+        return (_Packed.pack(numerator, lay)
+                // _Packed.pack(divisor, lay)).unpack()
+    except NotDivisible:
+        return None
+
+
 BIG = 10 ** 12
 # packed fields are as wide as the largest total degree needs, plus a guard
 # bit, so exponents at 2^k - 1 and 2^k sit on the width edges
@@ -231,7 +244,8 @@ class TestIntegerKernels:
         p, q = pq
         prod = p * q
         assert divide_exact(prod, q).terms == \
-            _ref_divide_exact(prod, q).terms == p.terms
+            _ref_divide_exact(prod, q).terms == \
+            _packed_quotient(prod, q).terms == p.terms
 
     @KERNEL_SETTINGS
     @given(_wide_pair(nonzero=True), st.data())
@@ -240,10 +254,10 @@ class TestIntegerKernels:
         r = data.draw(_wide_poly(p.nvars, max_terms=2))
         num = p * q + r
         ref = _ref_quotient(num, q)
-        got = try_divide(num, q)
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert got.terms == ref.terms
+        for got in (try_divide(num, q), _packed_quotient(num, q)):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got.terms == ref.terms
 
     @KERNEL_SETTINGS
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -260,13 +274,21 @@ class TestIntegerKernels:
 
     def test_coefficient_or_monomial_blocks_division(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        with pytest.raises(NotDivisible):
-            divide_exact(x * x + y, x * 2)
-        # x y^3 outranks x^2 in total degree, but the x field goes negative
-        with pytest.raises(NotDivisible):
-            divide_exact(x * y ** 3, x ** 2)
-        with pytest.raises(NotDivisible):
-            divide_exact(x + 1, x * x)
+        cases = [
+            # a remainder: 2 does not divide the leading coefficient 1
+            (x, x * 2 + y * 3),
+            # the remainder y is not a multiple of x
+            (x * x + y, x * 2),
+            # x y^3 outranks x^2 in total degree, but the x field goes
+            # negative: its guard bit is set
+            (x * y ** 3, x ** 2),
+            # a negative quotient exponent: degree 1 below degree 2
+            (x + 1, x * x),
+        ]
+        for num, div in cases:
+            with pytest.raises(NotDivisible):
+                divide_exact(num, div)
+            assert _packed_quotient(num, div) is None
 
     def test_zero_numerator_and_constant_divisor(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)

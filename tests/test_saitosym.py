@@ -4,14 +4,15 @@ the covariant metric, and the minor-formula path."""
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from saitostrata import saitosym
-from saitostrata.algebra import (MultiPoly, poly_det, factor_linear,
-                                 IncompleteFactorization)
+from saitostrata.algebra import (MultiPoly, poly_det, divide_exact,
+                                 factor_linear, IncompleteFactorization)
 from saitostrata.exactla import det_fraction, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (SUPPORTED, InvariantBasis, basic_invariants,
@@ -257,6 +258,58 @@ class TestTwoRoutes:
             assert lhs == rhs
 
 
+# reference for the minor formula: the Fraction polynomials, rebuilt for
+# every stratum, with the exact division by J^{2k-2} before restricting
+
+def _ref_eta_numerators(basis, indices):
+    """J^2 eta^{ij} for i, j in `indices` (0-based), as polynomials."""
+    n = basis.R.rank
+    J = basis.jacobian_det
+    Jk = basis.minors
+    dJ = [J.diff(i) for i in range(n)]
+    dJk = {k: [Jk[k].diff(i) for i in range(n)] for k in indices}
+    out = {}
+    for i in indices:
+        for j in indices:
+            if (j, i) in out:
+                out[(i, j)] = out[(j, i)]
+                continue
+            s1 = (dJk[j][i] * J - Jk[j] * dJ[i]) * ((-1) ** (n + j))
+            s2 = (dJk[i][j] * J - Jk[i] * dJ[j]) * ((-1) ** (n + i))
+            out[(i, j)] = s1 + s2
+    return out
+
+
+def _ref_general_formula_det(basis, D):
+    I0 = [i - 1 for i in sorted(D.I)]
+    N = _ref_eta_numerators(basis, I0)
+    k = len(I0)
+    num = poly_det([[N[(i, j)] for j in I0] for i in I0])
+    J = basis.jacobian_det
+    P = num if k == 1 else divide_exact(num, J ** (2 * k - 2))
+    return -P.set_vars_zero(I0)
+
+
+class TestPackedMinorFormula:
+    @pytest.mark.parametrize("label,rank", SMALL)
+    def test_flat_bases_match_reference(self, flat_basis, root_system,
+                                        label, rank):
+        fb = flat_basis(label, rank)
+        for I, D in _strata_up_to_codim_2(root_system(label, rank)).items():
+            got = general_formula_det(fb, D)
+            assert got.nvars == D.dim
+            assert got.terms == _ref_general_formula_det(fb, D).terms, I
+
+    @pytest.mark.parametrize("which", ["basic B3", "quartic D3 (3, 5)"])
+    def test_non_flat_bases_match_reference(self, root_system, which):
+        # (3, 5) is not a Saito point of the family (TestQuarticFamily)
+        basis = basic_invariants(root_system("B", 3)) \
+            if which == "basic B3" else quartic_family_d3(3, 5)
+        for I, D in _strata_up_to_codim_2(basis.R).items():
+            assert general_formula_det(basis, D).terms == \
+                _ref_general_formula_det(basis, D).terms, I
+
+
 class TestQuarticFamily:
     def test_saito_point_factors_completely(self, root_system):
         basis = quartic_family_d3(Fraction(-1, 2), 24)
@@ -344,6 +397,7 @@ def _perturbed(fb):
     W-invariance; the Jacobian is rebuilt to match."""
     bad = copy.copy(fb)
     bad.__dict__.pop("minors", None)
+    bad.__dict__.pop("_minor_chain", None)
     bad.polys = list(fb.polys)
     bad.polys[1] = bad.polys[1] + MultiPoly.variable(fb.R.rank, 0) \
         ** fb.degrees[1]
@@ -395,6 +449,18 @@ class TestOneGramContraction:
                 (want.coefficient, want.factors)
 
 
+class _CountingDict(dict):
+    """A dict that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
 class TestIdentityOneForm:
     @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3)])
     def test_one_form_is_linear_in_the_root(self, flat_basis, label, rank):
@@ -443,9 +509,17 @@ class TestIdentityOneForm:
                 minors.append(len(M))
             return poly_det(M)
         monkeypatch.setattr(saitosym, "poly_det", counting_det)
+        # count every η numerator J^2 eta^{ij} and every J^{2k-2} stored in
+        # the packed minor formula: none may be built a second time
+        chain = basis._minor_chain
+        chain._eta, chain._jpow = _CountingDict(), _CountingDict()
         R = root_system("B", 3)
         for I in _all_strata(R):
             general_formula_det(basis, make_stratum(R, I))
         report = identity_field_checks(basis)
         assert all(item["passed"] for item in report)
         assert minors == [R.rank - 1] * R.rank
+        pairs = combinations(range(R.rank), 2)
+        assert chain._eta.writes == Counter(
+            [(i, i) for i in range(R.rank)] + list(pairs))
+        assert chain._jpow.writes == Counter([2])
