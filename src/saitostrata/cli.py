@@ -535,7 +535,6 @@ def build_parser():
     p.add_argument("--fast", action="store_true",
                    help="no effect, kept so existing command lines parse; "
                         "the projective class check always runs")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("det", help="exact symbolic determinant")
     common(p)
@@ -544,7 +543,6 @@ def build_parser():
                    default="symbolic")
     p.add_argument("--invariants", metavar="a,b",
                    help="use the two-parameter D3 invariant family")
-    p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("classical",
                        help="closed-form determinants for A/B/D strata")
@@ -555,27 +553,31 @@ def build_parser():
     p.add_argument("--m", type=int, help="B/D power exponent (default 0)")
     p.add_argument("--at", help="evaluation point xi1,xi2,... triggering "
                                 "the numeric oracle cross-check")
-    p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("tables", help="reproduce and diff the golden tables")
     common(p, group=False)
     p.add_argument("--which", type=int, required=True,
                    help="1-3: determinant exponents; 4-6: subsystem data")
-    p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run the property suite for a group")
     common(p)
     p.add_argument("--skip-symbolic", action="store_true",
                    help="combinatorial checks only")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+_PARSER = None     # built by the first `main` call, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up at each call, so a rebinding of `cmd_*` takes effect
+    command = globals()[f"cmd_{args.subcommand}"]
     try:
-        report, status = args.func(args)
+        report, status = command(args)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

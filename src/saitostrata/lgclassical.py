@@ -10,10 +10,11 @@ m >= -1 corresponds to actual group strata (m = l for B, m = l - 1 for D).
 
 The exact side works on `algebra.MultiPoly` in one variable: the deflated
 critical polynomial w (monic, its roots the critical points, in y = p^2 for
-B/D) is built from products of linear factors. A point is generic when the
-resultant of w and w' (`exactla.det_fraction` of their Sylvester matrix) is
-nonzero and w vanishes at no xi value. The oracle then finds the roots of w
-and computes everything after them in floating point.
+B/D) is built from products of linear factors. At a rational point with
+distinct xi values its roots are simple and miss them (`_check_generic_BD`).
+The oracle finds those roots and computes everything after them in floating
+point, in one transport that `residue_metric_at` and `frobenius_check_at`
+share.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .algebra import (LinearForm, FactoredDeterminant, InvariantViolation,
                       MultiPoly)
-from .exactla import det_fraction
 
 
 class DegeneratePoint(ValueError):
@@ -49,6 +49,7 @@ class StratumConfigA:
         self.mults = mults
         self.d = len(mults) - 1
         self.n = sum(mults) - 1
+        self._last_transport = None  # (point, result) of `_transport`
 
     def xi0(self, xi):
         m = self.mults
@@ -77,6 +78,7 @@ class StratumConfigBD:
         self.d = len(self.mults)
         self.kind = kind  # optional 'B' / 'D' tag for the group realization
         self.stratum_realizable = self.m >= -1
+        self._last_transport = None  # (point, result) of `_transport`
 
     def __repr__(self):
         return f"<BD config m={self.m} mults={self.mults} N={self.N}>"
@@ -108,58 +110,44 @@ def critical_poly_BD(cfg: StratumConfigBD, xi):
           for a, m in enumerate(cfg.mults))])
 
 
-def _coeffs(w):
-    """The coefficients of a one-variable polynomial, high degree first."""
-    return [w.terms.get((k,), 0) for k in range(w.degree(), -1, -1)]
-
-
-def _squarefree(w):
-    """True iff the monic w of degree >= 1 has no repeated root, that is
-    iff the resultant of w and w' (the determinant of their Sylvester
-    matrix) is nonzero."""
-    f, g = _coeffs(w), _coeffs(w.diff(0))
-    m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
-    return det_fraction(rows) != 0
-
-
 def _check_generic_A(cfg, xi):
+    """The critical polynomial at a point whose xi values are distinct; see
+    `_check_generic_BD` for why nothing else needs checking."""
     xs = cfg.xi_full(xi)
     if len(set(xs)) != len(xs):
         raise DegeneratePoint("xi values collide")
-    w = critical_poly_A(cfg, xi)
-    if not _squarefree(w):
-        raise DegeneratePoint("critical points collide")
-    for x in xs:
-        if w.evaluate([x]) == 0:
-            raise DegeneratePoint("critical point hits a xi value")
-    return w
+    return critical_poly_A(cfg, xi)
 
 
 def _check_generic_BD(cfg, xi):
+    """The critical polynomial w (in y = p^2) at a point whose xi_i^2 are
+    distinct and nonzero.  Nothing else needs checking at a real point.
+
+    w is lam'/lam times a constant and prod (p - xi_i) (B/D: y prod
+    (y - xi_i^2)).  lam'/lam has simple poles with positive residues m_i at
+    the distinct xi_i (A), or at the distinct xi_i^2 > 0 (B/D, where
+    lam'/lam = m/y + sum m_i/(y - xi_i^2)).  It runs from +inf to -inf
+    across each gap between them, so each of the d gaps (A) or d - 1 gaps
+    (B/D) holds a zero.  For B/D one more zero lies
+      - in (0, xi_1^2) if m > 0,
+      - at y = 0 if m = 0, simple: N w'(0) = sum m_i prod_{j != i} (-xi_j^2),
+      - in (-inf, 0) if m < 0 < N: lam'/lam ~ N/y < 0 far left, +inf at 0-,
+      - beyond xi_d^2 if N < 0: lam'/lam ~ N/y < 0 far right.
+    So deg w = d zeros lie in disjoint intervals: all simple, none a pole.
+    """
     xs2 = [Fraction(x) ** 2 for x in xi]
     if any(x == 0 for x in xs2) or len(set(xs2)) != len(xs2):
         raise DegeneratePoint("xi values collide or vanish")
     w = critical_poly_BD(cfg, xi)
-    if not _squarefree(w):
-        raise DegeneratePoint("critical points collide")
-    for x in xs2:
-        if w.evaluate([x]) == 0:
-            raise DegeneratePoint("critical point hits a xi value")
-    w0 = w.evaluate([0])
-    if cfg.m == 0:
-        if w0 != 0:
-            raise InvariantViolation("m = 0 must force a zero critical point")
-    elif w0 == 0:
-        raise DegeneratePoint("unexpected zero critical point")
+    if cfg.m == 0 and w.evaluate([0]) != 0:
+        raise InvariantViolation("m = 0 must force a zero critical point")
     return w
 
 
 def _float_coeffs(w):
     """The coefficients of a one-variable polynomial as floats, high degree
     first."""
-    return [float(c) for c in _coeffs(w)]
+    return [float(w.terms.get((k,), 0)) for k in range(w.degree(), -1, -1)]
 
 
 def _horner(coeffs, x):
@@ -337,7 +325,14 @@ def _transport(cfg, xi_point):
     du_i/dxi_a, the metric in canonical coordinates, and eta_D in the xi
     coordinates with its determinant.  Raises DegeneratePoint where
     floating point cannot resolve the point; callers silence numpy's
-    warnings with np.errstate and check their own results."""
+    warnings with np.errstate and check their own results.
+
+    The result for the last point is kept on cfg, so that one request
+    calling both `residue_metric_at` and `frobenius_check_at` transports
+    once; its arrays are shared and therefore read-only."""
+    key = tuple(xi_point)
+    if cfg._last_transport is not None and cfg._last_transport[0] == key:
+        return cfg._last_transport[1]
     try:
         cd = critical_data(cfg, xi_point)
         K = np.linalg.inv(_jacobi_matrix(cd).T)
@@ -348,7 +343,10 @@ def _transport(cfg, xi_point):
     eta = K.T @ (eta_u[:, None] * K)
     det = np.linalg.det(K) ** 2 * np.prod(eta_u)
     _require_finite(eta, det)
-    return cd, K, eta_u, eta, det
+    for arr in (cd.q, cd.u, cd.eps, cd.lam2, K, eta_u, eta):
+        arr.flags.writeable = False
+    cfg._last_transport = (key, (cd, K, eta_u, eta, det))
+    return cfg._last_transport[1]
 
 
 def _require_finite(*values):
@@ -364,15 +362,19 @@ def residue_metric_at(cfg, xi_point):
     return eta, det
 
 
-def _dxilam(cfg, cd, a, p):
-    """d lam / d xi_a evaluated at p (a is 1-based for A, 0-based for BD)."""
+def _dxilam_table(cfg, cd, pts):
+    """d lam / d xi_a at each of the points, one row per free xi_a, with
+    lam(p) evaluated once per point."""
     xs, m = cd.xs, cfg.mults
     if isinstance(cfg, StratumConfigA):
-        lam = np.prod([(p - xs[i]) ** m[i] for i in range(cfg.d + 1)])
-        return lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
-    lam = (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
-        * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
-    return lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
+        # pts are the critical points, and lam there is u
+        return [[lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
+                 for p, lam in zip(pts, cd.u)] for a in range(1, cfg.d + 1)]
+    lams = [(p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0))
+            * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
+            for p in pts]
+    return [[lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
+             for p, lam in zip(pts, lams)] for a in range(cfg.d)]
 
 
 def _all_simple_critical_points(cfg, cd):
@@ -426,15 +428,13 @@ def frobenius_check_at(cfg, xi_point):
 
     # idempotency: structure constants two ways
     pts, l2 = _all_simple_critical_points(cfg, cd)
-    arange = range(1, d + 1) if isinstance(cfg, StratumConfigA) else range(d)
+    dlam = _dxilam_table(cfg, cd, pts)
     res_iii = 0.0
-    for ia, a in enumerate(arange):
-        for ib, b in enumerate(arange):
-            for ic, c in enumerate(arange):
-                via_residues = sum(
-                    _dxilam(cfg, cd, a, p) * _dxilam(cfg, cd, b, p)
-                    * _dxilam(cfg, cd, c, p) / lpp
-                    for p, lpp in zip(pts, l2))
+    for ia, da in enumerate(dlam):
+        for ib, db in enumerate(dlam):
+            for ic, dc in enumerate(dlam):
+                via_residues = sum(x * y * z / lpp for x, y, z, lpp
+                                   in zip(da, db, dc, l2))
                 via_canonical = np.sum(K[:, ia] * K[:, ib] * K[:, ic] * eta_u)
                 scale = max(1.0, abs(via_canonical))
                 res_iii = max(res_iii, abs(via_residues - via_canonical) / scale)
@@ -452,10 +452,8 @@ def random_generic_point(cfg, rng):
                             rng.randint(1, 7))
                    for _ in range(cfg.d))
         try:
-            if isinstance(cfg, StratumConfigA):
-                _check_generic_A(cfg, xi)
-            else:
-                _check_generic_BD(cfg, xi)
+            (_check_generic_A if isinstance(cfg, StratumConfigA)
+             else _check_generic_BD)(cfg, xi)
             return xi
         except DegeneratePoint:
             continue

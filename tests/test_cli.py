@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from saitostrata import strata
+from saitostrata import cli, lgclassical, strata
 from saitostrata.cli import main, load_schema, worker_count
 from saitostrata.roots import parse_group
 
@@ -131,6 +131,30 @@ class TestClassical:
         # points beyond what the floating-point oracle resolves
         for argv in FAR_OUT_POINTS:
             assert_input_error(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--type", "A", "--mult", "2,1,1", "--at=1,-3/2"],
+        ["--type", "B", "--mult", "2,1", "--m=1", "--at=3,1/2"],
+        ["--type", "D", "--mult", "1,2,1", "--m=0", "--at=1,-2,5/3"]])
+    def test_one_transport_per_request(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(lgclassical, "critical_data",
+                            counted("critical_data",
+                                    lgclassical.critical_data))
+        for name in ("residue_metric_at", "frobenius_check_at"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        status, rep = run_json(capsys, "classical", *argv)
+        assert status == 0
+        assert all(v <= 1e-8 for v in rep["residuals"].values())
+        assert sorted(calls) == ["critical_data", "frobenius_check_at",
+                                 "residue_metric_at"]
 
 
 # --at points where the numeric oracle overflows, turns non-finite, loses
@@ -249,6 +273,36 @@ class TestPlumbing:
                           "--format", "text")
         assert status == 0
         assert "coefficient:" in out
+
+    def test_parser_reused_across_calls(self, capsys):
+        # one process, several subcommands through the one cached parser,
+        # each output against that of a fresh interpreter
+        argvs = (["classical", "--type", "B", "--mult", "2,1", "--m", "1",
+                  "--at", "3,1/2"],
+                 ["predict", "--group", "A3", "--simple", "2"],
+                 ["classical", "--type", "A", "--mult", "2,1,1",
+                  "--format", "text"])
+        src = os.path.dirname(os.path.dirname(strata.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "saitostrata.cli", *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            fresh.append((proc.returncode, proc.stdout))
+        for argv, want in zip(argvs + argvs, fresh + fresh):
+            assert run(capsys, *argv) == want
+
+    def test_command_looked_up_at_each_call(self, capsys, monkeypatch):
+        argv = ["classical", "--type", "A", "--mult", "2,1"]
+        assert run(capsys, *argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_classical",
+                            lambda args: (seen.append(args.mult)
+                                          or {"patched": True}, 0))
+        status, out = run(capsys, *argv)
+        assert (status, json.loads(out), seen) == (0, {"patched": True},
+                                                   ["2,1"])
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

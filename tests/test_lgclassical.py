@@ -3,19 +3,21 @@ numeric residue oracle, and consistency with the combinatorial predictor."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from saitostrata import lgclassical
 from saitostrata.algebra import MultiPoly
+from saitostrata.exactla import det_fraction
 from saitostrata.lgclassical import (StratumConfigA, StratumConfigBD,
                                      kappa_A, closed_form_det_A,
                                      closed_form_det_BD, residue_metric_at,
                                      frobenius_check_at, random_generic_point,
                                      critical_data, critical_poly_A,
                                      critical_poly_BD, DegeneratePoint,
-                                     NZero, _squarefree)
+                                     NZero)
 from saitostrata.strata import make_stratum, predict_determinant
 
 REL_TOL = 1e-8
@@ -103,11 +105,64 @@ class TestFrobeniusStructure:
             assert res["idempotency"] <= REL_TOL
 
 
+# The idempotency residual (iii) as computed before its d lam / d xi table:
+# lam and each derivative evaluated afresh for every triple and point.
+
+def _ref_dxilam(cfg, cd, a, p):
+    xs, m = cd.xs, cfg.mults
+    if isinstance(cfg, StratumConfigA):
+        lam = np.prod([(p - xs[i]) ** m[i] for i in range(cfg.d + 1)])
+        return lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
+    lam = (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
+        * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
+    return lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
+
+
+@np.errstate(all="ignore")
+def _ref_idempotency(cfg, xi):
+    cd, K, eta_u, _, _ = lgclassical._transport(cfg, xi)
+    pts, l2 = lgclassical._all_simple_critical_points(cfg, cd)
+    d = cfg.d
+    arange = range(1, d + 1) if isinstance(cfg, StratumConfigA) else range(d)
+    res = 0.0
+    for ia, a in enumerate(arange):
+        for ib, b in enumerate(arange):
+            for ic, c in enumerate(arange):
+                via_residues = sum(
+                    _ref_dxilam(cfg, cd, a, p) * _ref_dxilam(cfg, cd, b, p)
+                    * _ref_dxilam(cfg, cd, c, p) / lpp
+                    for p, lpp in zip(pts, l2))
+                via_canonical = np.sum(K[:, ia] * K[:, ib] * K[:, ic] * eta_u)
+                scale = max(1.0, abs(via_canonical))
+                res = max(res, abs(via_residues - via_canonical) / scale)
+    return float(res)
+
+
+def _mix_configs():
+    """Every configuration of the cli-mix benchmark's ranges: type A with
+    n <= 6, types B/D with N <= 7 and m >= -1, multiplicities up to 3."""
+    out = [StratumConfigA(mults) for d in (1, 2, 3)
+           for mults in product((1, 2, 3), repeat=d + 1) if sum(mults) <= 7]
+    out += [StratumConfigBD(m, mults) for d in (1, 2, 3)
+            for mults in product((1, 2, 3), repeat=d)
+            for m in range(-1, 4) if 0 < m + sum(mults) <= 7]
+    return out
+
+
+def test_idempotency_table_is_bit_identical():
+    rng = random.Random(20261019)
+    configs = _mix_configs()
+    for cfg in configs:
+        xi = random_generic_point(cfg, rng)
+        assert frobenius_check_at(cfg, xi)["idempotency"] == \
+            _ref_idempotency(cfg, xi), (cfg, xi)
+
+
 # ---------------------------------------------------------------------------
 # exponent consistency with the combinatorial predictor
 
 # Euclid's gcd on coefficient lists (low degree first): the reference for
-# the resultant test of `_squarefree`.
+# the resultant test of `_ref_squarefree`.
 
 def _ref_trim(a):
     while len(a) > 1 and a[-1] == 0:
@@ -143,6 +198,18 @@ def _univariate(coeffs):
     return MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
 
 
+def _ref_squarefree(w):
+    """True iff the monic w of degree >= 1 has no repeated root, that is
+    iff the resultant of w and w' (the determinant of their Sylvester
+    matrix) is nonzero."""
+    f, g = ([v.terms.get((k,), 0) for k in range(v.degree(), -1, -1)]
+            for v in (w, w.diff(0)))
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+    return det_fraction(rows) != 0
+
+
 class TestSquarefree:
     def test_resultant_agrees_with_euclid(self):
         rng = random.Random(20261018)
@@ -159,7 +226,7 @@ class TestSquarefree:
                 w = _univariate([rng.randint(-9, 9) for _ in range(d)] + [1])
             c = [w.terms.get((k,), 0) for k in range(d + 1)]
             want = _ref_gcd_is_const(c, [k * c[k] for k in range(1, d + 1)])
-            assert _squarefree(w) == want, c
+            assert _ref_squarefree(w) == want, c
             outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -168,38 +235,46 @@ class TestSquarefree:
                                      StratumConfigBD(1, (1, 1, 1)),
                                      StratumConfigBD(0, (2, 1)),
                                      StratumConfigBD(-1, (1, 1, 2)),
+                                     StratumConfigBD(-2, (2, 1, 1)),
                                      StratumConfigBD(-5, (1, 2))])
     def test_critical_points_never_collide_at_rational_points(self, cfg):
-        # The critical points are the zeros of lam'/lam, a sum of simple
-        # poles at the distinct real xi values (xi^2 and 0 for B/D). There
-        # is a zero in each gap between consecutive poles, and for B/D one
-        # more outside them, which makes deg w zeros in disjoint intervals.
-        # So at a rational point with distinct xi values the critical
-        # points are simple, and the guard below cannot fire there.
+        # The checks `_check_generic_A` and `_check_generic_BD` leave out,
+        # by the interlacing argument in the latter's docstring: at a
+        # rational point with distinct xi values (xi^2 and 0 for B/D) the
+        # critical points are simple, miss every xi value, and are zero
+        # (in y = p^2) only for m = 0. This searches for a counterexample.
         rng = random.Random(7)
         for _ in range(40):
             xi = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                        for _ in range(cfg.d))
             if isinstance(cfg, StratumConfigA):
                 xs = cfg.xi_full(xi)
-                if len(set(xs)) == len(xs):
-                    assert _squarefree(critical_poly_A(cfg, xi))
+                if len(set(xs)) != len(xs):
+                    continue
+                w = critical_poly_A(cfg, xi)
             elif 0 not in xi and len({x * x for x in xi}) == len(xi):
-                assert _squarefree(critical_poly_BD(cfg, xi))
+                xs = [x * x for x in xi]
+                w = critical_poly_BD(cfg, xi)
+                assert (w.evaluate([0]) == 0) == (cfg.m == 0)
+            else:
+                continue
+            assert _ref_squarefree(w)
+            assert all(w.evaluate([x]) != 0 for x in xs)
 
     @pytest.mark.parametrize("cfg,xi,poly", [
         (StratumConfigA((1, 1, 1)), (1, 2), "critical_poly_A"),
         (StratumConfigBD(1, (1, 1)), (1, 2), "critical_poly_BD")])
-    def test_degenerate_points(self, monkeypatch, cfg, xi, poly):
+    def test_degenerate_points(self, cfg, xi, poly):
         with pytest.raises(DegeneratePoint, match="xi values collide"):
             critical_data(cfg, (xi[0], xi[0]))
-        critical_data(cfg, xi)
-        # a double critical point, which no rational point produces (see
-        # above), reaches the guard through a substituted w = (p - 5)^2
-        monkeypatch.setattr(lgclassical, poly,
-                            lambda cfg, xi: _univariate([25, -10, 1]))
-        with pytest.raises(DegeneratePoint, match="critical points collide"):
-            critical_data(cfg, xi)
+        # at a generic point the critical points are the roots of the
+        # critical polynomial (in y = p^2 for B/D)
+        cd = critical_data(cfg, xi)
+        w = getattr(lgclassical, poly)(cfg, xi)
+        roots = cd.q if isinstance(cfg, StratumConfigA) else cd.q ** 2
+        coeffs = [float(w.terms.get((k,), 0))
+                  for k in range(w.degree(), -1, -1)]
+        assert np.max(np.abs(np.polyval(coeffs, roots))) < 1e-9
 
 
 def _a_stratum_indices(mults):
