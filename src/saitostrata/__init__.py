@@ -16,10 +16,9 @@ from .lgclassical import (StratumConfigA, StratumConfigBD, kappa_A, kappa_BD,
                           residue_metric_at, frobenius_check_at,
                           random_generic_point)
 from .saitosym import (InvariantBasis, basic_invariants, flat_coordinates,
-                       quartic_family_d3, convolution_matrix,
-                       covariant_metric, restricted_saito_det,
-                       general_formula_det, frame_constant,
-                       identity_field_checks, express_in_invariants,
-                       DegenerateBasis, SolverFailure, SUPPORTED)
+                       quartic_family_d3, convolution_matrix, covariant_metric,
+                       restricted_saito_det, general_formula_det,
+                       frame_constant, identity_field_checks,
+                       express_in_invariants, DegenerateBasis, SolverFailure)
 
 __version__ = "0.1.0"

@@ -152,11 +152,6 @@ def cmd_predict(args):
 
 def cmd_det(args):
     R = _group(args)
-    if (R.label, R.rank) not in saitosym.SUPPORTED:
-        raise InputError(f"group {args.group} has no symbolic backend; "
-                         f"supported: "
-                         + ", ".join(sorted(f"{l}{r}"
-                                            for l, r in saitosym.SUPPORTED)))
     I, _ = _stratum_indices(R, args)
     D = make_stratum(R, I)
     report = {
@@ -178,7 +173,13 @@ def cmd_det(args):
             raise InputError(str(exc))
         report["invariants"] = invariants
     else:
-        basis = saitosym.flat_coordinates(R)
+        try:
+            base = saitosym.basic_invariants(R)
+        except saitosym.DegenerateBasis:
+            raise
+        except ValueError as exc:      # the refusal of E6, E7 and E8
+            raise InputError(str(exc))
+        basis = saitosym.flat_coordinates(R, base)
         report["normalized_pairing"] = basis.normalized
     try:
         if args.backend == "minor":
@@ -357,6 +358,9 @@ def cmd_tables(args):
 # --- verify ----------------------------------------------------------------
 
 _WORKER = (None, None)     # this process's root system and flat basis
+# `verify` runs the symbolic route by default up to this rank; B5 costs most
+# there: 13 s for its flat basis and 90 s over its strata, in one process
+_SYMBOLIC_MAX_RANK = 5
 
 
 def _init_worker(R, basis):
@@ -420,7 +424,7 @@ def cmd_verify(args):
     checks = []
     nproc = min(worker_count(), len(strata))
     basis = None
-    if (R.label, R.rank) in saitosym.SUPPORTED and not args.skip_symbolic:
+    if R.rank <= _SYMBOLIC_MAX_RANK and not args.skip_symbolic:
         basis = saitosym.flat_coordinates(R)
         checks.append({"stratum": [], "check": "flat_pairing_normalized",
                        "passed": True,

@@ -53,9 +53,6 @@ from .exactla import (matinv, matmul, det_fraction, nullspace, solve,
 from .roots import RootSystem, build_root_system, span_subsystem
 from .strata import Stratum, make_stratum
 
-SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
-             ("D", 3), ("D", 4), ("F", 4)}
-
 
 class DegenerateBasis(ValueError):
     """The candidate invariants fail the Jacobian factorization check.
@@ -220,10 +217,7 @@ class InvariantBasis:
 
 def basic_invariants(R: RootSystem) -> InvariantBasis:
     """Power-sum style invariants (plus the product invariant for D and
-    positive-root power sums for F_4)."""
-    key = (R.label, R.rank)
-    if key not in SUPPORTED:
-        raise ValueError(f"unsupported group {R.label}{R.rank}")
+    positive-root power sums for F_4); E_6, E_7 and E_8 raise ValueError."""
     if R.label in ("A", "B"):
         xs = _ambient_coordinate_forms(R)
         polys = [MultiPoly.sum(R.rank, (x ** d for x in xs))
@@ -236,10 +230,13 @@ def basic_invariants(R: RootSystem) -> InvariantBasis:
         even = [MultiPoly.sum(R.rank, (x ** d for x in xs))
                 for d in range(2, 2 * R.rank - 1, 2)]
         polys = sorted(even + [pf], key=lambda p: p.degree())
-    else:  # F_4
+    elif R.label == "F":
         forms = [MultiPoly.linear(b) for b in R.positive_roots]
         polys = [MultiPoly.sum(R.rank, (f ** d for f in forms))
                  for d in R.degrees]
+    else:
+        raise ValueError(f"no basic invariants for {R.label}{R.rank}; "
+                         f"built for A_n, B_n = C_n, D_n and F4")
     return InvariantBasis(R, polys, flat=False)
 
 
@@ -397,10 +394,10 @@ def _sqrt_fraction(c: Fraction):
     return None
 
 
-def flat_coordinates(R: RootSystem) -> InvariantBasis:
-    """Solve for a flat basis: convolution in invariants, Christoffel data,
-    degree-by-degree linear flatness equations, pairing normalization."""
-    base = basic_invariants(R)
+def flat_coordinates(R: RootSystem, base=None) -> InvariantBasis:
+    """Solve for a flat basis over `base` (default `basic_invariants(R)`):
+    convolution, Christoffel data, flatness equations, normalization."""
+    base = base or basic_invariants(R)
     n = R.rank
     degs = list(base.degrees)
     h = degs[-1]

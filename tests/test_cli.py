@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from saitostrata import cli, lgclassical, strata
+from saitostrata import cli, lgclassical, saitosym, strata
 from saitostrata.cli import main, load_schema, worker_count
 from saitostrata.roots import parse_group
 
@@ -99,6 +99,44 @@ class TestDet:
         status = main(["det", "--group", "A3", "--simple", "1",
                        "--invariants", "1,2"])
         assert status == 2
+
+    def test_rank_four_served(self, capsys):
+        _, sym = run_json(capsys, "det", "--group", "A4",
+                          "--simple", "1,3", "--backend", "symbolic")
+        _, minor = run_json(capsys, "det", "--group", "A4",
+                            "--simple", "1,3", "--backend", "minor")
+        assert sym["complete"] and minor["complete"]
+        assert sym["factors"] == minor["factors"]
+        assert sym["coefficient"] == minor["coefficient"] == "144/625"
+        assert sorted(f["exponent"] for f in sym["factors"]) == \
+            sorted(f["exponent"] for f in sym["stratum"]["factors"])
+
+    def test_simple_checked_before_any_basis(self, capsys, monkeypatch):
+        def forbidden(R):
+            raise AssertionError("basis built before --simple was checked")
+
+        monkeypatch.setattr(saitosym, "basic_invariants", forbidden)
+        for group in ("B5", "E6"):
+            assert_input_error(capsys, "det", "--group", group,
+                               "--simple", "9")
+
+    @pytest.mark.parametrize("target,error", [
+        ("basic_invariants", saitosym.DegenerateBasis),
+        ("flat_coordinates", saitosym.DegenerateBasis),
+        ("flat_coordinates", saitosym.SolverFailure),
+        ("flat_coordinates", ValueError)],
+        ids=["basic-degenerate", "flat-degenerate", "flat-solver",
+             "flat-valueerror"])
+    def test_basis_defects_are_not_input_errors(self, monkeypatch, target,
+                                                error):
+        # only basic_invariants' refusal of a group maps to exit 2; a
+        # failing basis build for a served group is a defect and crashes
+        def broken(*args):
+            raise error("defect")
+
+        monkeypatch.setattr(saitosym, target, broken)
+        with pytest.raises(error, match="defect"):
+            main(["det", "--group", "A3", "--simple", "1"])
 
 
 class TestClassical:
@@ -225,6 +263,24 @@ class TestVerify:
         assert status == 0
         assert len(calls) == 9
 
+    def test_symbolic_route_up_to_rank_five(self, capsys):
+        status, rep = run_json(capsys, "verify", "--group", "A4")
+        assert status == 0 and rep["passed"] is True
+        dets = [c for c in rep["checks"]
+                if c["check"] == "restricted_det_matches_prediction"]
+        assert len(dets) == 14 and all(c["passed"] for c in dets)
+        assert {"stratum": [], "check": "flat_pairing_normalized",
+                "passed": True, "detail": "normalized=True"} in rep["checks"]
+
+    def test_no_symbolic_route_above_rank_five(self, capsys):
+        status, out = run(capsys, "verify", "--group", "A6")
+        assert status == 0
+        names = {c["check"] for c in json.loads(out)["checks"]}
+        assert "restricted_det_matches_prediction" not in names
+        assert "flat_pairing_normalized" not in names
+        assert run(capsys, "verify", "--group", "A6",
+                   "--skip-symbolic") == (status, out)
+
     def test_rank_one_has_no_strata(self, capsys):
         status, rep = run_json(capsys, "verify", "--group", "A1")
         assert status == 0
@@ -254,6 +310,7 @@ class TestPlumbing:
         assert main(["predict", "--group", "Z9", "--simple", "1"]) == 2
         assert main(["predict", "--group", "A3", "--simple", "0,9"]) == 2
         assert main(["det", "--group", "E8", "--simple", "1"]) == 2
+        assert_input_error(capsys, "det", "--group", "E6", "--simple", "1")
         assert_input_error(capsys, "det", "--group", "D3", "--simple", "1",
                            "--invariants", "3")
         assert_input_error(capsys, "predict", "--group", "A3",
@@ -431,7 +488,7 @@ def _roots(draw, group):
 
 
 def _verify():
-    return st.tuples(st.sampled_from(["A1", "A2", "B2", "D3"]),
+    return st.tuples(st.sampled_from(["A1", "A2", "A4", "B2", "D3"]),
                      st.lists(st.sampled_from(["--dump-roots",
                                                "--skip-symbolic"]),
                               unique=True)).map(
@@ -440,7 +497,8 @@ def _verify():
 
 @st.composite
 def _det(draw):
-    group = draw(st.sampled_from(["A1", "A2", "A3", "B2", "B3", "D3"]))
+    group = draw(st.sampled_from(["A1", "A2", "A3", "A4", "B2", "B3", "D3",
+                                  "E6"]))
     argv = ["det", "--group", group, *draw(_simple(_rank(group))),
             "--backend", draw(st.sampled_from(["symbolic", "minor"]))]
     if group == "D3" and draw(st.booleans()):
