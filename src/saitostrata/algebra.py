@@ -488,6 +488,22 @@ class MultiPoly:
         return " + ".join(bits)
 
 
+def _canon_int(vec):
+    """Primitive, first-nonzero-positive representative; None for zero."""
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return None
+    v = [x // g for x in vec]
+    for x in v:
+        if x:
+            if x < 0:
+                v = [-y for y in v]
+            break
+    return tuple(v)
+
+
 class LinearForm:
     """Canonical representative of a projective class of linear forms.
 
@@ -520,24 +536,12 @@ class LinearForm:
 
         Returns (form, scale) with  original = scale * form  as covectors."""
         fr = [Fraction(c) for c in coeffs]
-        if all(c == 0 for c in fr):
+        den = lcm(*(c.denominator for c in fr))
+        ints = _canon_int([int(c * den) for c in fr])
+        if ints is None:
             raise ValueError("zero linear form")
-        den = 1
-        for c in fr:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in fr]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        sign = 1
-        for c in ints:
-            if c:
-                sign = 1 if c > 0 else -1
-                break
-        ints = [sign * c for c in ints]
-        scale = Fraction(sign * g, den)
-        return cls(ints, labels), scale
+        p = next(i for i, c in enumerate(ints) if c)
+        return cls(ints, labels), fr[p] / ints[p]
 
     def as_poly(self):
         return MultiPoly.linear(self.coeffs)

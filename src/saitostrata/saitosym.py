@@ -125,12 +125,15 @@ class InvariantBasis:
     identity by convention for a non-flat basis (the generalized constant
     metric sum_i dp^i dp^{n+1-i}), the verified flat pairing for solver
     output.  `normalized` records whether that pairing is exactly the
-    anti-diagonal identity.  `flat_coordinates` passes `_chain_rule =
-    (base, det(dt/dp))` to take the Jacobian from the basic basis (see the
-    module docstring)."""
+    anti-diagonal identity.  It agrees with the flag of
+    `_pairing_transform`, which could differ only on a self-dual degree
+    of multiplicity >= 3; no group the route serves has one (D_2k has
+    the largest, degree 2k twice).  `flat_coordinates` passes
+    `_chain_rule = (base, det(dt/dp))` to take the Jacobian from the
+    basic basis (see the module docstring)."""
 
-    def __init__(self, R: RootSystem, polys, flat=False, pairing=None,
-                 normalized=None, *, _chain_rule=None):
+    def __init__(self, R: RootSystem, polys, flat=False, pairing=None, *,
+                 _chain_rule=None):
         self.R = R
         self.polys = list(polys)
         self.degrees = tuple(p.degree() for p in self.polys)
@@ -143,9 +146,7 @@ class InvariantBasis:
         self.flat = flat
         self.pairing = pairing if pairing is not None else _antidiag(R.rank)
         self.pairing_inv = matinv(self.pairing)
-        if normalized is None:
-            normalized = self.pairing == _antidiag(R.rank)
-        self.normalized = normalized
+        self.normalized = self.pairing == _antidiag(R.rank)
         # products of the invariants, keyed by exponent tuple, for the
         # re-expansion check of `express_in_invariants`; its evaluation
         # points are `_evaluation_plan`
@@ -508,7 +509,6 @@ def flat_coordinates(R: RootSystem, base=None) -> InvariantBasis:
                             "anti-diagonal identity")
 
     out = InvariantBasis(R, tz, flat=True, pairing=pairing,
-                         normalized=normalized,
                          _chain_rule=(base, _constant_jacobian(ts)))
     out.polys_in_invariants = ts
     return out

@@ -8,10 +8,11 @@ coefficient truncation sum_{j not in I} b_j s_j. All restriction arithmetic
 is therefore integer truncation plus canonicalization — no projections.
 
 Everything on D comes from that one map b -> b|_D, and a `Stratum` computes
-it once: `D.forms` sends each positive root to its canonical form, or to
-None exactly on R_D.  The arrangement A_D is built from it on first use
-and kept as `D.arrangement`; the predictor, the Q-polynomial and the
-reports all read these two attributes.
+it once, with one `LinearForm` per projective class: `D.classes` maps each
+form to its roots, and `D.forms` sends each positive root to the form of
+its class, or to None exactly on R_D.  The arrangement A_D is built from
+the classes on first use and kept as `D.arrangement`; the predictor, the
+Q-polynomial and the reports all read these attributes.
 
 No graph search runs per hyperplane.  R_{D,beta} = R_D u +-class(H) gets
 its components by merging those of R_D (parabolic, so one per connected
@@ -35,32 +36,15 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from math import gcd
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
-                      InvariantViolation)
+                      InvariantViolation, _canon_int)
 from .roots import (RootSystem, SubsystemReport, span_subsystem, _component,
                     _link)
 
 
 class NegativeFinalExponent(ArithmeticError):
     """The factored Q-polynomial came out with a non-positive exponent."""
-
-
-def _canon_int(vec):
-    """Primitive, first-nonzero-positive representative; None for zero."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return None
-    v = [x // g for x in vec]
-    for x in v:
-        if x:
-            if x < 0:
-                v = [-y for y in v]
-            break
-    return tuple(v)
 
 
 class Stratum:
@@ -71,19 +55,25 @@ class Stratum:
         self.dim = len(self.params)
         self.rd = rd
         self.param_labels = tuple(f"s{j}" for j in self.params)
-        # b -> b|_D on the positive roots, in R.positive_roots order
-        self.forms = {beta: self.restrict_root(beta)
-                      for beta in R.positive_roots}
+        # b -> b|_D on the positive roots: the roots of each projective
+        # class in R.positive_roots order, the classes in order of first
+        # appearance, and R_D under the key None
+        split = {}
+        for beta in R.positive_roots:
+            c = _canon_int([beta[j - 1] for j in self.params])
+            split.setdefault(c, []).append(beta)
+        split.pop(None, None)
+        self.classes = {LinearForm(c, self.param_labels): roots
+                        for c, roots in split.items()}
+        self.forms = dict.fromkeys(R.positive_roots)
+        for form, roots in self.classes.items():
+            for beta in roots:
+                self.forms[beta] = form
 
     @cached_property
     def arrangement(self):
         """A_D, built on first access; see `restricted_arrangement`."""
         return restricted_arrangement(self)
-
-    def restrict_root(self, beta):
-        """Canonical LinearForm of b|_D, or None if b vanishes on D."""
-        c = _canon_int([beta[j - 1] for j in self.params])
-        return LinearForm(c, self.param_labels) if c is not None else None
 
     def __repr__(self):
         return f"<Stratum {self.R.label}{self.R.rank} I={sorted(self.I)} dim={self.dim} R_D={self.rd.type_string()}>"
@@ -144,14 +134,7 @@ def restricted_arrangement(D: Stratum):
     The component list is ordered as `roots.span_subsystem` orders it:
     by (-rank, -size), ties by first appearance in R.positive_roots."""
     R = D.R
-    pos = R.positive_roots
-    rd_at, classes = {}, {}
-    for i, beta in enumerate(pos):
-        form = D.forms[beta]
-        if form is None:
-            rd_at[beta] = i
-        else:
-            classes.setdefault(form, []).append(i)
+    at = {beta: i for i, beta in enumerate(R.positive_roots)}
 
     # once per stratum: one seed per component of R_D, probed by its a_i,
     # and where the component first appears in R.positive_roots
@@ -159,12 +142,11 @@ def restricted_arrangement(D: Stratum):
     simple_I = [R.simple[i - 1] for i in sorted(D.I)]
     seeds = [([a for a in simple_I if a in c.roots], [], {ci})
              for ci, c in enumerate(rd_comps)]
-    first = [min(rd_at[r] for r in c.roots[:c.size // 2]) for c in rd_comps]
+    first = [min(at[r] for r in c.roots[:c.size // 2]) for c in rd_comps]
 
     out = []
-    for form in sorted(classes):
-        idx = classes[form]
-        members = [pos[i] for i in idx]
+    for form in sorted(D.classes):
+        members = D.classes[form]
         held = [p for p in _link(R, members, seeds) if p[1]]
         # the multiplicity data must not depend on the representative
         # root in the projective class
@@ -179,7 +161,8 @@ def restricted_arrangement(D: Stratum):
         keyed = [((-c.rank, -c.size, first[ci]), c)
                  for ci, c in enumerate(rd_comps) if ci not in cis]
         keyed.append(((-comp0.rank, -comp0.size,
-                       min([idx[0]] + [first[ci] for ci in cis])), comp0))
+                       min([at[members[0]]] + [first[ci] for ci in cis])),
+                      comp0))
         keyed.sort(key=lambda kc: kc[0])
         rep = SubsystemReport(D.rd.rank + 1, [c for _, c in keyed])
         out.append(RestrictedHyperplane(form, members[0], members, rep,
@@ -212,22 +195,22 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     if len(gamma_choices) != len(comps):
         raise ValueError("need one gamma per component of R_D")
 
-    total = Counter()
-
     # I(A \ A^D) restricted: one linear form per mirror not containing D
-    for form in D.forms.values():
-        if form is not None:
-            total[form] += m
+    total = Counter({form: m * len(roots)
+                     for form, roots in D.classes.items()})
 
-    # the I_i factors, with exponent r_i each
+    # the I_i factors, with exponent r_i each.  gamma vanishes on D, and
+    # every other root b of a plane through gamma is x gamma + y b0 with
+    # y != 0 (b0 its first member), so b|_D = y b0|_D: the plane lies in
+    # A^D exactly when b0 does, and then its restriction is not a factor
     for comp, gamma in zip(comps, gamma_choices):
         g = tuple(gamma)
         if g not in comp.roots:
             raise ValueError("gamma must lie in its component of R_D")
         for members in _planes_through(R, g):
-            if any(D.forms[b] is None for b in members):
-                continue         # hyperplane belongs to A^D restricted
-            total[D.forms[members[0]]] += comp.rank
+            form = D.forms[members[0]]
+            if form is not None:
+                total[form] += comp.rank
 
     bad = {f: k for f, k in total.items() if k < 1}
     if bad:

@@ -35,19 +35,39 @@ class TestStratumBasics:
         assert sorted(D.I) == [1, 3]
         assert list(D.params) == [2]
 
-    def test_restrict_root_kills_stratum_roots(self, root_system):
+    def test_forms_kill_stratum_roots(self, root_system):
         R = root_system("A", 3)
         D = make_stratum(R, [1])
-        for beta in D.rd.roots:
-            assert D.restrict_root(beta) is None
-        outside = [b for b in R.positive_roots if b not in set(D.rd.roots)]
-        assert outside
-        for beta in outside:
-            assert D.restrict_root(beta) is not None
-        # the stratum's table is restrict_root on every positive root
+        rd = set(D.rd.roots)
         assert list(D.forms) == list(R.positive_roots)
+        outside = [b for b in R.positive_roots if b not in rd]
+        assert outside
         for beta in R.positive_roots:
-            assert D.forms[beta] == D.restrict_root(beta)
+            assert (D.forms[beta] is None) == (beta in rd)
+
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 4), ("D", 5),
+                                            ("F", 4), ("E", 6), ("E", 7),
+                                            ("E", 8)])
+    def test_one_form_per_class(self, root_system, label, rank):
+        # D.classes partitions R+ outside R_D in order of first
+        # appearance, each class holding one shared LinearForm that is
+        # the canonical truncation of each of its roots
+        R = root_system(label, rank)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            rd = set(D.rd.roots)
+            outside = [b for b in R.positive_roots if b not in rd]
+            flat = [b for roots in D.classes.values() for b in roots]
+            assert sorted(flat) == sorted(outside)
+            firsts = [roots[0] for roots in D.classes.values()]
+            assert firsts == [b for b in outside
+                              if D.classes[D.forms[b]][0] == b]
+            for form, roots in D.classes.items():
+                assert roots == [b for b in outside if b in set(roots)]
+                for b in roots:
+                    assert D.forms[b] is form
+                    assert _canon_int([b[j - 1] for j in D.params]) == \
+                        form.coeffs
 
     def test_arrangement_is_built_once(self, flat_basis, monkeypatch):
         calls = []
@@ -284,6 +304,19 @@ class TestQPolynomial:
         # one split per root system and gamma, kept on the root system
         g = R.positive_roots[0]
         assert strata._planes_through(R, g) is R._planes[g]
+
+    @pytest.mark.parametrize("label,rank", [("E", 6), ("F", 4)])
+    def test_planes_through_gamma_lie_on_or_off_d(self, root_system, label,
+                                                  rank):
+        # q_polynomial tests each plane through gamma by its first member
+        R = root_system(label, rank)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            gammas = [g for c in D.rd.components
+                      for g in c.roots[:c.size // 2]]
+            for g in gammas:
+                for members in strata._planes_through(R, g):
+                    assert len({D.forms[b] is None for b in members}) == 1
 
     def test_gamma_validation(self, root_system):
         R = root_system("A", 3)
