@@ -82,11 +82,71 @@ def _parse_fracs(text, what):
                          f"rationals, got {text!r}")
 
 
-def _group(args):
+# ---------------------------------------------------------------------------
+# groups, kept for the life of the process
+
+class _Group:
+    """A root system and, from the first symbolic request on it, its flat
+    basis."""
+
+    __slots__ = ("R", "basis")
+
+    def __init__(self, R):
+        self.R = R
+        self.basis = None
+
+
+# Every `det`, `predict`, `tables` and `verify` request on a group reads the
+# same root system and flat basis, so this process builds each once and
+# keeps it here, keyed by `_group_key`.  It grows by one entry per distinct
+# group the process is asked about and is never trimmed or shared with
+# another process.  A failed build is never stored: the next request tries
+# again.  The library functions themselves stay uncached.
+_GROUPS = {}
+
+
+def _group_key(name):
+    """The memo key of a group label, read as `parse_group` reads it:
+    (letter, rank), with C_n folded into B_n, whose root system it is.
+    None when the label does not parse, which `parse_group` refuses."""
+    name = name.strip().upper().replace("_", "")
     try:
-        return parse_group(args.group)
+        return ("B" if name[0] == "C" else name[0], int(name[1:]))
+    except (IndexError, ValueError):
+        return None
+
+
+def _memo(key, build):
+    """The entry under key; on a miss, `build()` makes its root system,
+    and a build that raises stores nothing."""
+    entry = _GROUPS.get(key)
+    if entry is None:
+        entry = _GROUPS[key] = _Group(build())
+    return entry
+
+
+def _group(args):
+    """The memo entry of --group, its root system built on first use."""
+    try:
+        return _memo(_group_key(args.group), lambda: parse_group(args.group))
     except (ValueError, KeyError) as exc:
         raise InputError(f"unknown group {args.group!r}: {exc}")
+
+
+def _flat_basis(entry):
+    """The flat basis of a memo entry, solved on first use.
+    `basic_invariants`' refusal of a group (E6, E7, E8) is bad input; a
+    `DegenerateBasis`, or any failure inside `flat_coordinates`, is a
+    defect and propagates."""
+    if entry.basis is None:
+        try:
+            base = saitosym.basic_invariants(entry.R)
+        except saitosym.DegenerateBasis:
+            raise
+        except ValueError as exc:      # the refusal of E6, E7 and E8
+            raise InputError(str(exc))
+        entry.basis = saitosym.flat_coordinates(entry.R, base)
+    return entry.basis
 
 
 def _stratum_indices(R, args):
@@ -133,7 +193,7 @@ def _factor_list(factors):
 # subcommands
 
 def cmd_predict(args):
-    R = _group(args)
+    R = _group(args).R
     I, word = _stratum_indices(R, args)
     D = make_stratum(R, I)
     fd = predict_determinant(D)
@@ -151,7 +211,8 @@ def cmd_predict(args):
 
 
 def cmd_det(args):
-    R = _group(args)
+    group = _group(args)
+    R = group.R
     I, _ = _stratum_indices(R, args)
     D = make_stratum(R, I)
     report = {
@@ -173,13 +234,7 @@ def cmd_det(args):
             raise InputError(str(exc))
         report["invariants"] = invariants
     else:
-        try:
-            base = saitosym.basic_invariants(R)
-        except saitosym.DegenerateBasis:
-            raise
-        except ValueError as exc:      # the refusal of E6, E7 and E8
-            raise InputError(str(exc))
-        basis = saitosym.flat_coordinates(R, base)
+        basis = _flat_basis(group)
         report["normalized_pairing"] = basis.normalized
     try:
         if args.backend == "minor":
@@ -289,7 +344,7 @@ def _type_multiset(type_string):
 def cmd_tables(args):
     kind, key, golden = _load_table(args.which)
     label, rank = _TABLE_GROUPS[key]
-    R = build_root_system(label, rank)
+    R = _memo((label, rank), lambda: build_root_system(label, rank)).R
     rows, diff = [], []
     for entry in golden:
         D = make_stratum(R, entry["simple_indices"])
@@ -417,7 +472,8 @@ def _verify_stratum(I):
 
 
 def cmd_verify(args):
-    R = _group(args)
+    group = _group(args)
+    R = group.R
     n = R.rank
     strata = [I for size in range(1, n)
               for I in combinations(range(1, n + 1), size)]
@@ -425,7 +481,7 @@ def cmd_verify(args):
     nproc = min(worker_count(), len(strata))
     basis = None
     if R.rank <= _SYMBOLIC_MAX_RANK and not args.skip_symbolic:
-        basis = saitosym.flat_coordinates(R)
+        basis = _flat_basis(group)
         checks.append({"stratum": [], "check": "flat_pairing_normalized",
                        "passed": True,
                        "detail": f"normalized={basis.normalized}"})

@@ -34,7 +34,6 @@ keeping every stratum alive cost 20 MiB.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
@@ -195,9 +194,12 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     if len(gamma_choices) != len(comps):
         raise ValueError("need one gamma per component of R_D")
 
-    # I(A \ A^D) restricted: one linear form per mirror not containing D
-    total = Counter({form: m * len(roots)
-                     for form, roots in D.classes.items()})
+    # I(A \ A^D) restricted: one linear form per mirror not containing D,
+    # counted by position in D.classes.  D.forms hands out the very
+    # objects that key D.classes, so identity finds a class's position
+    # without a LinearForm.__hash__ per plane
+    at = {id(form): i for i, form in enumerate(D.classes)}
+    total = [m * len(roots) for roots in D.classes.values()]
 
     # the I_i factors, with exponent r_i each.  gamma vanishes on D, and
     # every other root b of a plane through gamma is x gamma + y b0 with
@@ -208,14 +210,15 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
         if g not in comp.roots:
             raise ValueError("gamma must lie in its component of R_D")
         for members in _planes_through(R, g):
-            form = D.forms[members[0]]
-            if form is not None:
-                total[form] += comp.rank
+            i = at.get(id(D.forms[members[0]]))
+            if i is not None:
+                total[i] += comp.rank
 
-    bad = {f: k for f, k in total.items() if k < 1}
+    factors = dict(zip(D.classes, total))
+    bad = {f: k for f, k in factors.items() if k < 1}
     if bad:
         raise NegativeFinalExponent(f"non-positive exponents: {bad}")
-    return FactoredDeterminant(UNKNOWN, dict(total))
+    return FactoredDeterminant(UNKNOWN, factors)
 
 
 def _planes_through(R: RootSystem, g):

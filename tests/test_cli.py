@@ -5,16 +5,20 @@ import contextlib
 import io
 import json
 import os
+import hashlib
 import subprocess
 import sys
+from argparse import Namespace
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from saitostrata import cli, lgclassical, saitosym, strata
+from saitostrata import cli, lgclassical, roots, saitosym, strata
 from saitostrata.cli import main, load_schema, worker_count
 from saitostrata.roots import parse_group
 
@@ -135,6 +139,8 @@ class TestDet:
             raise error("defect")
 
         monkeypatch.setattr(saitosym, target, broken)
+        # an empty memo, so that the broken builder is reached
+        monkeypatch.setattr(cli, "_GROUPS", {})
         with pytest.raises(error, match="defect"):
             main(["det", "--group", "A3", "--simple", "1"])
 
@@ -368,6 +374,133 @@ class TestPlumbing:
         assert status == 0
         report = json.loads(path.read_text())
         jsonschema.validate(report, SCHEMA)
+
+
+# sha256 over the flat bases of A1, A2, A3, B2, B3, D3, D4 and F4: per group
+# the terms of `polys`, then of `polys_in_invariants`, then the pairing
+FLAT_BASIS_DIGEST = \
+    "7aed416d6f371a14ee29fdcf4f8bd7144ba531fd789d599f30585becc00dc3a8"
+
+
+class TestGroupMemo:
+    """`cli` keeps each root system and flat basis for the life of the
+    process; every report must read as if they had been built afresh."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """An empty memo, and a count of the builder calls."""
+        monkeypatch.setattr(cli, "_GROUPS", {})
+        calls = Counter()
+        for module, name in ((roots, "build_root_system"),
+                             (cli, "build_root_system"),
+                             (saitosym, "basic_invariants"),
+                             (saitosym, "flat_coordinates")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_build_per_group_per_process(self, capsys, monkeypatch,
+                                             calls):
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        for group, simple, backend in (("A3", "1", "symbolic"),
+                                       ("a3", "1,2", "minor"),
+                                       ("A_3", "2", "minor"),
+                                       (" A3", "3", "symbolic"),
+                                       ("A3", "2,3", "symbolic")):
+            assert run(capsys, "det", "--group", group, "--simple", simple,
+                       "--backend", backend)[0] == 0
+        assert run(capsys, "verify", "--group", "A3")[0] == 0
+        assert calls == {"build_root_system": 1, "basic_invariants": 1,
+                         "flat_coordinates": 1}
+        # C_n is B_n: one root system for both spellings, the same report
+        outs = {run(capsys, "predict", "--group", group, "--simple", "2")
+                for group in ("B3", "c3", "C_3")}
+        assert len(outs) == 1 and calls["build_root_system"] == 2
+        # `tables` shares E7 with `predict`
+        for argv in (("predict", "--group", "E7", "--simple", "1"),
+                     ("tables", "--which", "3")):
+            assert run(capsys, *argv)[0] == 0
+        assert calls["build_root_system"] == 3
+        assert sorted(cli._GROUPS) == [("A", 3), ("B", 3), ("E", 7)]
+
+    def test_failures_are_never_stored(self, capsys, calls):
+        for _ in range(3):
+            assert_input_error(capsys, "det", "--group", "E6",
+                               "--simple", "1")
+        # the refusal runs again on every request, and no basis is kept
+        assert calls["basic_invariants"] == 3
+        assert calls["flat_coordinates"] == 0
+        assert cli._GROUPS[("E", 6)].basis is None
+        for group in INVALID_GROUPS:
+            assert_input_error(capsys, "predict", "--group", group,
+                               "--simple", "1")
+        assert list(cli._GROUPS) == [("E", 6)]
+
+    def test_failed_basis_is_built_again(self, capsys, monkeypatch, calls):
+        counted = saitosym.flat_coordinates
+        failures = [saitosym.DegenerateBasis("defect")]
+
+        def flaky(*args):
+            if failures:
+                raise failures.pop()
+            return counted(*args)
+
+        monkeypatch.setattr(saitosym, "flat_coordinates", flaky)
+        argv = ["det", "--group", "A2", "--simple", "1"]
+        with pytest.raises(saitosym.DegenerateBasis, match="defect"):
+            main(argv)
+        assert cli._GROUPS[("A", 2)].basis is None
+        assert run(capsys, *argv)[0] == 0
+        assert calls["flat_coordinates"] == 1
+        assert cli._GROUPS[("A", 2)].basis is not None
+
+    @pytest.mark.parametrize("group", ["A2", "A3", "B2", "B3", "D3", "D4"])
+    def test_cold_and_warm_give_same_bytes(self, capsys, monkeypatch,
+                                           group):
+        # every stratum up to codimension 2, on both backends
+        monkeypatch.setattr(cli, "_GROUPS", {})
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        rank = int(group[1:])
+        dets = [("det", "--group", group, "--simple", _csv(I),
+                 "--backend", backend)
+                for k in range(1, min(rank, 3))
+                for I in combinations(range(1, rank + 1), k)
+                for backend in ("symbolic", "minor")]
+        verify = ("verify", "--group", group)
+        cold = {}
+        for argv in dets + [verify]:
+            cli._GROUPS.clear()
+            cold[argv] = run(capsys, *argv)
+        # warmed by verify, by the D3 quartic family, which is not kept,
+        # and by the other strata; the pool gets the warm basis
+        cli._GROUPS.clear()
+        assert run(capsys, *verify) == cold[verify]
+        if group == "D3":
+            run(capsys, "det", "--group", "D3", "--simple", "1",
+                "--invariants", "1,2")
+        for argv in dets[::-1]:
+            assert run(capsys, *argv) == cold[argv]
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
+        assert run(capsys, *verify) == cold[verify]
+
+    def test_flat_basis_digest_is_pinned(self, capsys, calls):
+        digest = hashlib.sha256()
+        for group in ("A1", "A2", "A3", "B2", "B3", "D3", "D4", "F4"):
+            entry = cli._group(Namespace(group=group))
+            basis = cli._flat_basis(entry)
+            if group[1] != "1" and group != "F4":
+                for backend in ("symbolic", "minor"):
+                    assert run(capsys, "det", "--group", group, "--simple",
+                               "1", "--backend", backend)[0] == 0
+            assert cli._flat_basis(entry) is basis
+            for polys in (basis.polys, basis.polys_in_invariants):
+                digest.update(
+                    repr([list(p.terms.items()) for p in polys]).encode())
+            digest.update(repr(basis.pairing).encode())
+        assert digest.hexdigest() == FLAT_BASIS_DIGEST
+        assert calls["flat_coordinates"] == 8
 
 
 # a broken `strata._link` that returns the seeds untouched and makes every
