@@ -87,11 +87,11 @@ class _Layout:
 
 class _Packed:
     """A polynomial on a `_Layout`: {packed monomial: nonzero int} over one
-    positive denominator `den`.  It has `+`, `-`, unary `-`, `*`, `== 0`
-    and the exact quotient `//`, so `poly_det` eliminates on it as on ints.
-    The operands of one operation share one layout, and every total degree
-    stays <= `layout.degree`: `pack` and `*` raise `ValueError` otherwise,
-    because a wider monomial would carry into the next field."""
+    positive denominator `den`.  It has `+`, `-`, unary `-`, `*` and the
+    exact quotient `//`.  The operands of one operation share one layout,
+    and every total degree stays <= `layout.degree`: `pack` and `*` raise
+    `ValueError` otherwise, because a wider monomial would carry into the
+    next field."""
 
     __slots__ = ("layout", "terms", "den")
 
@@ -157,11 +157,6 @@ class _Packed:
     def __neg__(self):
         return _Packed(self.layout, {k: -c for k, c in self.terms.items()},
                        self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        return NotImplemented
 
     def __mul__(self, other):
         lay = self.layout

@@ -200,14 +200,14 @@ def test_criterion_5_main_theorem(flat_basis, root_system, label, rank,
     assert elapsed < budget
 
 
-# (largest codimension checked, budget in s) per group; D4 codim 3 is left
-# out.  On 2 cores D4 took a median of 0.9 s over five runs with the
-# packed minor formula, against 1.6 s in the same alternating runs with
-# the η numerators rebuilt per stratum on Fractions, and 22.5 s with the
-# Fraction loops before the integer kernels.  A4's budget is ten times the
-# median of three fresh-process runs, 0.31 s, rounded up.
-TWO_ROUTE = {("A", 3): (2, 120.0), ("B", 3): (2, 120.0), ("D", 4): (2, 10.0),
-             ("A", 4): (2, 4.0)}
+# (largest codimension checked, budget in s) per group.  D4 and A4 reach
+# codimension 3, the k = 3 minor formula.  Their budgets are ten times the
+# median of three fresh-process runs on 2 cores with the rank-2 update
+# expansion of `general_formula_det`: 0.79 s for D4 and 0.23 s for A4,
+# rounded up.  With Bareiss on the η numerators D4's codimension-3 strata
+# alone took 5.1-6.5 s each.
+TWO_ROUTE = {("A", 3): (2, 120.0), ("B", 3): (2, 120.0), ("D", 4): (3, 8.0),
+             ("A", 4): (3, 2.3)}
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 4),

@@ -12,7 +12,8 @@ import pytest
 
 from saitostrata import saitosym
 from saitostrata.algebra import (MultiPoly, poly_det, divide_exact,
-                                 factor_linear, IncompleteFactorization)
+                                 factor_linear, IncompleteFactorization,
+                                 NotDivisible)
 from saitostrata.exactla import det_fraction, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (InvariantBasis, basic_invariants,
@@ -316,6 +317,22 @@ class TestPackedMinorFormula:
             assert general_formula_det(basis, D).terms == \
                 _ref_general_formula_det(basis, D).terms, I
 
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 4)])
+    def test_perturbed_basis_is_not_divisible(self, flat_basis, root_system,
+                                              label, rank):
+        # the exact divisions witness the limit: a basis that is not
+        # invariant fails them on every stratum with k >= 2, while k = 1
+        # divides by nothing
+        bad = _perturbed(flat_basis(label, rank))
+        R = root_system(label, rank)
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            if len(I) == 1:
+                assert general_formula_det(bad, D).nvars == D.dim
+            else:
+                with pytest.raises(NotDivisible):
+                    general_formula_det(bad, D)
+
 
 class TestQuarticFamily:
     def test_saito_point_factors_completely(self, root_system):
@@ -516,17 +533,18 @@ class TestIdentityOneForm:
                 minors.append(len(M))
             return poly_det(M)
         monkeypatch.setattr(saitosym, "poly_det", counting_det)
-        # count every η numerator J^2 eta^{ij} and every J^{2k-2} stored in
-        # the packed minor formula: none may be built a second time
+        # count every S_ab = d_a w_b + d_b w_a and every y_ab = Y_ab / J
+        # stored in the packed minor formula: none may be built a second
+        # time
         chain = basis._minor_chain
-        chain._eta, chain._jpow = _CountingDict(), _CountingDict()
+        chain._S, chain._y = _CountingDict(), _CountingDict()
         R = root_system("B", 3)
         for I in _all_strata(R):
             general_formula_det(basis, make_stratum(R, I))
         report = identity_field_checks(basis)
         assert all(item["passed"] for item in report)
         assert minors == [R.rank - 1] * R.rank
-        pairs = combinations(range(R.rank), 2)
-        assert chain._eta.writes == Counter(
-            [(i, i) for i in range(R.rank)] + list(pairs))
-        assert chain._jpow.writes == Counter([2])
+        pairs = list(combinations(range(R.rank), 2))
+        assert chain._S.writes == Counter(
+            [(i, i) for i in range(R.rank)] + pairs)
+        assert chain._y.writes == Counter(pairs)
