@@ -2,28 +2,23 @@
 polynomials, polynomial-matrix determinants (Bareiss), exact division and
 trial factorization into linear forms.
 
-Coefficients are `fractions.Fraction` throughout; nothing here ever rounds.
-Polynomials are stored sparsely as {exponent tuple: coefficient} with a
-graded-lexicographic term order used for canonical serialization and for
-exact division.  That stays the one storage: callers read `.terms`.
-
-The three hot kernels (polynomial product, `divide_exact`, `evaluate`)
-run their inner loops on Python ints, after Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors" (CASC
-2007).  The product and the division loops live once, in the private
-packed type `_Packed`; `MultiPoly.__mul__` and `divide_exact` pack their
-operands, run it and unpack, and a caller that chains many products and
-divisions (the minor formula of `saitosym`) packs once and stays packed:
+Nothing here ever rounds.  `MultiPoly` is the one polynomial type, and it
+computes on Python ints, after Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors" (CASC 2007):
 
 - A monomial is packed into one int: the total degree in the top field,
   the exponents below it in lex order, each field `w` bits wide
-  (`_Layout`).  So grlex order is integer order and a monomial product is
-  one addition.  `w` is chosen from the largest total degree that can
-  occur, plus one guard bit, so no field carries into the next and a
-  negative field of a packed difference shows up in its guard bit.
-- Coefficients are put over one common denominator, so the loops add and
-  multiply integer numerators, and one `Fraction` is built per output
-  term.
+  (`_Layout`).  So graded-lexicographic order, the term order of
+  canonical serialization and of exact division, is integer order, and a
+  monomial product is one addition.  A field holds its value plus one
+  guard bit, so no field carries into the next and a negative field of a
+  packed difference shows up in its guard bit.
+- The coefficients are int numerators over one positive denominator,
+  kept in lowest terms, so the loops add and multiply ints.
+- Layouts are shared by (number of variables, field width), and a
+  polynomial's layout holds its total degree.  A binary operation moves
+  the operand on the narrower layout onto the wider one, and a product
+  whose degree the layout cannot hold moves both onto a wider one.
 - The division scales the divisor to a primitive integer polynomial and
   the numerator to integers.  By Gauss's lemma, if a primitive integer
   polynomial divides an integer polynomial over Q, the quotient has
@@ -32,6 +27,9 @@ divisions (the minor formula of `saitosym`) packs once and stays packed:
   coefficient does not divide in Z, or a quotient monomial with a
   negative exponent, proves the division inexact and raises
   `NotDivisible` at once.
+
+Callers that want exponent tuples and `Fraction`s read `.terms`, a dict
+built on each access.
 """
 
 from __future__ import annotations
@@ -63,180 +61,69 @@ class IncompleteFactorization(ArithmeticError):
         self.partial = partial
 
 
-def _grlex_key(expt):
-    # graded lexicographic: total degree first, then lex on the exponent tuple
-    return (sum(expt), expt)
-
-
 class _Layout:
-    """Field layout for monomials in `nvars` variables of total degree <=
-    `degree`: the bit offset of each exponent field (first variable
-    highest), the offset `top` of the total-degree field above them, the
-    field mask.  A field holds the value plus one guard bit on top, which
-    stays clear."""
+    """Field layout for monomials in `nvars` variables, each field `width`
+    bits: the bit offset of each exponent field (first variable highest),
+    the offset `top` of the total-degree field above them, the field mask,
+    and the largest total degree `degree` a field holds with its guard bit
+    clear.  Build layouts with `_layout`, which shares them."""
 
-    __slots__ = ("degree", "shifts", "top", "mask")
+    __slots__ = ("width", "degree", "shifts", "top", "mask")
 
-    def __init__(self, nvars, degree):
-        w = degree.bit_length() + 1
-        self.degree = degree
-        self.shifts = [w * (nvars - 1 - i) for i in range(nvars)]
-        self.top = nvars * w
-        self.mask = (1 << w) - 1
+    def __init__(self, nvars, width):
+        self.width = width
+        self.degree = (1 << (width - 1)) - 1
+        self.shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+        self.top = nvars * width
+        self.mask = (1 << width) - 1
 
+    def exponents(self, key):
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
 
-class _Packed:
-    """A polynomial on a `_Layout`: {packed monomial: nonzero int} over one
-    positive denominator `den`.  It has `+`, `-`, unary `-`, `*` and the
-    exact quotient `//`.  The operands of one operation share one layout,
-    and every total degree stays <= `layout.degree`: `pack` and `*` raise
-    `ValueError` otherwise, because a wider monomial would carry into the
-    next field."""
-
-    __slots__ = ("layout", "terms", "den")
-
-    def __init__(self, layout, terms, den=1):
-        self.layout = layout
-        self.terms = terms
-        self.den = den
-
-    @classmethod
-    def pack(cls, poly, layout):
-        terms = poly.terms
-        if not terms:
-            return cls(layout, {})
-        shifts, top = layout.shifts, layout.top
-        den = lcm(*(c.denominator for c in terms.values()))
-        packed = {}
-        for e, c in terms.items():
-            k = sum(e) << top
-            for x, s in zip(e, shifts):
-                k |= x << s
-            packed[k] = c.numerator * (den // c.denominator)
-        if max(packed) >> top > layout.degree:
-            raise ValueError("polynomial degree exceeds the layout")
-        return cls(layout, packed, den)
-
-    def unpack(self, zero=()):
-        """The MultiPoly of these terms with the variables in `zero` set to
-        0, in the remaining variables and in their order."""
-        lay = self.layout
-        mask, den, keep = lay.mask, self.den, lay.shifts
-        items = self.terms.items()
-        if zero:
-            keep = [s for i, s in enumerate(keep) if i not in zero]
-            zmask = sum(mask << lay.shifts[i] for i in zero)
-            items = [(k, c) for k, c in items if not k & zmask]
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = len(keep)
-        p.terms = {tuple([(k >> s) & mask for s in keep]): Fraction(c, den)
-                   for k, c in items}
-        return p
-
-    def _plus(self, other, sign):
-        da, db = self.den, other.den
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        out = dict(self.terms) if sa == 1 else \
-            {k: c * sa for k, c in self.terms.items()}
-        get = out.get
-        for k, c in other.terms.items():
-            s = get(k, 0) + c * sb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _Packed(self.layout, out, den)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __neg__(self):
-        return _Packed(self.layout, {k: -c for k, c in self.terms.items()},
-                       self.den)
-
-    def __mul__(self, other):
-        lay = self.layout
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _Packed(lay, {})
-        # the top field of a key sum is at least the true total degree
-        if (max(a) + max(b)) >> lay.top > lay.degree:
-            raise ValueError("product degree exceeds the layout")
-        if len(a) > len(b):
-            a, b = b, a
+    def move(self, nums, new, shifts=None):
+        """The terms `nums` with the fields at `shifts` (default: all) put
+        into the fields of the layout `new`, in order."""
+        if new is self and shifts is None:
+            return nums
+        mask, top, ntop = self.mask, self.top, new.top
+        pairs = list(zip(self.shifts if shifts is None else shifts,
+                         new.shifts))
         out = {}
-        get = out.get
-        b = b.items()
-        for ka, ca in a.items():
-            for kb, cb in b:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return _Packed(lay, out, self.den * other.den)
+        for k, c in nums.items():
+            nk = (k >> top) << ntop
+            for s, t in pairs:
+                nk |= ((k >> s) & mask) << t
+            out[nk] = c
+        return out
 
-    def __floordiv__(self, other):
-        """The exact quotient by the heap division of Monagan & Pearce, or
-        `NotDivisible` (see the module docstring)."""
-        lay = self.layout
-        if not other.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self.terms:
-            return _Packed(lay, {})
-        guard = sum((lay.mask ^ (lay.mask >> 1)) << s for s in lay.shifts)
-        content = 0
-        for c in other.terms.values():
-            content = gcd(content, c)
-        div = sorted(((k, c // content) for k, c in other.terms.items()),
-                     reverse=True)
-        (dk, dc), rest = div[0], div[1:]
-        # every remainder term has total degree <= the numerator's, because
-        # a step subtracts q * divisor whose top total degree is that of
-        # q * lead
-        rem = dict(self.terms)
-        heap = [-k for k in rem]
-        heapify(heap)
-        q = {}
-        while rem:
-            k = -heappop(heap)
-            c = rem.pop(k, 0)
-            if not c:
-                continue  # a stale heap entry: the term cancelled earlier
-            qk = k - dk
-            qc, r = divmod(c, dc)
-            if r or qk < 0 or qk & guard:
-                raise NotDivisible("remainder nonzero")
-            q[qk] = qc
-            for fk, fc in rest:
-                tk, t = fk + qk, qc * fc
-                s = rem.get(tk)
-                if s is None:
-                    rem[tk] = -t
-                    heappush(heap, -tk)
-                elif s == t:
-                    del rem[tk]
-                else:
-                    rem[tk] = s - t
-        # self = (int part) / den, other = content * primitive / other.den
-        den = self.den * content
-        g = gcd(other.den, den)
-        scale = other.den // g
-        return _Packed(lay, {k: c * scale for k, c in q.items()}, den // g)
+
+_LAYOUTS = {}
+
+
+def _layout(nvars, degree):
+    """The shared layout of the narrowest fields that hold `degree`."""
+    width = max(degree, 0).bit_length() + 1
+    lay = _LAYOUTS.get((nvars, width))
+    if lay is None:
+        lay = _LAYOUTS[nvars, width] = _Layout(nvars, width)
+    return lay
+
+
+def _wider(a, b):
+    return a if a.width >= b.width else b
 
 
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    `terms` maps exponent tuples (length = nvars) to nonzero Fractions."""
+    Stored as `nums`, {packed monomial on `layout`: nonzero int}, over the
+    positive denominator `den`, in lowest terms.  `terms` gives the
+    {exponent tuple (length nvars): nonzero Fraction} view."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "layout", "nums", "den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, ScalarLike] | None = None):
-        self.nvars = nvars
         tidy = {}
         if terms:
             for e, c in terms.items():
@@ -247,7 +134,28 @@ class MultiPoly:
                         raise ValueError("exponent length mismatch")
                     tidy[e] = tidy.get(e, Fraction(0)) + c
             tidy = {e: c for e, c in tidy.items() if c}
-        self.terms = tidy
+        lay = _layout(nvars, max(map(sum, tidy), default=0))
+        shifts, top = lay.shifts, lay.top
+        den = lcm(*(c.denominator for c in tidy.values()))
+        nums = {}
+        for e, c in tidy.items():
+            k = sum(e) << top
+            for x, s in zip(e, shifts):
+                k |= x << s
+            nums[k] = c.numerator * (den // c.denominator)
+        self.nvars, self.layout, self.nums, self.den = nvars, lay, nums, den
+
+    @classmethod
+    def _new(cls, nvars, layout, nums, den=1):
+        """The polynomial nums / den, with den brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: c // g for k, c in nums.items()}
+                den //= g
+        p = cls.__new__(cls)
+        p.nvars, p.layout, p.nums, p.den = nvars, layout, nums, den
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -269,24 +177,29 @@ class MultiPoly:
         """The sum of an iterable of polynomials in `nvars` variables,
         accumulated in one dict (a chain of `+` copies every partial
         sum); its terms come out in the order that chain gives."""
+        polys = list(polys)
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError("variable count mismatch")
+        if not polys:
+            return cls.zero(nvars)
+        lay = max((p.layout for p in polys), key=lambda lay: lay.width)
+        den = lcm(*(p.den for p in polys))
         t = {}
         get = t.get
         for p in polys:
-            if p.nvars != nvars:
-                raise ValueError("variable count mismatch")
+            nums, s = p.layout.move(p.nums, lay), den // p.den
+            if s != 1:
+                nums = {k: c * s for k, c in nums.items()}
             if not t:
-                t.update(p.terms)   # one C-level copy, no Fraction additions
+                t.update(nums)
                 continue
-            for e, c in p.terms.items():
-                s = get(e, 0) + c
-                if s:
-                    t[e] = s
+            for k, c in nums.items():
+                c += get(k, 0)
+                if c:
+                    t[k] = c
                 else:
-                    del t[e]
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = t
-        return out
+                    del t[k]
+        return cls._new(nvars, lay, t, den)
 
     @classmethod
     def linear(cls, coeffs):
@@ -300,43 +213,55 @@ class MultiPoly:
                 terms[tuple(e)] = Fraction(c)
         return cls(n, terms)
 
+    def widen(self, degree):
+        """This polynomial on the shared layout that holds total degree
+        `degree` (and its own), so that the products of polynomials widened
+        alike stay on that layout while their degree does."""
+        lay = _layout(self.nvars, max(degree, self.degree()))
+        return MultiPoly._new(self.nvars, lay,
+                              self.layout.move(self.nums, lay), self.den)
+
     # -- basic queries ------------------------------------------------
+    @property
+    def terms(self):
+        """{exponent tuple: Fraction}, in storage order, built on access."""
+        exponents, den = self.layout.exponents, self.den
+        return {exponents(k): Fraction(c, den) for k, c in self.nums.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
+        return not self.nums or (len(self.nums) == 1 and 0 in self.nums)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def degree(self):
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.nums) >> self.layout.top
 
     def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
+        top = self.layout.top
+        return len({k >> top for k in self.nums}) <= 1
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """(exponent, coefficient) pairs, graded-lex descending."""
+        exponents, den = self.layout.exponents, self.den
+        return [(exponents(k), Fraction(c, den))
+                for k, c in sorted(self.nums.items(), reverse=True)]
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        k = max(self.nums)
+        return self.layout.exponents(k), Fraction(self.nums[k], self.den)
 
     # -- arithmetic ---------------------------------------------------
-    def _wrap(self, terms):
-        p = MultiPoly.__new__(MultiPoly)
-        p.nvars = self.nvars
-        p.terms = terms
-        return p
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
@@ -345,7 +270,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.nvars, self.layout,
+                              {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -356,17 +282,36 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        n = self.nvars
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return self._wrap({})
-            return self._wrap({e: co * c for e, co in self.terms.items()})
-        if self.nvars != other.nvars:
+            m = c.numerator
+            return MultiPoly._new(n, self.layout,
+                                  {k: v * m for k, v in self.nums.items()}
+                                  if m else {}, self.den * c.denominator)
+        if n != other.nvars:
             raise ValueError("variable count mismatch")
-        if not self.terms or not other.terms:
-            return self._wrap({})
-        lay = _Layout(self.nvars, self.degree() + other.degree())
-        return (_Packed.pack(self, lay) * _Packed.pack(other, lay)).unpack()
+        a, b = self.nums, other.nums
+        lay = _wider(self.layout, other.layout)
+        if not a or not b:
+            return MultiPoly._new(n, lay, {})
+        # the top field of a key is its total degree
+        deg = (max(a) >> self.layout.top) + (max(b) >> other.layout.top)
+        if deg > lay.degree:
+            lay = _layout(n, deg)
+        a, b = self.layout.move(a, lay), other.layout.move(b, lay)
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        get = out.get
+        b = b.items()
+        for ka, ca in a.items():
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return MultiPoly._new(n, lay, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -390,53 +335,58 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        return isinstance(other, MultiPoly) and self.nvars == other.nvars \
-            and self.terms == other.terms
+        if not isinstance(other, MultiPoly) or self.nvars != other.nvars \
+                or self.den != other.den or len(self.nums) != len(other.nums):
+            return False
+        lay = _wider(self.layout, other.layout)
+        return self.layout.move(self.nums, lay) == \
+            other.layout.move(other.nums, lay)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus / substitution -------------------------------------
     def diff(self, i):
+        lay = self.layout
+        s, mask = lay.shifts[i], lay.mask
+        step = (1 << s) + (1 << lay.top)
         out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return self._wrap(out)
+        for k, c in self.nums.items():
+            e = (k >> s) & mask
+            if e:
+                out[k - step] = c * e
+        return MultiPoly._new(self.nvars, lay, out, self.den)
 
     def evaluate(self, point):
         """Exact evaluation at a rational point (sequence of Fractions).
 
-        With the point as xs / d and the coefficients as cs / L, the value
-        is sum(cs * xs^e * d^(top - |e|)) / (L * d^top): integer work and
+        With the point as xs / d, the value is
+        sum(nums * xs^e * d^(top - |e|)) / (den * d^top): integer work and
         one Fraction at the end."""
-        terms = self.terms
-        if not terms:
+        nums = self.nums
+        if not nums:
             return Fraction(0)
         pt = [Fraction(x) for x in point]
         d = lcm(*(x.denominator for x in pt))
         xs = [x.numerator * (d // x.denominator) for x in pt]
-        cden = lcm(*(c.denominator for c in terms.values()))
-        top = max(map(sum, terms))
+        lay = self.layout
+        mask, top = lay.mask, lay.top
+        deg = max(nums) >> top
         dpow = [1]
-        for _ in range(top):
+        for _ in range(deg):
             dpow.append(dpow[-1] * d)
         pows = [{} for _ in xs]
         total = 0
-        for e, c in terms.items():
-            v = c.numerator * (cden // c.denominator)
-            deg = 0
-            for x, cache, k in zip(xs, pows, e):
-                if k:
-                    deg += k
-                    xk = cache.get(k)
-                    if xk is None:
-                        xk = cache[k] = x ** k
-                    v *= xk
-            total += v * dpow[top - deg]
-        return Fraction(total, cden * dpow[top])
+        for k, v in nums.items():
+            for x, cache, s in zip(xs, pows, lay.shifts):
+                e = (k >> s) & mask
+                if e:
+                    xe = cache.get(e)
+                    if xe is None:
+                        xe = cache[e] = x ** e
+                    v *= xe
+            total += v * dpow[deg - (k >> top)]
+        return Fraction(total, self.den * dpow[deg])
 
     def substitute(self, values):
         """Substitute MultiPoly values[i] for variable i (all same nvars)."""
@@ -459,18 +409,18 @@ class MultiPoly:
     def set_vars_zero(self, indices):
         """Set the given variables to zero, producing a polynomial in the
         remaining variables, in their order."""
+        lay = self.layout
         idx = set(indices)
-        keep = [i for i in range(self.nvars) if i not in idx]
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in idx):
-                continue
-            out[tuple(e[i] for i in keep)] = c
-        return MultiPoly(len(keep), out)
+        zmask = sum(lay.mask << lay.shifts[i] for i in idx)
+        keep = [s for i, s in enumerate(lay.shifts) if i not in idx]
+        new = _layout(len(keep), lay.degree)
+        nums = {k: c for k, c in self.nums.items() if not k & zmask}
+        return MultiPoly._new(len(keep), new, lay.move(nums, new, keep),
+                              self.den)
 
     # -- display ------------------------------------------------------
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
@@ -679,19 +629,54 @@ def poly_det(matrix):
 # exact division / factorization
 
 def divide_exact(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
-    """Return q with q * divisor == numerator, or raise NotDivisible."""
+    """Return q with q * divisor == numerator, or raise NotDivisible.  The
+    heap division of Monagan & Pearce (see the module docstring)."""
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if numerator.nvars != divisor.nvars:
+    n = numerator.nvars
+    if n != divisor.nvars:
         raise ValueError("variable count mismatch")
     if divisor.is_constant():
         c = divisor.constant_value()
         return numerator * (Fraction(1) / c)
-    n = numerator.nvars
-    if not numerator.terms:
-        return MultiPoly.zero(n)
-    lay = _Layout(n, max(numerator.degree(), divisor.degree()))
-    return (_Packed.pack(numerator, lay) // _Packed.pack(divisor, lay)).unpack()
+    lay = _wider(numerator.layout, divisor.layout)
+    if not numerator.nums:
+        return MultiPoly._new(n, lay, {})
+    guard = sum((lay.mask ^ (lay.mask >> 1)) << s for s in lay.shifts)
+    content = gcd(*divisor.nums.values())
+    div = sorted(((k, c // content) for k, c in
+                  divisor.layout.move(divisor.nums, lay).items()),
+                 reverse=True)
+    (dk, dc), rest = div[0], div[1:]
+    # every remainder term has total degree <= the numerator's, because a
+    # step subtracts q * divisor whose top total degree is that of q * lead
+    rem = dict(numerator.layout.move(numerator.nums, lay))
+    heap = [-k for k in rem]
+    heapify(heap)
+    q = {}
+    while rem:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue  # a stale heap entry: the term cancelled earlier
+        qk = k - dk
+        qc, r = divmod(c, dc)
+        if r or qk < 0 or qk & guard:
+            raise NotDivisible("remainder nonzero")
+        q[qk] = qc
+        for fk, fc in rest:
+            tk, t = fk + qk, qc * fc
+            s = rem.get(tk)
+            if s is None:
+                rem[tk] = -t
+                heappush(heap, -tk)
+            elif s == t:
+                del rem[tk]
+            else:
+                rem[tk] = s - t
+    # numerator = (int part) / den, divisor = content * primitive / den'
+    return MultiPoly._new(n, lay, {k: c * divisor.den for k, c in q.items()},
+                          numerator.den * content)
 
 
 def try_divide(numerator, divisor):

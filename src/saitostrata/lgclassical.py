@@ -147,7 +147,8 @@ def _check_generic_BD(cfg, xi):
 def _float_coeffs(w):
     """The coefficients of a one-variable polynomial as floats, high degree
     first."""
-    return [float(w.terms.get((k,), 0)) for k in range(w.degree(), -1, -1)]
+    terms = w.terms
+    return [float(terms.get((k,), 0)) for k in range(w.degree(), -1, -1)]
 
 
 def _horner(coeffs, x):

@@ -21,8 +21,8 @@ by evaluation and certifies them by exact re-expansion.  Each basis keeps
 one evaluation plan: a seeded sequence of integer points, the invariants'
 values there, and per degree the monomial rows, whose rank is checked
 once.  A call evaluates q at the plan's points and solves.  The
-re-expansion compares every term on integer numerators over one common
-denominator, with the products of the invariants cached on the basis.  In
+re-expansion is one sum of the coefficients times the products of the
+invariants, cached on the basis, compared with q.  In
 an algebraically independent basis the coefficients are unique, so the
 choice of points never shows in the output.
 
@@ -43,11 +43,11 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import isqrt, lcm
+from math import isqrt
 
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization,
-                      InvariantViolation, _Layout, _Packed)
+                      InvariantViolation)
 from .exactla import (matinv, matmul, det_fraction, nullspace, solve,
                       rank as mat_rank)
 from .roots import RootSystem, build_root_system, span_subsystem
@@ -207,8 +207,8 @@ class InvariantBasis:
 
     @cached_property
     def _minor_chain(self):
-        """The packed inputs of `general_formula_det`, built on first
-        access; `flat_coordinates` never touches them."""
+        """The inputs of `general_formula_det`, built on first access;
+        `flat_coordinates` never touches them."""
         return _MinorChain(self)
 
     def __repr__(self):
@@ -323,56 +323,42 @@ def _eval_monomial(vals, expt):
     return out
 
 
-def _integer_product(basis: InvariantBasis, expt):
-    """prod_i p_i^expt_i as (polynomial, denominator, {exponent: integer
-    numerator}).  Built as the product for expt less one unit of its first
-    (lowest degree) nonzero exponent, times that invariant, and cached on
-    the basis with every shorter product the chain passes through."""
+def _invariant_product(basis: InvariantBasis, expt):
+    """prod_i p_i^expt_i, built as the product for expt less one unit of its
+    first (lowest degree) nonzero exponent, times that invariant, and
+    cached on the basis with every shorter product the chain passes
+    through."""
     cache = basis._mono_cache
-    hit = cache.get(expt)
-    if hit is not None:
-        return hit
-    if not any(expt):
-        poly = MultiPoly.const(len(expt), 1)
-    else:
-        i = next(k for k, e in enumerate(expt) if e)
-        rest = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
-        poly = basis.polys[i]
-        if any(rest):
-            poly = poly * _integer_product(basis, rest)[0]
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    cache[expt] = out = (poly, den, {e: c.numerator * (den // c.denominator)
-                                    for e, c in poly.terms.items()})
+    out = cache.get(expt)
+    if out is None:
+        if not any(expt):
+            out = MultiPoly.const(len(expt), 1)
+        else:
+            i = next(k for k, e in enumerate(expt) if e)
+            rest = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
+            out = basis.polys[i]
+            if any(rest):
+                out = out * _invariant_product(basis, rest)
+        cache[expt] = out
     return out
 
 
 def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
     """Write the invariant z-polynomial q as a polynomial in the basis
     invariants, exactly.  Solves by evaluation at the basis's seeded
-    integer points (`_EvaluationPlan`) and verifies by exact re-expansion,
-    compared term by term on integer numerators over one common
-    denominator."""
+    integer points (`_EvaluationPlan`) and verifies by exact re-expansion:
+    the sum of the coefficients times the products of the invariants must
+    equal q."""
     n = basis.R.rank
     if q.is_zero():
         return MultiPoly.zero(n)
     monos, points, rows = basis._evaluation_plan.degree(q.degree())
     coeffs = solve(rows, [q.evaluate(pt) for pt in points])
-    result = MultiPoly(n, {e: c for e, c in zip(monos, coeffs) if c})
-    products = [(c, _integer_product(basis, e))
-                for e, c in result.terms.items()]
-    den = lcm(*(c.denominator * d for c, (_, d, _) in products),
-              *(c.denominator for c in q.terms.values()))
-    recon = {}
-    get = recon.get
-    for c, (_, d, ints) in products:
-        f = c.numerator * (den // (c.denominator * d))
-        for e, v in ints.items():
-            recon[e] = get(e, 0) + f * v
-    want = {e: c.numerator * (den // c.denominator)
-            for e, c in q.terms.items()}
-    if {e: v for e, v in recon.items() if v} != want:
+    pairs = [(e, c) for e, c in zip(monos, coeffs) if c]
+    if MultiPoly.sum(n, (_invariant_product(basis, e) * c
+                         for e, c in pairs)) != q:
         raise SolverFailure("re-expansion mismatch in invariant expression")
-    return result
+    return MultiPoly(n, dict(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +510,8 @@ def _constant_jacobian(ts):
     coefficient of p^b in t^a vanishes unless d_a = d_b)."""
     n = len(ts)
     unit = [tuple(int(i == b) for i in range(n)) for b in range(n)]
-    return det_fraction([[t.terms.get(e, 0) for e in unit] for t in ts])
+    return det_fraction([[terms.get(e, 0) for e in unit]
+                         for terms in (t.terms for t in ts)])
 
 
 def _transpose(M):
@@ -689,28 +676,28 @@ def restricted_saito_det(basis: InvariantBasis,
 # the minor-formula route
 
 class _MinorChain:
-    """The inputs of the minor formula of one basis, on packed integers
-    (`algebra._Packed`).
+    """The inputs of the minor formula of one basis.
 
     With w_b = (-1)^(n+b) J_b and v = grad J, the numerators J^2 eta^{ab}
     are N = J S - w v^T - v w^T, where S_ab = d_a w_b + d_b w_a.  J, v and
-    w are packed once; S_ab and y_ab = (v_a w_b - w_a v_b) / J are built
-    once per unordered pair, on first use (`_S`, `_y`).  y_ab has the
-    degree of S_ab, so the largest product `general_formula_det` forms is
-    w_a v_b times a (k-1)-minor of S, of degree deg J + k deg S; the
-    layout holds it for every k <= n."""
+    w are built once; S_ab and y_ab = (v_a w_b - w_a v_b) / J once per
+    unordered pair, on first use (`_S`, `_y`).  y_ab has the degree of
+    S_ab, so the largest product `general_formula_det` forms is w_a v_b
+    times a (k-1)-minor of S, of degree deg J + k deg S.  J and w are
+    widened to the layout that holds it for every k <= n, and `one` sits
+    on it too, so no product of the chain moves an operand to another
+    layout."""
 
     def __init__(self, basis: InvariantBasis):
         n = basis.R.rank
         J, Jk = basis.jacobian_det, basis.minors
-        # J_b and its derivatives carry the sign (-1)^(n+b) they have in eta
-        self._signed = [p if (n + b) % 2 == 0 else -p
-                        for b, p in enumerate(Jk)]
-        ds = max(0, max(p.degree() for p in Jk) - 1)
-        lay = _Layout(n, max(1, J.degree() + n * ds))
-        self.J = _Packed.pack(J, lay)
-        self.v = [_Packed.pack(J.diff(a), lay) for a in range(n)]
-        self.w = [_Packed.pack(p, lay) for p in self._signed]
+        cap = max(1, J.degree() + n * max(0, max(p.degree() for p in Jk) - 1))
+        self.J = J.widen(cap)
+        self.v = [self.J.diff(a) for a in range(n)]
+        # J_b carries the sign (-1)^(n+b) it has in eta
+        self.w = [(p if (n + b) % 2 == 0 else -p).widen(cap)
+                  for b, p in enumerate(Jk)]
+        self.one = MultiPoly.const(n, 1).widen(cap)
         self._S = {}
         self._y = {}
 
@@ -720,9 +707,8 @@ class _MinorChain:
             a, b = b, a
         out = self._S.get((a, b))
         if out is None:
-            wa, wb = self._signed[a], self._signed[b]
-            out = _Packed.pack(wb.diff(a) + wa.diff(b), self.J.layout)
-            self._S[a, b] = out
+            w = self.w
+            out = self._S[a, b] = w[b].diff(a) + w[a].diff(b)
         return out
 
     def y(self, a, b):
@@ -731,8 +717,7 @@ class _MinorChain:
         out = self._y.get((a, b))
         if out is None:
             v, w = self.v, self.w
-            out = (v[a] * w[b] - w[a] * v[b]) // self.J
-            self._y[a, b] = out
+            out = self._y[a, b] = (v[a] * w[b] - w[a] * v[b]) // self.J
         return out
 
 
@@ -762,39 +747,37 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
         P = (det S_I - 2 x - Q) / J^{k-2}.
 
     Each division (y_ab, x and the k - 2 divisions by J) is an exact
-    `_Packed` quotient of the full polynomial, before restricting, and
-    raises `NotDivisible` on a remainder.  If all succeed,
-    det N_I = J^{2k-2} P: the witness of the well-defined limit that the
-    division of det N_I by J^{2k-2} gives, with J | Y_ab checked besides.
-    Only the terms of P with z_I = 0 are unpacked.  No product of two
-    numerators is formed: on 2 cores a codimension-3 stratum of D4 takes
-    0.06-0.11 s, against 5.1-6.5 s for Bareiss on the numerators."""
+    `divide_exact` of the full polynomial, before restricting, and raises
+    `NotDivisible` on a remainder.  If all succeed, det N_I = J^{2k-2} P:
+    the witness of the well-defined limit that the division of det N_I by
+    J^{2k-2} gives, with J | Y_ab checked besides.  Only then is P
+    restricted to z_I = 0.  No product of two numerators is formed: on 2
+    cores a codimension-3 stratum of D4 takes 0.06-0.11 s, against
+    5.1-6.5 s for Bareiss on the numerators."""
     I0 = [i - 1 for i in sorted(D.I)]
     if not I0:
         raise ValueError("need |I| >= 1")
     chain = basis._minor_chain
     J, v, w, S, y = chain.J, chain.v, chain.w, chain.S, chain.y
-    k = len(I0)
+    n, k = J.nvars, len(I0)
     if k == 1:
         i, = I0
-        wv = w[i] * v[i]
-        return -(J * S(i, i) - (wv + wv)).unpack(I0)
-    zero, one = _Packed(J.layout, {}), _Packed(J.layout, {0: 1})
+        return -(J * S(i, i) - w[i] * v[i] * 2).set_vars_zero(I0)
     minors = {}
 
     def minor(rows, cols):
         """det S[rows, cols] for index tuples, each minor built once (S is
         symmetric, so [cols, rows] is the same minor)."""
         if not rows:
-            return one
+            return chain.one
         key = (rows, cols) if rows <= cols else (cols, rows)
         out = minors.get(key)
         if out is None:
-            r, rest, out = rows[0], rows[1:], zero
-            for j, c in enumerate(cols):
-                t = S(r, c) * minor(rest, cols[:j] + cols[j + 1:])
-                out = out - t if j % 2 else out + t
-            minors[key] = out
+            r, rest = rows[0], rows[1:]
+            out = minors[key] = MultiPoly.sum(n, (
+                (-S(r, c) if j % 2 else S(r, c))
+                * minor(rest, cols[:j] + cols[j + 1:])
+                for j, c in enumerate(cols)))
         return out
 
     def cofactor(p, q):
@@ -806,24 +789,19 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
 
     # w^T adj(S_I) v = sum_b v_b u_b with u_b = sum_a w_a adj(S_I)_ab: the
     # short w_a meet the minors first
-    xJ = zero
-    for q, b in enumerate(I0):
-        u = zero
-        for p, a in enumerate(I0):
-            u = u + w[a] * cofactor((p,), (q,))
-        xJ = xJ + v[b] * u
-    x = xJ // J
+    x = MultiPoly.sum(n, (v[b] * MultiPoly.sum(n, (
+        w[a] * cofactor((p,), (q,)) for p, a in enumerate(I0)))
+        for q, b in enumerate(I0))) // J
     # Q is symmetric in its two pairs: a pair of pairs i < j counts twice
     pairs = list(combinations(range(k), 2))
     ys = [y(I0[a], I0[b]) for a, b in pairs]
-    Q = zero
-    for i, j in combinations_with_replacement(range(len(pairs)), 2):
-        t = ys[i] * ys[j] * cofactor(pairs[i], pairs[j])
-        Q = Q + t if i == j else Q + t + t
-    P = minor(tuple(I0), tuple(I0)) - (x + x) - Q
+    Q = MultiPoly.sum(n, (
+        ys[i] * ys[j] * cofactor(pairs[i], pairs[j]) * (1 if i == j else 2)
+        for i, j in combinations_with_replacement(range(len(pairs)), 2)))
+    P = minor(tuple(I0), tuple(I0)) - x * 2 - Q
     for _ in range(k - 2):
         P = P // J
-    return -P.unpack(I0)
+    return -P.set_vars_zero(I0)
 
 
 def frame_constant(basis: InvariantBasis, D: Stratum) -> Fraction:

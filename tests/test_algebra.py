@@ -1,6 +1,6 @@
 """Exact polynomial arithmetic: ring axioms, determinants, division, and
-linear factorization; the integer kernels against Fraction reference
-loops."""
+linear factorization; the packed integer kernels against Fraction and
+exponent-tuple reference loops."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
                                  UNKNOWN, poly_det, divide_exact, try_divide,
                                  factor_linear, NotDivisible,
-                                 IncompleteFactorization, _Layout, _Packed)
+                                 IncompleteFactorization)
 from saitostrata.exactla import det_fraction
 
 NVARS = 3
@@ -122,8 +122,38 @@ class TestDivision:
             divide_exact(MultiPoly.const(NVARS, 1), MultiPoly.zero(NVARS))
 
 
-# Reference kernels: the plain Fraction/tuple loops that `MultiPoly.__mul__`,
-# `divide_exact` and `MultiPoly.evaluate` replace with packed integers.
+# Reference kernels: the plain Fraction/tuple loops that `MultiPoly` runs on
+# packed monomials and integer numerators.
+
+def _ref_add(p, q, sign):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        s = out.get(e, Fraction(0)) + sign * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return MultiPoly(p.nvars, out)
+
+
+def _ref_scale(p, c):
+    return MultiPoly(p.nvars, {e: a * c for e, a in p.terms.items()})
+
+
+def _ref_diff(p, i):
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return MultiPoly(p.nvars, out)
+
+
+def _ref_set_vars_zero(p, idx):
+    keep = [i for i in range(p.nvars) if i not in idx]
+    return MultiPoly(len(keep), {tuple(e[i] for i in keep): c
+                                 for e, c in p.terms.items()
+                                 if not any(e[i] for i in idx)})
+
 
 def _ref_mul(p, q):
     out = {}
@@ -182,17 +212,25 @@ def _ref_quotient(numerator, divisor):
         return None
 
 
-def _packed_quotient(numerator, divisor):
-    """The packed `//` on its own, on a layout wider than the one
-    `divide_exact` picks, as the minor formula of `saitosym` runs it; None
-    when it raises NotDivisible."""
-    lay = _Layout(numerator.nvars,
-                  2 * max(numerator.degree(), divisor.degree()) + 1)
+def _widened_quotient(numerator, divisor):
+    """`divide_exact` on operands widened to a layout wider than the one
+    they need, as the minor formula of `saitosym` runs it; None when it
+    raises NotDivisible."""
+    deg = 2 * max(numerator.degree(), divisor.degree(), 0) + 1
     try:
-        return (_Packed.pack(numerator, lay)
-                // _Packed.pack(divisor, lay)).unpack()
+        return divide_exact(numerator.widen(deg), divisor.widen(deg))
     except NotDivisible:
         return None
+
+
+def _listed(p):
+    return list(p.terms.items())
+
+
+def _assert_same(got, ref):
+    # equal packed monomials, and the same terms in the same order: the
+    # flat-basis digest reads that order
+    assert got == ref and _listed(got) == _listed(ref)
 
 
 BIG = 10 ** 12
@@ -245,7 +283,7 @@ class TestIntegerKernels:
         prod = p * q
         assert divide_exact(prod, q).terms == \
             _ref_divide_exact(prod, q).terms == \
-            _packed_quotient(prod, q).terms == p.terms
+            _widened_quotient(prod, q).terms == p.terms
 
     @KERNEL_SETTINGS
     @given(_wide_pair(nonzero=True), st.data())
@@ -254,7 +292,7 @@ class TestIntegerKernels:
         r = data.draw(_wide_poly(p.nvars, max_terms=2))
         num = p * q + r
         ref = _ref_quotient(num, q)
-        for got in (try_divide(num, q), _packed_quotient(num, q)):
+        for got in (try_divide(num, q), _widened_quotient(num, q)):
             assert (got is None) == (ref is None)
             if ref is not None:
                 assert got.terms == ref.terms
@@ -266,6 +304,60 @@ class TestIntegerKernels:
     def test_evaluate_matches_reference(self, p_point):
         p, point = p_point
         assert p.evaluate(point) == _ref_evaluate(p, point)
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(), _rationals())
+    def test_linear_operations_match_reference(self, pq, c):
+        p, q = pq
+        _assert_same(p + q, _ref_add(p, q, 1))
+        _assert_same(p - q, _ref_add(p, q, -1))
+        _assert_same(-p, _ref_scale(p, -1))
+        _assert_same(p * c, _ref_scale(p, c))
+        assert (p * 0).is_zero()
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(), st.data())
+    def test_diff_and_set_vars_zero_match_reference(self, pq, data):
+        for p in pq:
+            for i in range(p.nvars):
+                _assert_same(p.diff(i), _ref_diff(p, i))
+            idx = data.draw(st.sets(st.integers(0, p.nvars - 1)))
+            _assert_same(p.set_vars_zero(idx), _ref_set_vars_zero(p, idx))
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(), st.data())
+    def test_evaluate_after_layout_changes_matches_reference(self, pq, data):
+        # the sum and the product put p and q on one layout first
+        p, q = pq
+        point = data.draw(st.lists(_rationals(10 ** 6), min_size=p.nvars,
+                                   max_size=p.nvars))
+        vp, vq = _ref_evaluate(p, point), _ref_evaluate(q, point)
+        assert (p + q).evaluate(point) == vp + vq
+        assert (p - q).evaluate(point) == vp - vq
+        assert (p * q).evaluate(point) == vp * vq
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(nonzero=True))
+    def test_equality_and_hash_ignore_the_layout(self, pq):
+        p, q = pq
+        r = (p * q) // q
+        assert r == p and hash(r) == hash(p)
+        w = p.widen(2 * max(p.degree(), 0) + 1)
+        assert w.layout is not p.layout
+        assert w == p and hash(w) == hash(p) and w != p + 1
+
+    def test_one_polynomial_on_two_layouts_and_denominators(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = x * Fraction(1, 3) + y * 2
+        q = x ** 40 * 3 + y * Fraction(1, 7)
+        # p * q has denominator 21 and needs wider fields than p
+        r = (p * q) // q
+        assert r.layout is not p.layout
+        assert r == p and hash(r) == hash(p) and len({p, r}) == 1
+        assert r.terms == p.terms == {(1, 0): Fraction(1, 3),
+                                      (0, 1): Fraction(2)}
+        assert p * 3 == x + y * 6 and hash(p * 3) == hash(x + y * 6)
+        assert r != p * 3
 
     def test_rational_divisor_content(self):
         x = MultiPoly.variable(1, 0)
@@ -288,7 +380,7 @@ class TestIntegerKernels:
         for num, div in cases:
             with pytest.raises(NotDivisible):
                 divide_exact(num, div)
-            assert _packed_quotient(num, div) is None
+            assert _widened_quotient(num, div) is None
 
     def test_zero_numerator_and_constant_divisor(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)

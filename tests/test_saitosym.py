@@ -534,8 +534,7 @@ class TestIdentityOneForm:
             return poly_det(M)
         monkeypatch.setattr(saitosym, "poly_det", counting_det)
         # count every S_ab = d_a w_b + d_b w_a and every y_ab = Y_ab / J
-        # stored in the packed minor formula: none may be built a second
-        # time
+        # stored by the minor formula: none may be built a second time
         chain = basis._minor_chain
         chain._S, chain._y = _CountingDict(), _CountingDict()
         R = root_system("B", 3)
