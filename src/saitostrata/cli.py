@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import random
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -42,21 +43,81 @@ class InputError(ValueError):
 
 
 def worker_count():
-    """Worker pool size: SAITO_STRATA_THREADS, default the CPUs this
-    process may run on."""
+    """Processes `verify` spreads its strata over, the calling one
+    included: SAITO_STRATA_THREADS, default the CPUs this process may run
+    on; 1 where the platform cannot fork."""
     raw = os.environ.get("SAITO_STRATA_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+            val = len(os.sched_getaffinity(0))
+        else:
+            val = os.cpu_count() or 1
+    else:
+        try:
+            val = int(raw)
+        except ValueError:
+            raise InputError(f"SAITO_STRATA_THREADS must be an integer, "
+                             f"got {raw!r}")
+        if val < 1:
+            raise InputError("SAITO_STRATA_THREADS must be >= 1")
+    return val if hasattr(os, "fork") else 1
+
+
+def _fork_map(fn, items, nproc):
+    """``[fn(x) for x in items]`` over `nproc` processes.  Forked child w
+    (w = 1 .. nproc-1) computes ``items[w::nproc]`` and sends the results
+    back pickled through a pipe, while this process computes
+    ``items[0::nproc]``.  Children inherit `fn` and `items`, so nothing is
+    pickled on the way in.  An exception raised in a child is re-raised
+    here, and a child that exits without sending raises RuntimeError.  No
+    child outlives the call.  A child has only the forking thread, so `fn`
+    must not need another (the `verify` checks run no numpy)."""
+    children = []                       # (pid, w, read end), unreaped
     try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"SAITO_STRATA_THREADS must be an integer, "
-                         f"got {raw!r}")
-    if val < 1:
-        raise InputError("SAITO_STRATA_THREADS must be >= 1")
-    return val
+        for w in range(1, nproc):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps(
+                            (True, [fn(x) for x in items[w::nproc]]))
+                    except BaseException as exc:
+                        data = pickle.dumps((False, exc))
+                    with os.fdopen(wfd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    # never return into the caller, never flush its buffers
+                    os._exit(status)
+            # before the next fork, so that no later child holds this pipe
+            # open and the child's exit ends it
+            os.close(wfd)
+            children.append((pid, w, os.fdopen(r, "rb")))
+        out = [None] * len(items)
+        out[0::nproc] = [fn(x) for x in items[0::nproc]]
+        while children:
+            pid, w, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(f"worker {w} of {nproc} exited without a "
+                                   f"result (exit code "
+                                   f"{os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out[w::nproc] = value
+        return out
+    finally:
+        for pid, _, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def load_schema():
@@ -412,22 +473,16 @@ def cmd_tables(args):
 
 # --- verify ----------------------------------------------------------------
 
-_WORKER = (None, None)     # this process's root system and flat basis
 # `verify` runs the symbolic route by default up to this rank; B5 costs most
 # there: 13 s for its flat basis and 90 s over its strata, in one process
 _SYMBOLIC_MAX_RANK = 5
 
 
-def _init_worker(R, basis):
-    global _WORKER
-    _WORKER = (R, basis)
-
-
-def _verify_stratum(I):
-    """Every check on one stratum, which is built once; runs inside the
-    worker pool.  With a flat basis this includes the restricted Saito
-    determinant against the prediction."""
-    R, basis = _WORKER
+def _verify_stratum(R, basis, I):
+    """Every check on stratum I of R, which is built once; runs in the
+    calling process or in a forked child of `_fork_map`.  With a flat
+    basis this includes the restricted Saito determinant against the
+    prediction."""
     out = []
 
     def add(check, passed, detail=""):
@@ -459,7 +514,7 @@ def _verify_stratum(I):
             qr = q_polynomial(D, rng=random.Random(seed))
             add(f"q_polynomial_random_{seed}",
                 qr.multiset() == fd.multiset())
-    except Exception as exc:  # noqa: BLE001 - report, never crash the pool
+    except Exception as exc:  # noqa: BLE001 - report, never abort the run
         add("q_polynomial_default", False, repr(exc))
     if basis is not None:
         try:
@@ -478,23 +533,16 @@ def cmd_verify(args):
     strata = [I for size in range(1, n)
               for I in combinations(range(1, n + 1), size)]
     checks = []
-    nproc = min(worker_count(), len(strata))
+    nproc = max(1, min(worker_count(), len(strata)))
     basis = None
     if R.rank <= _SYMBOLIC_MAX_RANK and not args.skip_symbolic:
         basis = _flat_basis(group)
         checks.append({"stratum": [], "check": "flat_pairing_normalized",
                        "passed": True,
                        "detail": f"normalized={basis.normalized}"})
-    if nproc > 1:
-        with ProcessPoolExecutor(max_workers=nproc,
-                                 initializer=_init_worker,
-                                 initargs=(R, basis)) as pool:
-            for res in pool.map(_verify_stratum, strata):
-                checks.extend(res)
-    else:
-        _init_worker(R, basis)
-        for I in strata:
-            checks.extend(_verify_stratum(I))
+    for res in _fork_map(lambda I: _verify_stratum(R, basis, I), strata,
+                         nproc):
+        checks.extend(res)
     if basis is not None:
         checks.extend({"stratum": [], **item}
                       for item in saitosym.identity_field_checks(basis))

@@ -25,6 +25,10 @@ from saitostrata.roots import parse_group
 SCHEMA = load_schema()
 
 
+class _StratumFault(Exception):
+    """Raised by a stubbed `verify` stratum check."""
+
+
 def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out
@@ -246,12 +250,53 @@ class TestVerify:
 
     def test_aggregation_independent_of_worker_count(self, capsys,
                                                      monkeypatch):
-        for flags in (["--skip-symbolic"], []):
-            monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
-            _, out1 = run(capsys, "verify", "--group", "B3", *flags)
-            monkeypatch.setenv("SAITO_STRATA_THREADS", "3")
-            _, out2 = run(capsys, "verify", "--group", "B3", *flags)
-            assert out1 == out2
+        # B3 has 6 strata (4 workers take 2/2/1/1 of them); B2 has 2, so
+        # 5 workers are more than it has strata
+        for group, counts in (("B3", "1234"), ("B2", "15")):
+            for flags in (["--skip-symbolic"], []):
+                outs = set()
+                for threads in counts:
+                    monkeypatch.setenv("SAITO_STRATA_THREADS", threads)
+                    outs.add(run(capsys, "verify", "--group", group,
+                                 *flags))
+                assert len(outs) == 1
+
+    def test_fork_map_interleaves_and_keeps_order(self):
+        got = cli._fork_map(lambda x: (x * x, os.getpid()), range(7), 3)
+        assert [sq for sq, _ in got] == [x * x for x in range(7)]
+        pids = [pid for _, pid in got]
+        assert set(pids[0::3]) == {os.getpid()}
+        workers = [set(pids[w::3]) for w in (1, 2)]
+        assert all(len(p) == 1 for p in workers)
+        assert len(set.union(*workers) | {os.getpid()}) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("bad,exit_in_child,expected,match", [
+        ((2,), False, _StratumFault, None),
+        ((1, 3), False, _StratumFault, None),
+        ((2, 3), True, RuntimeError, "exit code 3"),
+    ], ids=["child", "parent", "child-exits"])
+    def test_failed_stratum_raises_and_leaves_no_child(
+            self, monkeypatch, bad, exit_in_child, expected, match):
+        # with 2 workers on B3's strata (1,) (2,) (3,) (1,2) (1,3) (2,3),
+        # the calling process takes (1,) (3,) (1,3), the child the rest
+        real = cli._verify_stratum
+        parent = os.getpid()
+
+        def failing(R, basis, I):
+            if I != bad:
+                return real(R, basis, I)
+            if exit_in_child and os.getpid() != parent:
+                os._exit(3)
+            raise _StratumFault(I)
+
+        monkeypatch.setattr(cli, "_verify_stratum", failing)
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
+        with pytest.raises(expected, match=match):
+            main(["verify", "--group", "B3", "--skip-symbolic"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_each_stratum_restricts_once(self, capsys, monkeypatch):
         # A_D once per stratum in the per-stratum checks (6 strata), plus
@@ -300,6 +345,11 @@ class TestVerify:
         assert worker_count() >= 1
         monkeypatch.setenv("SAITO_STRATA_THREADS", "zero")
         assert main(["verify", "--group", "A2"]) == 2
+        # without fork one process does the work, but bad input still fails
+        monkeypatch.delattr(os, "fork")
+        assert main(["verify", "--group", "A2"]) == 2
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "5")
+        assert worker_count() == 1
 
     def test_worker_count_follows_affinity(self, monkeypatch):
         monkeypatch.delenv("SAITO_STRATA_THREADS", raising=False)
@@ -474,7 +524,7 @@ class TestGroupMemo:
             cli._GROUPS.clear()
             cold[argv] = run(capsys, *argv)
         # warmed by verify, by the D3 quartic family, which is not kept,
-        # and by the other strata; the pool gets the warm basis
+        # and by the other strata; forked workers inherit the warm basis
         cli._GROUPS.clear()
         assert run(capsys, *verify) == cold[verify]
         if group == "D3":

@@ -237,8 +237,8 @@ class TestMainTheoremSmall:
             assert not isinstance(fd.coefficient, type(None))
 
     def test_worker_initargs_survive_pickling(self, flat_basis):
-        # `verify` hands (R, basis) to its pool workers, pickled under the
-        # spawn and forkserver start methods
+        # a caller may ship (R, basis) to another process by pickling
+        # (`verify` forks its workers, which inherit them)
         fb = flat_basis("B", 3)
         R2, fb2 = pickle.loads(pickle.dumps((fb.R, fb)))
         for I in _all_strata(fb.R):
