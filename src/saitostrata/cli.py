@@ -71,7 +71,7 @@ def _fork_map(fn, items, nproc):
     pickled on the way in.  An exception raised in a child is re-raised
     here, and a child that exits without sending raises RuntimeError.  No
     child outlives the call.  A child has only the forking thread, so `fn`
-    must not need another (the `verify` checks run no numpy)."""
+    must not need another."""
     children = []                       # (pid, w, read end), unreaped
     try:
         for w in range(1, nproc):

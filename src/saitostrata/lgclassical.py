@@ -14,15 +14,18 @@ B/D) is built from products of linear factors. At a rational point with
 distinct xi values its roots are simple and miss them (`_check_generic_BD`).
 The oracle finds those roots and computes everything after them in floating
 point, in one transport that `residue_metric_at` and `frobenius_check_at`
-share.
+share, on the standard library alone: each root is refined by Newton steps
+inside the interval that the same argument assigns to it, and the transport
+is inverted by an LU decomposition with partial pivoting.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import (LinearForm, FactoredDeterminant, InvariantViolation,
                       MultiPoly)
@@ -152,11 +155,57 @@ def _float_coeffs(w):
 
 
 def _horner(coeffs, x):
-    """Float Horner evaluation of a coefficient list, high degree first."""
-    v = 0.0
+    """The value and the slope at x of a coefficient list, high degree
+    first."""
+    v = s = 0.0
     for c in coeffs:
-        v = v * x + complex(c)
-    return v
+        s = s * x + v
+        v = v * x + c
+    return v, s
+
+
+# halvings that shrink any interval of finite floats to neighbouring floats:
+# the largest float over the smallest positive one is 2^2098
+_MAX_STEPS = 2100
+
+
+def _bracketed_root(coeffs, lo, hi, rising):
+    """The root of the real polynomial `coeffs` (high degree first) in the
+    open interval (lo, hi), where it is the only root and simple: the
+    polynomial is positive above it if `rising`, negative otherwise.
+    Newton steps that stay inside the shrinking bracket, bisection where
+    one would leave it."""
+    x = 0.5 * lo + 0.5 * hi
+    for _ in range(_MAX_STEPS):
+        v, s = _horner(coeffs, x)
+        if v == 0:
+            return x
+        if not math.isfinite(v):
+            raise DegeneratePoint("critical polynomial out of floating-point "
+                                  "range")
+        if (v > 0) == rising:
+            hi = x
+        else:
+            lo = x
+        # a Newton step of at most a few ulps of x: converged
+        if abs(v) <= 4 * sys.float_info.epsilon * abs(s * x):
+            return x - v / s
+        nx = x - v / s if s else lo
+        x = nx if lo < nx < hi else 0.5 * lo + 0.5 * hi
+        if x in (lo, hi):
+            # no float left between the ends of the bracket
+            return x
+    return x
+
+
+def _interlaced_roots(coeffs, brackets):
+    """The roots of the monic real polynomial `coeffs` (high degree first),
+    one in each of the disjoint open intervals `brackets` (ascending, as
+    many as the degree).  Above its k-th root of d (from 0) the polynomial
+    has d - 1 - k roots to its right, so its sign is (-1)^(d-1-k)."""
+    d = len(brackets)
+    return [_bracketed_root(coeffs, lo, hi, (d - 1 - k) % 2 == 0)
+            for k, (lo, hi) in enumerate(brackets)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +297,11 @@ class CriticalData:
     def __init__(self, cfg, xi, xs, q, u, eps, lam2):
         self.cfg = cfg
         self.xi = xi
-        self.xs = xs        # complex xi values (type A: xi_0 first)
-        self.q = q          # critical points (complex array, d entries)
-        self.u = u          # canonical coordinates lam(q_i)
-        self.eps = eps      # 1 or 1/2 weights
-        self.lam2 = lam2    # lam''(q_i)
+        self.xs = xs                # complex xi values (type A: xi_0 first)
+        self.q = tuple(q)           # critical points (complex, d entries)
+        self.u = tuple(u)           # canonical coordinates lam(q_i)
+        self.eps = tuple(eps)       # 1 or 1/2 weights
+        self.lam2 = tuple(lam2)     # lam''(q_i)
 
 
 # relative residual of lam'(q) at a numeric critical point q beyond which
@@ -264,43 +313,59 @@ _POINT_SPAN = 20
 
 def _critical_data_A(cfg, xi):
     wf = _float_coeffs(_check_generic_A(cfg, xi))
-    q = np.sort_complex(np.roots(wf))
-    xs = [complex(x) for x in cfg.xi_full(xi)]
-    m = cfg.mults
-    for qi in q:
-        if not abs(_horner(wf, qi)) < _ROOT_TOL * max(1.0, abs(qi) ** cfg.d):
+    full = cfg.xi_full(xi)
+    xr = sorted(float(x) for x in full)
+    roots = _interlaced_roots(wf, list(zip(xr, xr[1:])))
+    for r in roots:
+        if not abs(_horner(wf, r)[0]) < _ROOT_TOL * max(1.0, abs(r) ** cfg.d):
             raise DegeneratePoint("critical points are ill-conditioned here")
-    lam = lambda p: np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
-    lam2 = np.array([
-        (cfg.n + 1)
-        * np.prod([(q[l] - xs[a]) ** (m[a] - 1) for a in range(cfg.d + 1)])
-        * np.prod([q[l] - q[j] for j in range(cfg.d) if j != l])
-        for l in range(cfg.d)])
-    u = np.array([lam(qi) for qi in q])
-    eps = np.ones(cfg.d)
+    q = [complex(r) for r in roots]
+    xs = [complex(x) for x in full]
+    m = cfg.mults
+    lam2 = [(cfg.n + 1)
+            * math.prod([(q[l] - xs[a]) ** (m[a] - 1) for a in range(cfg.d + 1)])
+            * math.prod([q[l] - q[j] for j in range(cfg.d) if j != l])
+            for l in range(cfg.d)]
+    u = [math.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)]) for p in q]
+    eps = [1.0] * cfg.d
     return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
 def _critical_data_BD(cfg, xi):
-    y = np.sort_complex(np.roots(_float_coeffs(_check_generic_BD(cfg, xi))))
-    q = np.sqrt(y.astype(complex))
+    """The critical points q = sqrt(y) from the roots y of w, bracketed as
+    in `_check_generic_BD`: one between each two neighbouring xi_i^2, and
+    the one more in (0, xi_1^2), at 0, in (-B, 0) or in (xi_d^2, B), where
+    B is the Cauchy bound of w."""
+    wf = _float_coeffs(_check_generic_BD(cfg, xi))
+    squares = [Fraction(x) ** 2 for x in xi]
+    ys = sorted(float(v) for v in squares)
+    brackets = list(zip(ys, ys[1:]))
+    y = []
     if cfg.m == 0:
-        # exact zero critical point: put it first, exactly zero
-        order = np.argsort(np.abs(y))
-        y, q = y[order], q[order]
-        q[0] = 0.0
+        # the exact zero critical point, first; deflate w by it
+        wf.pop()
+        y.append(0.0)
+    elif cfg.m > 0:
+        brackets.insert(0, (0.0, ys[0]))
+    else:
+        bound = 1.0 + max(abs(c) for c in wf[1:])
+        if cfg.N > 0:
+            brackets.insert(0, (-bound, 0.0))
+        else:
+            brackets.append((ys[-1], bound))
+    y += _interlaced_roots(wf, brackets)
+    q = [cmath.sqrt(v) for v in y]
     xs = [complex(Fraction(x)) for x in xi]
-    xs2 = [complex(Fraction(x) ** 2) for x in xi]
+    xs2 = [complex(v) for v in squares]
     m = cfg.mults
-    eps = np.array([0.5 if qi == 0 else 1.0 for qi in q])
-    lam2 = np.array([
-        4 * eps[i] * cfg.N * (q[i] ** (2 * cfg.m) if q[i] != 0 else 1.0)
-        * np.prod([(q[i] ** 2 - xs2[a]) ** (m[a] - 1) for a in range(cfg.d)])
-        * np.prod([q[i] ** 2 - q[b] ** 2 for b in range(cfg.d) if b != i])
-        for i in range(cfg.d)])
+    eps = [0.5 if qi == 0 else 1.0 for qi in q]
+    lam2 = [4 * eps[i] * cfg.N * (q[i] ** (2 * cfg.m) if q[i] != 0 else 1.0)
+            * math.prod([(q[i] ** 2 - xs2[a]) ** (m[a] - 1) for a in range(cfg.d)])
+            * math.prod([q[i] ** 2 - q[b] ** 2 for b in range(cfg.d) if b != i])
+            for i in range(cfg.d)]
     lam = lambda p: (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
-        * np.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
-    u = np.array([lam(qi) for qi in q])
+        * math.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
+    u = [lam(qi) for qi in q]
     return CriticalData(cfg, xi, xs, q, u, eps, lam2)
 
 
@@ -315,47 +380,105 @@ def _jacobi_matrix(cd):
     cfg, xs = cd.cfg, cd.xs
     d = cfg.d
     if isinstance(cfg, StratumConfigA):
-        return np.array([[1.0 / ((cd.q[l] - xs[a]) * cd.lam2[l])
-                          for a in range(1, d + 1)] for l in range(d)])
-    return np.array([[2 * cd.eps[i] * xs[a] / ((cd.q[i] ** 2 - xs[a] ** 2) * cd.lam2[i])
-                      for a in range(d)] for i in range(d)])
+        return [[1.0 / ((cd.q[l] - xs[a]) * cd.lam2[l])
+                 for a in range(1, d + 1)] for l in range(d)]
+    return [[2 * cd.eps[i] * xs[a] / ((cd.q[i] ** 2 - xs[a] ** 2) * cd.lam2[i])
+             for a in range(d)] for i in range(d)]
+
+
+def _lu(a):
+    """LU decomposition with partial pivoting of a square matrix (a list of
+    rows, left unchanged): (lu, perm, det), where row i of lu comes from
+    row perm[i] of a, L (unit diagonal, not stored) lies below the diagonal
+    of lu and U on and above it.  Raises DegeneratePoint if a is
+    singular."""
+    n = len(a)
+    lu = [list(row) for row in a]
+    perm = list(range(n))
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(lu[r][k]))
+        if lu[p][k] == 0:
+            raise DegeneratePoint("singular transport")
+        if p != k:
+            lu[k], lu[p] = lu[p], lu[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            det = -det
+        pivot = lu[k][k]
+        det *= pivot
+        for r in range(k + 1, n):
+            f = lu[r][k] = lu[r][k] / pivot
+            for c in range(k + 1, n):
+                lu[r][c] -= f * lu[k][c]
+    return lu, perm, det
+
+
+def _inverse(lu, perm):
+    """The inverse of the matrix whose `_lu` is (lu, perm), as a tuple of
+    rows: column j solves L U x = (the rows perm of) e_j."""
+    n = len(lu)
+    cols = []
+    for j in range(n):
+        x = [1.0 if perm[i] == j else 0.0 for i in range(n)]
+        for i in range(n):
+            x[i] -= sum(lu[i][k] * x[k] for k in range(i))
+        for i in reversed(range(n)):
+            x[i] = (x[i] - sum(lu[i][k] * x[k] for k in range(i + 1, n))) \
+                / lu[i][i]
+        cols.append(x)
+    return tuple(zip(*cols))
+
+
+def _float_guard(fn):
+    """fn, raising DegeneratePoint where its floating point divides by zero
+    or overflows."""
+    @functools.wraps(fn)
+    def guarded(*args):
+        try:
+            return fn(*args)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise DegeneratePoint(f"out of floating-point range: {exc}") \
+                from None
+    return guarded
+
+
+def _require_finite(values):
+    if not all(map(cmath.isfinite, values)):
+        raise DegeneratePoint("out of floating-point range")
 
 
 def _transport(cfg, xi_point):
     """(cd, K, eta_u, eta, det) at a point: the critical data, K[i][a] =
     du_i/dxi_a, the metric in canonical coordinates, and eta_D in the xi
     coordinates with its determinant.  Raises DegeneratePoint where
-    floating point cannot resolve the point; callers silence numpy's
-    warnings with np.errstate and check their own results.
+    floating point cannot resolve the point; a division by zero or an
+    overflow raises ZeroDivisionError or OverflowError, which the public
+    callers turn into DegeneratePoint (`_float_guard`).
 
     The result for the last point is kept on cfg, so that one request
     calling both `residue_metric_at` and `frobenius_check_at` transports
-    once; its arrays are shared and therefore read-only."""
+    once; it is made of tuples, since it is shared."""
     key = tuple(xi_point)
     if cfg._last_transport is not None and cfg._last_transport[0] == key:
         return cfg._last_transport[1]
-    try:
-        cd = critical_data(cfg, xi_point)
-        K = np.linalg.inv(_jacobi_matrix(cd).T)
-    except (OverflowError, np.linalg.LinAlgError) as exc:
-        raise DegeneratePoint(f"out of floating-point range: {exc}")
-    eta_u = 2 * cd.eps / cd.lam2 if isinstance(cfg, StratumConfigBD) \
-        else 1.0 / cd.lam2
-    eta = K.T @ (eta_u[:, None] * K)
-    det = np.linalg.det(K) ** 2 * np.prod(eta_u)
-    _require_finite(eta, det)
-    for arr in (cd.q, cd.u, cd.eps, cd.lam2, K, eta_u, eta):
-        arr.flags.writeable = False
+    cd = critical_data(cfg, xi_point)
+    lu, perm, det_mt = _lu(list(zip(*_jacobi_matrix(cd))))
+    K = _inverse(lu, perm)
+    if isinstance(cfg, StratumConfigBD):
+        eta_u = tuple(2 * e / l for e, l in zip(cd.eps, cd.lam2))
+    else:
+        eta_u = tuple(1.0 / l for l in cd.lam2)
+    d = cfg.d
+    eta = tuple(tuple(sum(K[i][a] * (eta_u[i] * K[i][b]) for i in range(d))
+                      for b in range(d)) for a in range(d))
+    # det K = 1 / det M^T
+    det = math.prod(eta_u) / det_mt ** 2
+    _require_finite([det, *(x for row in eta for x in row)])
     cfg._last_transport = (key, (cd, K, eta_u, eta, det))
     return cfg._last_transport[1]
 
 
-def _require_finite(*values):
-    if not all(np.isfinite(v).all() for v in values):
-        raise DegeneratePoint("out of floating-point range")
-
-
-@np.errstate(all="ignore")
+@_float_guard
 def residue_metric_at(cfg, xi_point):
     """eta_D in the xi coordinates at the given rational point, and its
     determinant, via canonical coordinates and Jacobi transport."""
@@ -372,7 +495,7 @@ def _dxilam_table(cfg, cd, pts):
         return [[lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
                  for p, lam in zip(pts, cd.u)] for a in range(1, cfg.d + 1)]
     lams = [(p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0))
-            * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
+            * math.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
             for p in pts]
     return [[lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
              for p, lam in zip(pts, lams)] for a in range(cfg.d)]
@@ -394,7 +517,7 @@ def _all_simple_critical_points(cfg, cd):
     return pts, l2
 
 
-@np.errstate(all="ignore")
+@_float_guard
 def frobenius_check_at(cfg, xi_point):
     """Euler/Frobenius identities at a point; returns max residuals.
 
@@ -411,37 +534,45 @@ def frobenius_check_at(cfg, xi_point):
     # multiple of the Euclidean one; the constant (-1 for type A, -2 for
     # types B/D) is fixed by the one-block case and verified here at every
     # point through identities (i) and (ii).
+    m = cfg.mults
     if isinstance(cfg, StratumConfigA):
-        m = cfg.mults
-        g = -np.array([[m[a] * (1 if a == b else 0) + m[a] * m[b] / m[0]
-                        for b in range(1, d + 1)] for a in range(1, d + 1)],
-                      dtype=float)
+        g = [[-(m[a] * (1 if a == b else 0) + m[a] * m[b] / m[0])
+              for b in range(1, d + 1)] for a in range(1, d + 1)]
     else:
-        g = -2.0 * np.diag([float(x) for x in cfg.mults])
+        g = [[-2.0 * m[a] if a == b else 0.0 for b in range(d)]
+             for a in range(d)]
 
-    # multiplication by the Euler field: diag(u) in canonical coordinates
-    O = np.linalg.inv(K) @ (cd.u[:, None] * K)
-    res_i = np.max(np.abs(eta - O.T @ g)) / max(1.0, np.max(np.abs(eta)))
+    # multiplication by the Euler field: diag(u) in canonical coordinates,
+    # O = K^-1 diag(u) K, where K^-1 = M^T
+    M = _jacobi_matrix(cd)
+    O = [[sum(M[i][a] * cd.u[i] * K[i][b] for i in range(d))
+          for b in range(d)] for a in range(d)]
+    diffs = [eta[a][b] - sum(O[c][a] * g[c][b] for c in range(d))
+             for a in range(d) for b in range(d)]
+    _require_finite(diffs)      # max() would pass over a nan
+    res_i = max(map(abs, diffs)) \
+        / max(1.0, *(abs(x) for row in eta for x in row))
     # det(E_D o) = prod u_i since the operator is diagonal in canonical
     # coordinates; the matrix determinant of O loses precision when the
     # critical values span many orders of magnitude.
-    res_ii = abs(det_eta - np.linalg.det(g) * np.prod(cd.u)) / abs(det_eta)
+    res_ii = abs(det_eta - _lu(g)[2] * math.prod(cd.u)) / abs(det_eta)
 
     # idempotency: structure constants two ways
     pts, l2 = _all_simple_critical_points(cfg, cd)
     dlam = _dxilam_table(cfg, cd, pts)
-    res_iii = 0.0
+    res_iii = []
     for ia, da in enumerate(dlam):
         for ib, db in enumerate(dlam):
             for ic, dc in enumerate(dlam):
                 via_residues = sum(x * y * z / lpp for x, y, z, lpp
                                    in zip(da, db, dc, l2))
-                via_canonical = np.sum(K[:, ia] * K[:, ib] * K[:, ic] * eta_u)
+                via_canonical = sum(K[i][ia] * K[i][ib] * K[i][ic] * eta_u[i]
+                                    for i in range(d))
                 scale = max(1.0, abs(via_canonical))
-                res_iii = max(res_iii, abs(via_residues - via_canonical) / scale)
-    _require_finite(res_i, res_ii, res_iii)
-    return {"gram_euler": float(res_i), "determinant": float(res_ii),
-            "idempotency": float(res_iii), "gram": g, "det_eta": det_eta}
+                res_iii.append(abs(via_residues - via_canonical) / scale)
+    _require_finite([res_i, res_ii, *res_iii])
+    return {"gram_euler": res_i, "determinant": res_ii,
+            "idempotency": max(res_iii), "gram": g, "det_eta": det_eta}
 
 
 # ---------------------------------------------------------------------------

@@ -205,14 +205,59 @@ class TestClassical:
                                  "residue_metric_at"]
 
 
-# --at points where the numeric oracle overflows, turns non-finite, loses
-# its critical points to conditioning, or meets a singular transport, one
+class TestStandardLibraryOnly:
+    # numpy is a test dependency: the package must import and answer
+    # without it, and must not load it when it is there
+    ARGVS = (["classical", "--type", "B", "--mult", "2,1", "--m", "1",
+              "--at", "3,1/2"],
+             ["det", "--group", "B3", "--simple", "2"],
+             ["verify", "--group", "B3"])
+
+    @staticmethod
+    def _python(code):
+        src = os.path.dirname(os.path.dirname(strata.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_runs_with_numpy_unimportable(self):
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from saitostrata.cli import main\n"
+                f"sys.exit(max(main(argv) for argv in {self.ARGVS!r}))\n")
+        proc = self._python(code)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        decoder = json.JSONDecoder()
+        reports, text = [], proc.stdout.strip()
+        while text:
+            report, end = decoder.raw_decode(text)
+            reports.append(report)
+            text = text[end:].lstrip()
+        assert [r["subcommand"] for r in reports] == \
+            ["classical", "det", "verify"]
+        assert reports[0]["closed_form_det"] == "-31255875/8192"
+        assert reports[1]["complete"] is True
+        assert reports[2]["passed"] is True
+
+    def test_import_loads_no_numpy(self):
+        proc = self._python("import sys\n"
+                            "import saitostrata, saitostrata.cli\n"
+                            "print('numpy' in sys.modules)\n")
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+# --at points where the numeric oracle overflows, divides by zero, turns
+# non-finite, loses its critical points to conditioning, or meets a
+# singular transport, one
 # whose exact determinant has a denominator past Python's 4,300-digit
 # int-to-str limit, and det --invariants pairs past the same limit
 FAR_OUT_POINTS = (
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e400"],
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e300"],
     ["classical", "--type", "A", "--mult", "1,3,3,5", "--at=0,2e50,3"],
+    ["classical", "--type", "A", "--mult", "1,1,1,1", "--at=0,2e50,3"],
+    ["classical", "--type", "A", "--mult", "2,2,1,1",
+     "--at=99997,-199999999999999999998,-200000000000000000003"],
     ["classical", "--type", "D", "--mult", "1", "--m=3", "--at=2e50"],
     ["classical", "--type", "A", "--mult", "3,3,3,3", "--at=1e-300,1,2"],
     ["det", "--group", "D3", "--simple", "1", "--invariants", "1e-5000,1"],
@@ -752,6 +797,8 @@ class TestExitContract:
     @example(argv=FAR_OUT_POINTS[4])
     @example(argv=FAR_OUT_POINTS[5])
     @example(argv=FAR_OUT_POINTS[6])
+    @example(argv=FAR_OUT_POINTS[7])
+    @example(argv=FAR_OUT_POINTS[8])
     def test_status_and_report(self, argv):
         with mock.patch.dict(os.environ, {"SAITO_STRATA_THREADS": "1"}):
             status, out = _run_argv(argv)

@@ -1,6 +1,7 @@
 """Closed-form determinants for classical stratum configurations, the
 numeric residue oracle, and consistency with the combinatorial predictor."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -111,14 +112,13 @@ class TestFrobeniusStructure:
 def _ref_dxilam(cfg, cd, a, p):
     xs, m = cd.xs, cfg.mults
     if isinstance(cfg, StratumConfigA):
-        lam = np.prod([(p - xs[i]) ** m[i] for i in range(cfg.d + 1)])
+        lam = math.prod([(p - xs[i]) ** m[i] for i in range(cfg.d + 1)])
         return lam * m[a] * (1.0 / (p - xs[0]) - 1.0 / (p - xs[a]))
     lam = (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
-        * np.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
+        * math.prod([(p * p - xs[i] ** 2) ** m[i] for i in range(cfg.d)])
     return lam * m[a] * (-2 * xs[a]) / (p * p - xs[a] ** 2)
 
 
-@np.errstate(all="ignore")
 def _ref_idempotency(cfg, xi):
     cd, K, eta_u, _, _ = lgclassical._transport(cfg, xi)
     pts, l2 = lgclassical._all_simple_critical_points(cfg, cd)
@@ -132,7 +132,8 @@ def _ref_idempotency(cfg, xi):
                     _ref_dxilam(cfg, cd, a, p) * _ref_dxilam(cfg, cd, b, p)
                     * _ref_dxilam(cfg, cd, c, p) / lpp
                     for p, lpp in zip(pts, l2))
-                via_canonical = np.sum(K[:, ia] * K[:, ib] * K[:, ic] * eta_u)
+                via_canonical = sum(K[i][ia] * K[i][ib] * K[i][ic] * eta_u[i]
+                                    for i in range(d))
                 scale = max(1.0, abs(via_canonical))
                 res = max(res, abs(via_residues - via_canonical) / scale)
     return float(res)
@@ -156,6 +157,120 @@ def test_idempotency_table_is_bit_identical():
         xi = random_generic_point(cfg, rng)
         assert frobenius_check_at(cfg, xi)["idempotency"] == \
             _ref_idempotency(cfg, xi), (cfg, xi)
+
+
+# The transport on numpy, as the oracle computed it before it ran on the
+# standard library alone: critical points from the eigenvalues of the
+# companion matrix (np.roots), and LAPACK's inverse and determinant.
+
+def _np_critical_data(cfg, xi):
+    if isinstance(cfg, StratumConfigA):
+        wf = lgclassical._float_coeffs(lgclassical._check_generic_A(cfg, xi))
+        q = np.sort_complex(np.roots(wf))
+        xs = [complex(x) for x in cfg.xi_full(xi)]
+        m = cfg.mults
+        for qi in q:
+            if not abs(np.polyval(wf, qi)) < \
+                    lgclassical._ROOT_TOL * max(1.0, abs(qi) ** cfg.d):
+                raise DegeneratePoint("critical points are ill-conditioned")
+        lam2 = np.array([
+            (cfg.n + 1)
+            * np.prod([(q[l] - xs[a]) ** (m[a] - 1) for a in range(cfg.d + 1)])
+            * np.prod([q[l] - q[j] for j in range(cfg.d) if j != l])
+            for l in range(cfg.d)])
+        u = np.array([np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
+                      for p in q])
+        return lgclassical.CriticalData(cfg, xi, xs, q, u, np.ones(cfg.d),
+                                        lam2)
+    wf = lgclassical._float_coeffs(lgclassical._check_generic_BD(cfg, xi))
+    y = np.sort_complex(np.roots(wf))
+    q = np.sqrt(y.astype(complex))
+    if cfg.m == 0:
+        order = np.argsort(np.abs(y))
+        y, q = y[order], q[order]
+        q[0] = 0.0
+    xs = [complex(Fraction(x)) for x in xi]
+    xs2 = [complex(Fraction(x) ** 2) for x in xi]
+    m = cfg.mults
+    eps = np.array([0.5 if qi == 0 else 1.0 for qi in q])
+    lam2 = np.array([
+        4 * eps[i] * cfg.N * (q[i] ** (2 * cfg.m) if q[i] != 0 else 1.0)
+        * np.prod([(q[i] ** 2 - xs2[a]) ** (m[a] - 1) for a in range(cfg.d)])
+        * np.prod([q[i] ** 2 - q[b] ** 2 for b in range(cfg.d) if b != i])
+        for i in range(cfg.d)])
+    lam = lambda p: (p ** (2 * cfg.m) if p != 0
+                     else (1.0 if cfg.m == 0 else 0.0)) \
+        * np.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
+    u = np.array([lam(qi) for qi in q])
+    return lgclassical.CriticalData(cfg, xi, xs, q, u, eps, lam2)
+
+
+@np.errstate(all="ignore")
+def _np_transport(cfg, xi):
+    """(critical points, eta, det) at a point."""
+    cd = _np_critical_data(cfg, xi)
+    d, xs = cfg.d, cd.xs
+    if isinstance(cfg, StratumConfigA):
+        M = np.array([[1.0 / ((cd.q[l] - xs[a]) * cd.lam2[l])
+                       for a in range(1, d + 1)] for l in range(d)])
+        eta_u = 1.0 / np.array(cd.lam2)
+    else:
+        M = np.array([[2 * cd.eps[i] * xs[a]
+                       / ((cd.q[i] ** 2 - xs[a] ** 2) * cd.lam2[i])
+                       for a in range(d)] for i in range(d)])
+        eta_u = 2 * np.array(cd.eps) / np.array(cd.lam2)
+    K = np.linalg.inv(M.T)
+    eta = K.T @ (eta_u[:, None] * K)
+    return (np.array(cd.q), eta,
+            np.linalg.det(K) ** 2 * np.prod(eta_u))
+
+
+def _close(got, want, rel=1e-10):
+    """max |got - want| <= rel * max |want|, entrywise."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _check_against_numpy(cfg, xi):
+    cd, _, _, eta, det = lgclassical._transport(cfg, xi)
+    want_q, want_eta, want_det = _np_transport(cfg, xi)
+    assert _close(cd.q, want_q), (cfg, xi, cd.q, want_q)
+    assert _close(eta, want_eta), (cfg, xi)
+    assert _close(det, want_det), (cfg, xi, det, want_det)
+
+
+def test_transport_matches_numpy_on_the_mix_configurations():
+    rng = random.Random(20261020)
+    for cfg in _mix_configs():
+        for _ in range(3):
+            _check_against_numpy(cfg, random_generic_point(cfg, rng))
+
+
+@pytest.mark.parametrize("cfg", [
+    # the B/D root beside the d - 1 gaps: in (0, xi_1^2) for m > 0, at 0
+    # (deflated) for m = 0, in (-B, 0) for m < 0 < N, in (xi_d^2, B) for
+    # N < 0, with B the Cauchy bound
+    StratumConfigBD(2, (1,)), StratumConfigBD(1, (2, 1, 1)),
+    StratumConfigBD(0, (1,)), StratumConfigBD(0, (3, 1, 2)),
+    StratumConfigBD(-1, (1, 1)), StratumConfigBD(-3, (2, 1, 1)),
+    StratumConfigBD(-2, (1,)), StratumConfigBD(-5, (1, 2)),
+    StratumConfigBD(-9, (2, 1, 3))])
+def test_transport_matches_numpy_in_every_bd_bracket(cfg):
+    rng = random.Random(cfg.m + 10 * sum(cfg.mults))
+    for _ in range(5):
+        xi = random_generic_point(cfg, rng)
+        _check_against_numpy(cfg, xi)
+        cd = critical_data(cfg, xi)
+        y = [q * q for q in cd.q]
+        assert all(abs(v.imag) <= 1e-12 * abs(v) for v in y)
+        if cfg.m == 0:
+            assert cd.q[0] == 0
+        elif cfg.m < 0 < cfg.N:
+            assert y[0].real < 0 < min(v.real for v in y[1:] or [1])
+        else:
+            assert min(v.real for v in y) > 0
+        if cfg.N < 0:
+            assert y[-1].real > max(float(x) ** 2 for x in xi)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +386,19 @@ class TestSquarefree:
         # critical polynomial (in y = p^2 for B/D)
         cd = critical_data(cfg, xi)
         w = getattr(lgclassical, poly)(cfg, xi)
-        roots = cd.q if isinstance(cfg, StratumConfigA) else cd.q ** 2
+        roots = cd.q if isinstance(cfg, StratumConfigA) \
+            else [q * q for q in cd.q]
         coeffs = [float(w.terms.get((k,), 0))
                   for k in range(w.degree(), -1, -1)]
-        assert np.max(np.abs(np.polyval(coeffs, roots))) < 1e-9
+        assert max(abs(np.polyval(coeffs, r)) for r in roots) < 1e-9
+
+
+def test_ill_conditioned_critical_points():
+    # w's coefficients are near 1e100 here, so its float residual at the
+    # critical point in (0, 3) exceeds _ROOT_TOL
+    cfg = StratumConfigA((1, 1, 1, 1))
+    with pytest.raises(DegeneratePoint, match="ill-conditioned"):
+        critical_data(cfg, (Fraction(0), Fraction(2 * 10 ** 50), Fraction(3)))
 
 
 def _a_stratum_indices(mults):
