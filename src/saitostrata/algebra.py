@@ -81,6 +81,13 @@ class _Layout:
         mask = self.mask
         return tuple([(key >> s) & mask for s in self.shifts])
 
+    def pack(self, e):
+        """The key of the exponent tuple e."""
+        k = sum(e) << self.top
+        for x, s in zip(e, self.shifts):
+            k |= x << s
+        return k
+
     def move(self, nums, new, shifts=None):
         """The terms `nums` with the fields at `shifts` (default: all) put
         into the fields of the layout `new`, in order."""
@@ -135,14 +142,9 @@ class MultiPoly:
                     tidy[e] = tidy.get(e, Fraction(0)) + c
             tidy = {e: c for e, c in tidy.items() if c}
         lay = _layout(nvars, max(map(sum, tidy), default=0))
-        shifts, top = lay.shifts, lay.top
         den = lcm(*(c.denominator for c in tidy.values()))
-        nums = {}
-        for e, c in tidy.items():
-            k = sum(e) << top
-            for x, s in zip(e, shifts):
-                k |= x << s
-            nums[k] = c.numerator * (den // c.denominator)
+        nums = {lay.pack(e): c.numerator * (den // c.denominator)
+                for e, c in tidy.items()}
         self.nvars, self.layout, self.nums, self.den = nvars, lay, nums, den
 
     @classmethod

@@ -42,6 +42,12 @@ class InputError(ValueError):
     """Invalid request; mapped to exit status 2."""
 
 
+# the residuals of `classical --at`, and the bound a point must meet on
+# each: past it, the floating-point oracle has not resolved the point
+RESIDUALS = ("gram_euler", "determinant", "idempotency")
+RESIDUAL_BOUND = 1e-8
+
+
 def worker_count():
     """Processes `verify` spreads its strata over, the calling one
     included: SAITO_STRATA_THREADS, default the CPUs this process may run
@@ -372,6 +378,10 @@ def cmd_classical(args):
             res = frobenius_check_at(cfg, xi)
         except DegeneratePoint as exc:
             raise InputError(f"--at is not a generic point: {exc}")
+        for k in RESIDUALS:
+            if res[k] > RESIDUAL_BOUND:
+                raise InputError(f"--at is not a generic point: residual "
+                                 f"{k} {res[k]:.1e} > {RESIDUAL_BOUND:g}")
         # format every value first, so a point whose exact determinant is
         # too long to print fails as bad input, not halfway through
         try:
@@ -383,8 +393,7 @@ def cmd_classical(args):
         report["closed_form_det"] = closed
         det = complex(det)
         report["oracle_det"] = [det.real, det.imag]
-        report["residuals"] = {k: res[k] for k in
-                               ("gram_euler", "determinant", "idempotency")}
+        report["residuals"] = {k: res[k] for k in RESIDUALS}
     return report, 0
 
 

@@ -16,15 +16,16 @@ one Gram contraction (`_gram`) of gradient rows against a constant matrix.
 A basis builds its Jacobian, its minors and the inverse identity 1-form
 once, so the per-stratum work is restriction plus one determinant.
 
-`express_in_invariants` finds the coefficients of an invariant in a basis
-by evaluation and certifies them by exact re-expansion.  Each basis keeps
-one evaluation plan: a seeded sequence of integer points, the invariants'
-values there, and per degree the monomial rows, whose rank is checked
-once.  A call evaluates q at the plan's points and solves.  The
-re-expansion is one sum of the coefficients times the products of the
-invariants, cached on the basis, compared with q.  In
-an algebraically independent basis the coefficients are unique, so the
-choice of points never shows in the output.
+`express_in_invariants` finds the coefficients of an invariant q of degree
+d in a basis from q's own coefficients, and certifies them by exact
+re-expansion.  Per degree, a basis keeps one plan: the m products p^e of
+the invariants of weighted degree d (cached on the basis), and m
+z-monomials at which their coefficient rows are independent, whose rank
+is checked once.  A call reads q's coefficients there and solves the
+m x m system.  The re-expansion is one sum of the coefficients times the
+products, compared with q.  In an algebraically independent basis the
+p^e are independent, so the coefficients are unique, and the choice of
+z-monomials never shows in the output.
 
 The flat basis takes its Jacobian by the chain rule, J_t = det(dt/dp) J_p.
 Each flat coordinate t^a is weighted-homogeneous of degree d_a in the basic
@@ -39,7 +40,6 @@ second Bareiss and no second check.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
@@ -48,8 +48,8 @@ from math import isqrt
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization,
                       InvariantViolation)
-from .exactla import (matinv, matmul, det_fraction, nullspace, solve,
-                      rank as mat_rank)
+from .exactla import (IntSpan, matinv, matmul, det_fraction, nullspace,
+                      solve, rank as mat_rank)
 from .roots import RootSystem, build_root_system, span_subsystem
 from .strata import Stratum, make_stratum
 
@@ -147,10 +147,10 @@ class InvariantBasis:
         self.pairing = pairing if pairing is not None else _antidiag(R.rank)
         self.pairing_inv = matinv(self.pairing)
         self.normalized = self.pairing == _antidiag(R.rank)
-        # products of the invariants, keyed by exponent tuple, for the
-        # re-expansion check of `express_in_invariants`; its evaluation
-        # points are `_evaluation_plan`
+        # products of the invariants, keyed by exponent tuple, and per
+        # degree the plan of `express_in_invariants` (`_coefficient_plan`)
         self._mono_cache = {}
+        self._coefficient_plans = {}
         self.jacobian = self._jacobian_matrix()
         if _chain_rule is None:
             self.jacobian_det = poly_det(self.jacobian)
@@ -188,10 +188,6 @@ class InvariantBasis:
                 "Jacobian is not proportional to the mirror product; "
                 "perturb by products of lower invariants")
         return scale
-
-    @cached_property
-    def _evaluation_plan(self):
-        return _EvaluationPlan(self.polys)
 
     @cached_property
     def minors(self):
@@ -256,7 +252,7 @@ def quartic_family_d3(a, b) -> InvariantBasis:
 
 
 # ---------------------------------------------------------------------------
-# expressing invariants in a basis (exact evaluation + re-expansion)
+# expressing invariants in a basis (coefficient solve + re-expansion)
 
 def _weighted_monomials(weights, total):
     """All exponent tuples e with sum e_i * weights_i == total."""
@@ -273,53 +269,6 @@ def _weighted_monomials(weights, total):
         for e in range(top + 1):
             rec(i + 1, rem - e * w, acc + [e])
     rec(0, total, [])
-    return out
-
-
-_EVALUATION_SEED = 20240915
-
-
-class _EvaluationPlan:
-    """The points at which `express_in_invariants` evaluates, shared by
-    every call on one basis: one seeded sequence of integer points, the
-    basis invariants' values at each point (computed once), and per
-    degree d the weighted monomials of degree d with their value rows at
-    the first len(monomials) + 6 points, whose full column rank is checked
-    once."""
-
-    def __init__(self, polys):
-        self.polys = polys
-        self.degrees = [p.degree() for p in polys]
-        self.rng = random.Random(_EVALUATION_SEED)
-        self.points = []
-        self.values = []
-        self.by_degree = {}
-
-    def degree(self, d):
-        """(monomials, points, rows) for invariants of degree d."""
-        plan = self.by_degree.get(d)
-        if plan is None:
-            monos = _weighted_monomials(self.degrees, d)
-            count = len(monos) + 6
-            n = self.polys[0].nvars
-            while len(self.points) < count:
-                pt = [self.rng.randint(-40, 40) for _ in range(n)]
-                self.points.append(pt)
-                self.values.append([p.evaluate(pt) for p in self.polys])
-            rows = [[_eval_monomial(vals, e) for e in monos]
-                    for vals in self.values[:count]]
-            if mat_rank(rows) < len(monos):
-                raise SolverFailure(
-                    "evaluation points failed to separate monomials")
-            plan = self.by_degree[d] = (monos, self.points[:count], rows)
-        return plan
-
-
-def _eval_monomial(vals, expt):
-    out = Fraction(1)
-    for v, e in zip(vals, expt):
-        if e:
-            out *= v ** e
     return out
 
 
@@ -343,21 +292,53 @@ def _invariant_product(basis: InvariantBasis, expt):
     return out
 
 
+def _coefficient_plan(basis: InvariantBasis, d):
+    """(monomials, z-monomials, rows) for invariants of degree d, built
+    once per basis and degree: the m weighted monomials e of degree d, the
+    first m z-monomials, in packed-key order, at which the coefficient
+    rows of the products p^e are linearly independent (one `IntSpan`
+    pass), and those m x m rows, whose rank is checked here."""
+    plan = basis._coefficient_plans.get(d)
+    if plan is None:
+        monos = _weighted_monomials(basis.degrees, d)
+        prods = [_invariant_product(basis, e) for e in monos]
+        lay = max((p.layout for p in prods), key=lambda lay: lay.width,
+                  default=None)
+        nums = [p.layout.move(p.nums, lay) for p in prods]
+        # the integer rows are the rational ones with column j scaled by
+        # the denominator of p^e_j, so they are independent alike
+        span, zmonos, rows = IntSpan(len(prods)), [], []
+        for k in sorted(set().union(*nums)):
+            if span.add([c.get(k, 0) for c in nums]):
+                zmonos.append(lay.exponents(k))
+                rows.append([Fraction(c.get(k, 0), p.den)
+                             for c, p in zip(nums, prods)])
+                if span.rank == len(prods):
+                    break
+        if mat_rank(rows) < len(monos):
+            raise SolverFailure("products of the invariants are dependent")
+        plan = basis._coefficient_plans[d] = (monos, zmonos, rows)
+    return plan
+
+
 def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
     """Write the invariant z-polynomial q as a polynomial in the basis
-    invariants, exactly.  Solves by evaluation at the basis's seeded
-    integer points (`_EvaluationPlan`) and verifies by exact re-expansion:
-    the sum of the coefficients times the products of the invariants must
-    equal q."""
+    invariants, exactly.  Reads q's coefficients at the z-monomials of the
+    basis's plan for q's degree (`_coefficient_plan`), solves for the
+    coefficients c_e, and verifies by exact re-expansion: the sum of c_e
+    p^e must equal q, or q is not in their span and ValueError is raised."""
     n = basis.R.rank
     if q.is_zero():
         return MultiPoly.zero(n)
-    monos, points, rows = basis._evaluation_plan.degree(q.degree())
-    coeffs = solve(rows, [q.evaluate(pt) for pt in points])
+    monos, zmonos, rows = _coefficient_plan(basis, q.degree())
+    pack, nums = q.layout.pack, q.nums
+    coeffs = solve(rows, [Fraction(nums.get(pack(e), 0), q.den)
+                          for e in zmonos]) if rows else []
     pairs = [(e, c) for e, c in zip(monos, coeffs) if c]
     if MultiPoly.sum(n, (_invariant_product(basis, e) * c
                          for e, c in pairs)) != q:
-        raise SolverFailure("re-expansion mismatch in invariant expression")
+        raise ValueError("inconsistent linear system: q is not in the span "
+                         "of the products of the invariants")
     return MultiPoly(n, dict(pairs))
 
 

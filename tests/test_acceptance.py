@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from saitostrata import cli
 from saitostrata import (build_root_system, make_stratum,
                          restricted_arrangement, predict_determinant,
                          q_polynomial, quartic_family_d3,
@@ -156,7 +157,7 @@ def test_criterion_4_closed_form_vs_oracle():
         if m + sum(mults) != 0 and m + sum(mults) <= 7:
             configs.append(StratumConfigBD(m, mults,
                                            kind=rng.choice("BD")))
-    worst = 0.0
+    worst = residual = 0.0
     for cfg in configs:
         fd = closed_form_det_A(cfg) if isinstance(cfg, StratumConfigA) \
             else closed_form_det_BD(cfg)
@@ -167,11 +168,17 @@ def test_criterion_4_closed_form_vs_oracle():
             got = complex(got)
             err = abs(got - want) / max(1.0, abs(want))
             worst = max(worst, err)
+            # `classical --at` rejects a point past the residual bound
+            res = frobenius_check_at(cfg, xi)
+            residual = max(residual, *(res[k] for k in cli.RESIDUALS))
     elapsed = time.monotonic() - t0
-    ok = worst <= REL_TOL and elapsed < budget
+    ok = worst <= REL_TOL and residual <= cli.RESIDUAL_BOUND \
+        and elapsed < budget
     _line(4, ok, elapsed, budget,
-          f"{len(configs)} configs, worst rel err {worst:.2e}")
+          f"{len(configs)} configs, worst rel err {worst:.2e}, "
+          f"worst residual {residual:.2e}")
     assert worst <= REL_TOL
+    assert residual <= cli.RESIDUAL_BOUND
     assert elapsed < budget
 
 

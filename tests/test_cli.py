@@ -164,6 +164,17 @@ class TestClassical:
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
         assert all(v <= 1e-8 for v in rep["residuals"].values())
 
+    def test_unresolved_point_is_rejected(self, capsys):
+        # the oracle runs on this point without error, but its determinant
+        # is 0.2 % off the exact one
+        capsys.readouterr()
+        assert main(FAR_OUT_POINTS[7]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "--at is not a generic point: residual determinant "
+                     "1.8e-03 > 1e-08"}
+
     def test_input_validation(self, capsys):
         assert main(["classical", "--type", "A", "--mult", "2,1",
                      "--m", "1"]) == 2
@@ -250,7 +261,8 @@ class TestStandardLibraryOnly:
 # non-finite, loses its critical points to conditioning, or meets a
 # singular transport, one
 # whose exact determinant has a denominator past Python's 4,300-digit
-# int-to-str limit, and det --invariants pairs past the same limit
+# int-to-str limit, one whose determinant residual (1.8e-3) is past
+# `cli.RESIDUAL_BOUND`, and det --invariants pairs past the same limit
 FAR_OUT_POINTS = (
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e400"],
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e300"],
@@ -260,6 +272,8 @@ FAR_OUT_POINTS = (
      "--at=99997,-199999999999999999998,-200000000000000000003"],
     ["classical", "--type", "D", "--mult", "1", "--m=3", "--at=2e50"],
     ["classical", "--type", "A", "--mult", "3,3,3,3", "--at=1e-300,1,2"],
+    ["classical", "--type", "A", "--mult", "1,1,3",
+     "--at=100000000000000000002,2000000000000003"],
     ["det", "--group", "D3", "--simple", "1", "--invariants", "1e-5000,1"],
     ["det", "--group", "D3", "--simple", "1", "--invariants", "1,1e-5000"],
 )
@@ -471,10 +485,19 @@ class TestPlumbing:
         jsonschema.validate(report, SCHEMA)
 
 
-# sha256 over the flat bases of A1, A2, A3, B2, B3, D3, D4 and F4: per group
-# the terms of `polys`, then of `polys_in_invariants`, then the pairing
+# sha256 over the flat bases of A1, A2, A3, B2, B3, D3, D4 and F4, and over
+# those of A4, B4, D5 and A5: per group the terms of `polys`, then of
+# `polys_in_invariants`, then the pairing (`_update_flat_digest`)
 FLAT_BASIS_DIGEST = \
     "7aed416d6f371a14ee29fdcf4f8bd7144ba531fd789d599f30585becc00dc3a8"
+LARGER_FLAT_BASIS_DIGEST = \
+    "5e864164f12c978942480989dc48584f4f7246270d0a5ae38a3535fd5ddb809f"
+
+
+def _update_flat_digest(digest, basis):
+    for polys in (basis.polys, basis.polys_in_invariants):
+        digest.update(repr([list(p.terms.items()) for p in polys]).encode())
+    digest.update(repr(basis.pairing).encode())
 
 
 class TestGroupMemo:
@@ -590,12 +613,18 @@ class TestGroupMemo:
                     assert run(capsys, "det", "--group", group, "--simple",
                                "1", "--backend", backend)[0] == 0
             assert cli._flat_basis(entry) is basis
-            for polys in (basis.polys, basis.polys_in_invariants):
-                digest.update(
-                    repr([list(p.terms.items()) for p in polys]).encode())
-            digest.update(repr(basis.pairing).encode())
+            _update_flat_digest(digest, basis)
         assert digest.hexdigest() == FLAT_BASIS_DIGEST
         assert calls["flat_coordinates"] == 8
+
+    def test_larger_flat_basis_digest_is_pinned(self, calls):
+        # the groups of rank 4 and 5 that the first pin leaves out
+        digest = hashlib.sha256()
+        for group in ("A4", "B4", "D5", "A5"):
+            _update_flat_digest(
+                digest, cli._flat_basis(cli._group(Namespace(group=group))))
+        assert digest.hexdigest() == LARGER_FLAT_BASIS_DIGEST
+        assert calls["flat_coordinates"] == 4
 
 
 # a broken `strata._link` that returns the seeds untouched and makes every
@@ -799,6 +828,7 @@ class TestExitContract:
     @example(argv=FAR_OUT_POINTS[6])
     @example(argv=FAR_OUT_POINTS[7])
     @example(argv=FAR_OUT_POINTS[8])
+    @example(argv=FAR_OUT_POINTS[9])
     def test_status_and_report(self, argv):
         with mock.patch.dict(os.environ, {"SAITO_STRATA_THREADS": "1"}):
             status, out = _run_argv(argv)
