@@ -3,8 +3,9 @@
 Matrices are lists of rows of Fractions or ints.  Each row is scaled to
 integers by the lcm of its denominators (`_int_row`), and one elimination
 runs on the ints: `IntSpan`'s fraction-free row echelon for `rank` and
-`rref` (and through it `solve`, `nullspace`, `matinv`), and the Bareiss
-elimination of `algebra.poly_det` for `det_fraction`.
+`rref` (and through it `solve` and `matinv`), its integer annihilator for
+`nullspace` and for membership tests in bulk (`roots.span_subsystem`),
+and the Bareiss elimination of `algebra.poly_det` for `det_fraction`.
 """
 
 from __future__ import annotations
@@ -33,17 +34,7 @@ def rref(matrix):
     """Reduced row echelon form. Returns (rows, pivot_columns); zero rows
     pad the result to the height of `matrix`."""
     span = _echelon(matrix)
-    rows, pivots = span.rows, span.pivots
-    # clear each pivot column above its pivot, last row first, so every
-    # row is reduced by rows that are already reduced
-    for i in range(len(rows) - 2, -1, -1):
-        v = rows[i]
-        for row, p in zip(rows[i + 1:], pivots[i + 1:]):
-            if v[p]:
-                g = gcd(row[p], v[p])
-                fa, fb = row[p] // g, v[p] // g
-                v = [fa * x - fb * y for x, y in zip(v, row)]
-        rows[i] = v
+    rows, pivots = span.reduced(), span.pivots
     out = [[Fraction(x, v[p]) for x in v] for v, p in zip(rows, pivots)]
     out += [[Fraction(0)] * span.dim for _ in range(len(matrix) - len(out))]
     return out, pivots
@@ -71,18 +62,12 @@ def solve(A, b):
 
 
 def nullspace(A):
-    """Basis of the right null space of A (list of Fraction vectors)."""
-    m, pivots = rref(A)
-    cols = len(A[0]) if A else 0
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis
+    """Basis of the right null space of A (list of Fraction vectors): the
+    normals of `IntSpan.annihilator`, scaled to 1 at their free columns."""
+    span = _echelon(A)
+    free = [c for c in range(span.dim) if c not in span.pivots]
+    return [[Fraction(x, v[f]) for x in v]
+            for v, f in zip(span.annihilator(), free)]
 
 
 def matinv(A):
@@ -134,6 +119,36 @@ class IntSpan:
 
     def contains(self, vec):
         return not any(self._reduce(vec))
+
+    def reduced(self):
+        """The echelon rows, still integer, with each pivot column cleared
+        above its pivot, last row first (by rows already reduced)."""
+        rows, pivots = list(self.rows), self.pivots
+        for i in range(len(rows) - 2, -1, -1):
+            v = rows[i]
+            for row, p in zip(rows[i + 1:], pivots[i + 1:]):
+                if v[p]:
+                    g = gcd(row[p], v[p])
+                    fa, fb = row[p] // g, v[p] // g
+                    v = [fa * x - fb * y for x, y in zip(v, row)]
+            rows[i] = v
+        return rows
+
+    def annihilator(self):
+        """Integer normals n_f, one per free column f in order, whose
+        common kernel is the span: x lies in it exactly when L x[f] =
+        sum_i (L / r_i[p_i]) r_i[f] x[p_i] at every f, for reduced rows r_i
+        with pivots p_i and L the lcm of the r_i[p_i]."""
+        rows, pivots = self.reduced(), self.pivots
+        L = lcm(*(row[p] for row, p in zip(rows, pivots)))
+        out = []
+        for f in (f for f in range(self.dim) if f not in pivots):
+            n = [0] * self.dim
+            n[f] = L
+            for row, p in zip(rows, pivots):
+                n[p] = -(L // row[p]) * row[f]
+            out.append(n)
+        return out
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -57,18 +58,25 @@ def _scaled(v, q):
 
 
 class Component:
-    """One irreducible component of a root subsystem."""
+    """One irreducible component of a root subsystem, stored as its
+    positive roots, sorted; its type follows from its rank, size and the
+    set of its squared root lengths.  `roots` is built when read: the
+    positive roots, then their negatives."""
 
-    __slots__ = ("roots", "rank", "size", "coxeter_number", "type_label")
+    __slots__ = ("positive", "rank", "size", "coxeter_number", "type_label")
 
-    def __init__(self, roots, rank, type_label):
-        self.roots = roots          # full set, closed under negation
+    def __init__(self, positive, lengths, rank):
+        self.positive = positive
         self.rank = rank
-        self.size = len(roots)
+        self.size = 2 * len(positive)
         if self.size % rank:
             raise InvariantViolation("component size not a multiple of rank")
         self.coxeter_number = self.size // rank
-        self.type_label = type_label
+        self.type_label = _type_label(rank, self.size, lengths)
+
+    @property
+    def roots(self):
+        return self.positive + [tuple(-x for x in r) for r in self.positive]
 
     def __repr__(self):
         return f"<{self.type_label}: rank {self.rank}, size {self.size}, h={self.coxeter_number}>"
@@ -76,32 +84,23 @@ class Component:
 
 class SubsystemReport:
     """A root subsystem: its irreducible components in order, and its roots
-    as theirs concatenated in that order."""
+    as theirs concatenated in that order, built when read."""
 
-    __slots__ = ("roots", "rank", "size", "components")
+    __slots__ = ("rank", "size", "components")
 
     def __init__(self, rank, components):
-        self.roots = [r for c in components for r in c.roots]
         self.rank = rank
-        self.size = len(self.roots)
+        self.size = sum(c.size for c in components)
         self.components = components
 
     @property
-    def irreducible(self):
-        return len(self.components) == 1
+    def roots(self):
+        return [r for c in self.components for r in c.roots]
 
     def type_string(self):
-        if not self.components:
-            return "empty"
-        labels = sorted(c.type_label for c in self.components)
-        out = []
-        for lab in sorted(set(labels)):
-            k = labels.count(lab)
-            out.append(lab if k == 1 else f"{lab}^{k}")
-        return " x ".join(out)
-
-    def component_multiset(self):
-        return tuple(sorted((c.type_label, c.rank, c.size) for c in self.components))
+        labels = Counter(sorted(c.type_label for c in self.components))
+        return " x ".join(lab if k == 1 else f"{lab}^{k}"
+                          for lab, k in labels.items()) or "empty"
 
     def __repr__(self):
         return f"<subsystem {self.type_string()}: rank {self.rank}, size {self.size}>"
@@ -185,6 +184,12 @@ class RootSystem:
         so its rows serve as its columns)."""
         G = self._igram
         return {b: tuple(sum(map(mul, b, col)) for col in G)
+                for b in self.positive_roots}
+
+    @cached_property
+    def _supports(self):
+        """Each positive root's support, bit i for a_{i+1}; on first use."""
+        return {b: sum(1 << i for i, x in enumerate(b) if x)
                 for b in self.positive_roots}
 
     # -- construction-time invariants ---------------------------------
@@ -277,6 +282,13 @@ def _pm_pairs(n):
                 yield tuple(v)
 
 
+def _chain(n, dim):
+    """e_i - e_{i+1} in R^dim for i < n: the simple roots of A_n, which
+    the builders of B_n and D_n extend by one more."""
+    return [[int(j == i) - int(j == i + 1) for j in range(dim)]
+            for i in range(n)]
+
+
 def _build_A(n):
     dim = n + 1
     roots = []
@@ -286,12 +298,8 @@ def _build_A(n):
                 v = [0] * dim
                 v[i], v[j] = 1, -1
                 roots.append(v)
-    simple = []
-    for i in range(n):
-        v = [0] * dim
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    return RootSystem("A", n, dim, roots, simple, tuple(range(2, n + 2)))
+    return RootSystem("A", n, dim, roots, _chain(n, dim),
+                      tuple(range(2, n + 2)))
 
 
 def _build_B(n):
@@ -302,27 +310,13 @@ def _build_B(n):
             v[i] = s
             roots.append(v)
     roots.extend(_pm_pairs(n))
-    simple = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    v = [0] * n
-    v[n - 1] = 1
-    simple.append(v)
+    simple = _chain(n - 1, n) + [[0] * (n - 1) + [1]]
     return RootSystem("B", n, n, roots, simple, tuple(2 * k for k in range(1, n + 1)))
 
 
 def _build_D(n):
     roots = list(_pm_pairs(n))
-    simple = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        simple.append(v)
-    v = [0] * n
-    v[n - 2], v[n - 1] = 1, 1
-    simple.append(v)
+    simple = _chain(n - 1, n) + [[0] * (n - 2) + [1, 1]]
     degrees = tuple(sorted(list(range(2, 2 * n - 1, 2)) + [n]))
     return RootSystem("D", n, n, roots, simple, degrees)
 
@@ -346,15 +340,13 @@ def _e8_simple():
 
 
 def _build_E(rank):
-    allroots = _e8_roots()
     simple = _e8_simple()[:rank]
-    if rank == 8:
-        roots = allroots
-    else:
-        span = IntSpan(8)
-        for a in simple:
-            span.add(_scaled(a, 2))
-        roots = [r for r in allroots if span.contains(_scaled(r, 2))]
+    span = IntSpan(8)
+    for a in simple:
+        span.add(_scaled(a, 2))
+    normals = span.annihilator()
+    roots = [r for r in _e8_roots()
+             if not any(_dot(v, _scaled(r, 2)) for v in normals)]
     return RootSystem("E", rank, 8, roots, simple, DEGREES[f"E{rank}"])
 
 
@@ -381,10 +373,8 @@ def _build_F4():
 def build_root_system(label, rank=None):
     """Build a root system by type label: A/B/D (with rank) or E6/E7/E8/F4."""
     label = label.upper()
-    if label in ("E6", "E7", "E8"):
-        return _build_E(int(label[1]))
-    if label == "F4":
-        return _build_F4()
+    if label in ("E6", "E7", "E8", "F4"):
+        label, rank = label[0], int(label[1])
     if label == "E" and rank in (6, 7, 8):
         return _build_E(rank)
     if label == "F" and rank == 4:
@@ -439,21 +429,41 @@ def _type_label(rank, size, lengths):
 def span_subsystem(R: RootSystem, S):
     """All roots of R in the rational span of the coefficient tuples S,
     with its irreducible decomposition: the pieces of `_link` on its
-    positive roots, each ranked by an `IntSpan`, listed by (-rank, -size)
-    and then by first appearance in R.positive_roots."""
+    positive roots, listed by (-rank, -size), then by first appearance in
+    R.positive_roots.  A root is in the span when each normal of
+    `IntSpan.annihilator` vanishes on it; a normal nonzero only at f does
+    so on the roots whose support (`R._supports`) misses f, which for
+    S = a_I reads "coefficients vanish off I".  A lone piece of a span of
+    roots spans it; other pieces are ranked by an `IntSpan`."""
     n = R.rank
     span = IntSpan(n)
     for s in S:
         span.add(s)
+    pieces = _link(R, _roots_in(R, span))
+    lone = len(pieces) == 1 and all(tuple(s) in R._rootset for s in S)
     components = []
-    for _, members, _ in _link(
-            R, [r for r in R.positive_roots if span.contains(r)]):
-        cs = IntSpan(n)
-        for r in members:
-            cs.add(r)
+    for _, members, _ in pieces:
+        cs = span
+        if not lone:
+            cs = IntSpan(n)
+            for r in members:
+                cs.add(r)
         components.append(_component(R, members, cs.rank))
     components.sort(key=lambda c: (-c.rank, -c.size))
     return SubsystemReport(span.rank, components)
+
+
+def _roots_in(R: RootSystem, span):
+    """The positive roots of R in `span`; see `span_subsystem`."""
+    off, dense = 0, []
+    for v in span.annihilator():
+        support = sum(1 << j for j, x in enumerate(v) if x)
+        if support & (support - 1):
+            dense.append(v)
+        else:
+            off |= support
+    return [b for b, support in R._supports.items() if not support & off
+            and not any(sum(map(mul, v, b)) for v in dense)]
 
 
 def _link(R: RootSystem, roots, pieces=()):
@@ -488,15 +498,19 @@ def _link(R: RootSystem, roots, pieces=()):
     return pieces
 
 
-def _component(R: RootSystem, pos, rank):
-    """The irreducible component of the given rank with positive roots
-    `pos` (any order): its roots sorted, then their negatives, and its
-    type from its rank, size and root lengths."""
+def _component(R: RootSystem, pos, rank, merged=()):
+    """The irreducible component of the given rank whose positive roots
+    are `pos` (any order) and those of the components `merged`, which span
+    less than it.  Only `pos` is measured for root lengths: the short
+    roots of an irreducible system span its space, and so do the long
+    ones, so every length occurs off a proper subspace."""
     rows = R._gram_rows
-    pos = sorted(pos)
-    full = pos + [tuple(-x for x in r) for r in pos]
-    lengths = {sum(map(mul, rows[b], b)) for b in pos}
-    return Component(full, rank, _type_label(rank, len(full), lengths))
+    positive = list(pos)
+    for c in merged:
+        positive += c.positive
+    positive.sort()
+    return Component(positive, {sum(map(mul, rows[b], b)) for b in pos},
+                     rank)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +541,7 @@ def reduce_to_fundamental(R: RootSystem, S):
             raise ValueError("S must be linearly independent")
 
     basis = nullspace(S or [(0,) * n])
-    off = [r for r in R.positive_roots if not span.contains(r)]
+    off = set(R.positive_roots).difference(_roots_in(R, span))
     for _attempt in range(200):
         mix = [rng.randint(-10**6, 10**6) for _ in basis]
         z = [sum(m * b[j] for m, b in zip(mix, basis)) for j in range(n)]

@@ -506,22 +506,6 @@ def _apply_transform(T, ts):
             for a in range(n)]
 
 
-def _self_pairing(basis: InvariantBasis):
-    """The constant matrix d g^{ab}(basis) / d (top invariant)."""
-    n = basis.R.rank
-    conv = convolution_matrix(basis)
-    P = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            gt = express_in_invariants(conv[a][b], basis)
-            entry = gt.diff(n - 1)
-            if not entry.is_constant():
-                raise SolverFailure("flat pairing is not constant")
-            P[a][b] = P[b][a] = entry.constant_value() if not entry.is_zero() \
-                else Fraction(0)
-    return P
-
-
 def _pairing_transform(C, degs, h):
     """A block transformation T (new = T old) taking the constant pairing C
     to the anti-diagonal identity where that is possible over the
@@ -910,5 +894,5 @@ def _identity_tangency(basis: InvariantBasis, strata):
             MultiPoly.sum(D.dim,
                           (theta[k] * g for k, g in enumerate(gamma) if g))
             .is_zero()
-            for gamma in D.rd.roots if any(x > 0 for x in gamma))
+            for c in D.rd.components for gamma in c.positive)
     return out

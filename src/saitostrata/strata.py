@@ -3,33 +3,23 @@ multiplicity predictor k_H, and the Q-polynomial cross-check.
 
 A stratum is given by an index set I of simple roots (after fundamental
 reduction): D = {x : a_i(x) = 0, i in I}, parametrized by x = sum_{j not in
-I} s_j w^j, so the restriction of a root b = sum b_i a_i to D is the
-coefficient truncation sum_{j not in I} b_j s_j. All restriction arithmetic
-is therefore integer truncation plus canonicalization — no projections.
+I} s_j w^j, so restricting a root b = sum b_i a_i to D truncates it to
+sum_{j not in I} b_j s_j: integer truncation and canonicalization, no
+projections.  A `Stratum` computes b -> b|_D once: `D.classes` maps one
+`LinearForm` per projective class to its roots, `D.forms` sends each
+positive root to its class's form, or to None exactly on R_D, and A_D is
+built from the classes on first use as `D.arrangement`.
 
-Everything on D comes from that one map b -> b|_D, and a `Stratum` computes
-it once, with one `LinearForm` per projective class: `D.classes` maps each
-form to its roots, and `D.forms` sends each positive root to the form of
-its class, or to None exactly on R_D.  The arrangement A_D is built from
-the classes on first use and kept as `D.arrangement`; the predictor, the
-Q-polynomial and the reports all read these attributes.
-
-No graph search runs per hyperplane.  R_{D,beta} = R_D u +-class(H) gets
-its components by merging those of R_D (parabolic, so one per connected
-piece of the Dynkin subdiagram on I) through the class members that touch
-them.  The merge is `roots._link`, the one routine that splits roots into
-non-orthogonality pieces (`span_subsystem` runs it too), seeded with R_D's
-components, and it reads the Gram row of each positive root computed once
-per root system (`RootSystem._gram_rows`).  R_{D,beta} has rank |I| + 1,
-so the one merged piece that holds class members has rank 1 + the ranks
-of the R_D components it merges; `restricted_arrangement` states the
-argument.  The Q-polynomial's split of R+ into the 2-planes through a
-root gamma depends on (R, gamma) only, and is built once per pair and kept
-in `RootSystem._planes`.  Both caches live on the root system, whose
-lifetime the caller controls, and not on strata.  They are O(|R+|^2) at
-most: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every positive
-root serves as gamma (250 KiB after a full `verify`, 26 gammas), while
-keeping every stratum alive cost 20 MiB.
+R_D is `roots.span_subsystem` of a_I, whose membership test reads
+"coefficients vanish off I" from each root's support bitmask.  No graph
+search runs per hyperplane: R_{D,beta} = R_D u +-class(H), and `roots._link`
+seeded with R_D's components merges those the class members touch; the
+merged component takes the members plus the stored positive roots and
+length sets of what it absorbs.  Components keep only positive roots and
+build full root lists when read.  The Gram rows, support bitmasks and the
+2-planes through a root gamma (for the Q-polynomial) depend on R alone and
+are cached on it: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every
+positive root serves as gamma.
 """
 
 from __future__ import annotations
@@ -111,27 +101,19 @@ def restricted_arrangement(D: Stratum):
     """The hyperplanes of A_D, each with R_{D,beta}, its component through
     beta, and the multiplicity k_H = h(R_{D,beta}^(0)).
 
-    Restriction to D truncates simple-root coefficients and has kernel
-    span(a_I), so a root g lies in span(a_I, beta) exactly when g|_D is
-    proportional to beta|_D.  Hence R_{D,beta} = R_D u +-class(H).
-
-    Its components are merged from those of R_D, with no graph search.
-    R_D is parabolic, so its components are the connected pieces of the
-    Dynkin subdiagram on I, with simple roots a_i (i in I).  `roots._link`
-    joins the class members to them, seeded with one piece per component
-    whose probes are its a_i; components that no member reaches stay as
-    they are.
-
-    The rank argument gives the merged rank.  R_{D,beta} spans
+    Restriction to D has kernel span(a_I), so a root g lies in
+    span(a_I, beta) exactly when g|_D is proportional to beta|_D: hence
+    R_{D,beta} = R_D u +-class(H).  `roots._link` joins the class members
+    to R_D's components (parabolic: the pieces of the Dynkin subdiagram on
+    I), each seeded as a piece probed by its a_i.  R_{D,beta} spans
     span(a_I, beta), of rank |I| + 1, and its components are mutually
-    orthogonal, so their ranks add up to |I| + 1.  The untouched
-    components of R_D keep their ranks, so the one piece that holds class
-    members has rank 1 + the sum of the ranks of the R_D components it
-    merges.  Two pieces with members would each have rank at least one
-    more than the R_D components they merge (b is not in span(a_I)), so
-    that cannot happen; it is still checked, as an `InvariantViolation`.
-    The component list is ordered as `roots.span_subsystem` orders it:
-    by (-rank, -size), ties by first appearance in R.positive_roots."""
+    orthogonal, so their ranks add up to |I| + 1; the untouched components
+    keep theirs, so the one piece that holds class members has rank 1 +
+    those it merges.  Two pieces with members would each add at least one
+    (b is not in span(a_I)); that is still checked, as an
+    `InvariantViolation`.  The components are ordered as
+    `roots.span_subsystem` orders them: by (-rank, -size), ties by first
+    appearance in R.positive_roots."""
     R = D.R
     at = {beta: i for i, beta in enumerate(R.positive_roots)}
 
@@ -139,9 +121,9 @@ def restricted_arrangement(D: Stratum):
     # and where the component first appears in R.positive_roots
     rd_comps = D.rd.components
     simple_I = [R.simple[i - 1] for i in sorted(D.I)]
-    seeds = [([a for a in simple_I if a in c.roots], [], {ci})
+    seeds = [([a for a in simple_I if a in c.positive], [], {ci})
              for ci, c in enumerate(rd_comps)]
-    first = [min(at[r] for r in c.roots[:c.size // 2]) for c in rd_comps]
+    first = [min(at[r] for r in c.positive) for c in rd_comps]
 
     out = []
     for form in sorted(D.classes):
@@ -154,9 +136,7 @@ def restricted_arrangement(D: Stratum):
                 "component through beta differs within a projective class")
         _, ms, cis = held[0]
         merged = [rd_comps[ci] for ci in cis]
-        comp0 = _component(
-            R, ms + [r for c in merged for r in c.roots[:c.size // 2]],
-            1 + sum(c.rank for c in merged))
+        comp0 = _component(R, ms, 1 + sum(c.rank for c in merged), merged)
         keyed = [((-c.rank, -c.size, first[ci]), c)
                  for ci, c in enumerate(rd_comps) if ci not in cis]
         keyed.append(((-comp0.rank, -comp0.size,
@@ -188,9 +168,8 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     m = 2 - sum(c.rank for c in comps)
 
     if gamma_choices is None:
-        positive = [c.roots[:c.size // 2] for c in comps]
-        gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
-                         for pos in positive]
+        gamma_choices = [rng.choice(c.positive) if rng is not None
+                         else c.positive[0] for c in comps]
     if len(gamma_choices) != len(comps):
         raise ValueError("need one gamma per component of R_D")
 
@@ -207,7 +186,8 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     # A^D exactly when b0 does, and then its restriction is not a factor
     for comp, gamma in zip(comps, gamma_choices):
         g = tuple(gamma)
-        if g not in comp.roots:
+        if g not in comp.positive \
+                and tuple(-x for x in g) not in comp.positive:
             raise ValueError("gamma must lie in its component of R_D")
         for members in _planes_through(R, g):
             i = at.get(id(D.forms[members[0]]))

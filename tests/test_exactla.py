@@ -2,6 +2,8 @@
 run on `IntSpan`'s integer echelon and must agree with a Fraction
 Gauss–Jordan elimination on every input."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,6 +171,61 @@ class TestAgainstGaussJordan:
             assert span.contains(v) == (rank(m + [v]) == rank(m))
             for row in m:
                 assert span.contains(row)
+
+
+def _annihilated(normals, v):
+    return not any(sum(a * x for a, x in zip(n, v)) for n in normals)
+
+
+class TestAnnihilator:
+    @SETTINGS
+    @given(_matrices(integer=True), st.data())
+    def test_normals_cut_out_the_span(self, m, data):
+        dim = len(m[0]) if m else 0
+        span = IntSpan(dim)
+        for row in m:
+            span.add(row)
+        normals = span.annihilator()
+        assert len(normals) == dim - span.rank
+        assert all(type(x) is int for n in normals for x in n)
+        assert rank(normals) == len(normals)
+        assert all(_annihilated(normals, row) for row in m)
+        if m:
+            v = data.draw(_matrices(rows=st.just(1), cols=st.just(dim),
+                                    integer=True))[0]
+            assert _annihilated(normals, v) == span.contains(v)
+
+    def test_random_spans_against_contains(self):
+        # rows of small entries give normals with several nonzero entries;
+        # every vector of small entries is tested, in the span or not
+        rng = random.Random(2611)
+        several = 0
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            dim = rng.randint(2, 5)
+            span = IntSpan(dim)
+            for _ in range(rng.randint(0, dim)):
+                span.add([rng.randint(-2, 2) for _ in range(dim)])
+            normals = span.annihilator()
+            several += sum(sum(map(bool, n)) > 1 for n in normals)
+            for v in itertools.product(range(-1, 2), repeat=dim):
+                inside = span.contains(v)
+                assert _annihilated(normals, v) == inside
+                seen[inside] += 1
+        assert several > 20 and min(seen.values()) > 500
+
+    def test_unit_vectors_give_unit_normals(self):
+        # the span of e_i (i in I) is cut out by e_f (f not in I), one
+        # nonzero entry each: `roots.span_subsystem` tests these by support
+        for dim in range(5):
+            for size in range(dim + 1):
+                for I in itertools.combinations(range(dim), size):
+                    span = IntSpan(dim)
+                    for i in reversed(I):
+                        span.add([int(j == i) for j in range(dim)])
+                    assert span.annihilator() == \
+                        [[int(j == f) for j in range(dim)]
+                         for f in range(dim) if f not in I]
 
 
 class TestExplicitCases:

@@ -143,7 +143,7 @@ class TestSpanSubsystem:
         R = build_root_system("A", 3)
         a1, a3 = R.simple[0], R.simple[2]
         rep = span_subsystem(R, [a1, a3])
-        assert not rep.irreducible
+        assert len(rep.components) == 2
         assert rep.type_string() == "A1^2"
         assert sorted(c.rank for c in rep.components) == [1, 1]
 
@@ -179,9 +179,7 @@ def _ref_components(R, sub_pos):
         cs = IntSpan(n)
         for r in comp:
             cs.add(r)
-        full = comp + [tuple(-x for x in r) for r in comp]
-        components.append(roots.Component(
-            full, cs.rank, roots._type_label(cs.rank, len(full), lengths)))
+        components.append(roots.Component(comp, lengths, cs.rank))
     components.sort(key=lambda c: (-c.rank, -c.size))
     return components
 
@@ -209,10 +207,12 @@ class TestLinkMatchesGraphSearch:
             for I in itertools.combinations(range(rank), size):
                 _assert_span_matches_reference(R, [R.simple[i] for i in I])
 
-    @pytest.mark.parametrize("label,rank", [("B", 3), ("B", 4), ("D", 5),
-                                            ("E", 6), ("E", 7), ("F", 4)])
+    @pytest.mark.parametrize("label,rank", [("B", 2), ("B", 3), ("B", 4),
+                                            ("D", 5), ("E", 6), ("E", 7),
+                                            ("F", 4)])
     def test_random_independent_sets(self, label, rank):
-        # root sets not in standard position, e.g. B3 {e1, e2} -> B2
+        # root sets not in standard position, e.g. B3 {e1, e2} -> B2, and
+        # B2 {e1, e2}, short roots that span the plane
         R = build_root_system(label, rank)
         rng = random.Random(rank * 101 + ord(label))
         for _ in range(12):
@@ -224,6 +224,29 @@ class TestLinkMatchesGraphSearch:
             _assert_span_matches_reference(R, S)
         if (label, rank) == ("B", 3):
             _assert_span_matches_reference(R, [(1, 1, 1), (0, 1, 1)])
+        if (label, rank) == ("B", 2):
+            assert (R.coefficients((1, 0)), R.coefficients((0, 1))) == \
+                ((1, 1), (0, 1))
+            _assert_span_matches_reference(R, [(1, 1), (0, 1)])
+
+    def test_dependent_and_non_root_sets(self):
+        # a lone piece takes the span's rank only when S consists of
+        # roots: a1 with 2 a2 + a3 on A3 spans a plane that holds the
+        # roots +-a1 alone, of rank 1
+        R = build_root_system("A", 3)
+        rep = span_subsystem(R, [(1, 0, 0), (0, 2, 1)])
+        assert rep.rank == 2
+        assert [(c.type_label, c.rank) for c in rep.components] == [("A1", 1)]
+        rng = random.Random(7)
+        for label, rank in (("A", 3), ("B", 4), ("F", 4), ("E", 7)):
+            R = build_root_system(label, rank)
+            for _ in range(8):
+                S = rng.sample(R.positive_roots, rng.randint(1, rank - 1))
+                S.append(tuple(a - b for a, b in zip(S[0], S[-1])))
+                _assert_span_matches_reference(R, S)
+                _assert_span_matches_reference(
+                    R, [tuple(rng.randint(-2, 2) for _ in range(rank))
+                        for _ in range(rng.randint(1, rank))])
 
 
 class TestReduceToFundamental:

@@ -22,7 +22,7 @@ from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   convolution_matrix, covariant_metric,
                                   restricted_saito_det, general_formula_det,
                                   frame_constant, identity_field_checks,
-                                  DegenerateBasis, _self_pairing, _antidiag,
+                                  DegenerateBasis, _antidiag,
                                   _d_root, _identity_one_form,
                                   _identity_tangency)
 
@@ -157,6 +157,24 @@ class TestExpressInInvariants:
         with pytest.raises(ValueError, match="inconsistent linear system"):
             express_in_invariants(MultiPoly(2, {expt: 1}), basis)
         assert express_in_invariants(MultiPoly.zero(2), basis).is_zero()
+
+
+def _self_pairing(basis):
+    """The constant matrix d g^{ab}(basis) / d (top invariant), from every
+    entry of the convolution matrix: the oracle for the pairing that
+    `flat_coordinates` builds inline."""
+    n = basis.R.rank
+    conv = convolution_matrix(basis)
+    P = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            gt = express_in_invariants(conv[a][b], basis)
+            entry = gt.diff(n - 1)
+            if not entry.is_constant():
+                raise saitosym.SolverFailure("flat pairing is not constant")
+            P[a][b] = P[b][a] = entry.constant_value() if not entry.is_zero() \
+                else Fraction(0)
+    return P
 
 
 class TestFlatCoordinates:

@@ -9,8 +9,9 @@ from itertools import combinations
 
 import pytest
 
-from saitostrata import strata
+from saitostrata import roots, strata
 from saitostrata.algebra import FactoredDeterminant, UNKNOWN
+from saitostrata.exactla import IntSpan
 from saitostrata.roots import (SubsystemReport, reduce_to_fundamental,
                                span_subsystem)
 from saitostrata.saitosym import restricted_saito_det
@@ -113,8 +114,7 @@ class TestRestrictedArrangement:
                         ref = span_subsystem(R, simple_I + [beta])
                         assert set(ref.roots) == set(hp.rd_beta.roots)
                         assert ref.rank == hp.rd_beta.rank
-                        assert ref.component_multiset() == \
-                            hp.rd_beta.component_multiset()
+                        assert _multiset(ref) == _multiset(hp.rd_beta)
                         assert beta in comp0, (label, rank, I, hp.form)
 
     def test_exponent_is_component_coxeter_number(self, root_system):
@@ -122,6 +122,10 @@ class TestRestrictedArrangement:
         for hp in restricted_arrangement(make_stratum(R, [2])):
             assert hp.k == hp.component0.coxeter_number
             assert hp.beta in set(hp.rd_beta.roots)
+
+
+def _multiset(rep):
+    return sorted((c.type_label, c.rank, c.size) for c in rep.components)
 
 
 def _ref_restricted_arrangement(D):
@@ -209,6 +213,33 @@ class TestMergedComponents:
                 ref_at = [i for i, c in enumerate(ref_comps)
                           if c is r.component0]
                 assert at == ref_at and len(at) == 1
+
+    @pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("D", 5),
+                                            ("F", 4), ("E", 6), ("E", 7)])
+    def test_component0_equals_the_measured_merge(self, root_system, label,
+                                                   rank):
+        # component0 measures the lengths of the class members alone;
+        # measuring every root of the merged list, ranked by an IntSpan,
+        # gives the same type, rank, size and h
+        R = root_system(label, rank)
+        rows = R._gram_rows
+        for I in _all_strata(R):
+            D = make_stratum(R, I)
+            for h in restricted_arrangement(D):
+                merged = list(h.roots)
+                for c in D.rd.components:
+                    if any(sum(x * y for x, y in zip(rows[b], r))
+                           for b in h.roots for r in c.positive):
+                        merged += c.positive
+                span = IntSpan(rank)
+                for r in merged:
+                    span.add(r)
+                ref = roots._component(R, merged, span.rank)
+                c0 = h.component0
+                assert (c0.type_label, c0.rank, c0.size, c0.coxeter_number) \
+                    == (ref.type_label, ref.rank, ref.size,
+                        ref.coxeter_number), (label, I, h.form)
+                assert c0.positive == sorted(merged)
 
     def test_gram_rows_are_cached_on_the_root_system(self, root_system):
         R = root_system("D", 5)
