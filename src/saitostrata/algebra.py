@@ -460,19 +460,10 @@ class LinearForm:
     __slots__ = ("coeffs", "labels")
 
     def __init__(self, coeffs: Sequence[int], labels: Sequence[str] | None = None):
-        coeffs = tuple(int(c) for c in coeffs)
-        if all(c == 0 for c in coeffs):
-            raise ValueError("zero linear form")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        if g != 1:
-            raise ValueError("linear form not primitive: %r" % (coeffs,))
-        for c in coeffs:
-            if c:
-                if c < 0:
-                    raise ValueError("first nonzero entry must be positive")
-                break
+        coeffs = tuple(map(int, coeffs))
+        if _canon_int(coeffs) != coeffs:
+            raise ValueError("a linear form is nonzero and primitive, its "
+                             "first nonzero entry positive: %r" % (coeffs,))
         self.coeffs = coeffs
         self.labels = tuple(labels) if labels is not None else None
 
@@ -548,16 +539,10 @@ class FactoredDeterminant:
     def __init__(self, coefficient, factors: Mapping[LinearForm, int]):
         if not isinstance(coefficient, Unknown):
             coefficient = Fraction(coefficient)
-        fs = {}
-        for f, k in factors.items():
-            k = int(k)
-            if k < 1:
-                raise ValueError("exponents must be >= 1")
-            if f in fs:
-                raise ValueError("duplicate linear form")
-            fs[f] = k
+        self.factors = {f: int(k) for f, k in factors.items()}
+        if any(k < 1 for k in self.factors.values()):
+            raise ValueError("exponents must be >= 1")
         self.coefficient = coefficient
-        self.factors = fs
 
     def degree(self):
         return sum(self.factors.values())
@@ -565,9 +550,6 @@ class FactoredDeterminant:
     def multiset(self):
         """Frozen (form-coefficients, exponent) multiset for comparisons."""
         return frozenset((f.coeffs, k) for f, k in self.factors.items())
-
-    def exponents_sorted(self):
-        return sorted(self.factors.values())
 
     def expand(self, nvars=None):
         if isinstance(self.coefficient, Unknown):

@@ -516,15 +516,14 @@ def _verify_stratum(R, basis, I):
         expect = len(R.positive_roots) - h + 1
         add("mirror_arrangement_count", len(D.arrangement) == expect,
             f"|A_D| = {len(D.arrangement)}, |A| - h + 1 = {expect}")
-    try:
-        q0 = q_polynomial(D)
-        add("q_polynomial_default", q0.multiset() == fd.multiset())
-        for seed in (1, 2, 3):
-            qr = q_polynomial(D, rng=random.Random(seed))
-            add(f"q_polynomial_random_{seed}",
-                qr.multiset() == fd.multiset())
-    except Exception as exc:  # noqa: BLE001 - report, never abort the run
-        add("q_polynomial_default", False, repr(exc))
+    for seed in (None, 1, 2, 3):
+        check = ("q_polynomial_default" if seed is None
+                 else f"q_polynomial_random_{seed}")
+        try:
+            rng = None if seed is None else random.Random(seed)
+            add(check, q_polynomial(D, rng=rng).multiset() == fd.multiset())
+        except Exception as exc:  # noqa: BLE001 - report, never abort
+            add(check, False, repr(exc))
     if basis is not None:
         try:
             sym = saitosym.restricted_saito_det(basis, D)

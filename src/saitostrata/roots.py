@@ -58,21 +58,29 @@ def _scaled(v, q):
 
 
 class Component:
-    """One irreducible component of a root subsystem, stored as its
-    positive roots, sorted; its type follows from its rank, size and the
-    set of its squared root lengths.  `roots` is built when read: the
-    positive roots, then their negatives."""
+    """One irreducible component of a root subsystem; its type follows
+    from its rank, size and set of squared root lengths.  Its positive
+    roots, `members` and those of the components `merged`, are sorted on
+    first read; `roots` (them, then their negatives) is built when read."""
 
-    __slots__ = ("positive", "rank", "size", "coxeter_number", "type_label")
+    __slots__ = ("_parts", "_positive", "rank", "size", "coxeter_number",
+                 "type_label")
 
-    def __init__(self, positive, lengths, rank):
-        self.positive = positive
+    def __init__(self, members, lengths, rank, merged=()):
+        self._parts = [members, *(c.positive for c in merged)]
+        self._positive = None
         self.rank = rank
-        self.size = 2 * len(positive)
+        self.size = 2 * len(members) + sum(c.size for c in merged)
         if self.size % rank:
             raise InvariantViolation("component size not a multiple of rank")
         self.coxeter_number = self.size // rank
         self.type_label = _type_label(rank, self.size, lengths)
+
+    @property
+    def positive(self):
+        if self._positive is None:
+            self._positive = sorted(itertools.chain(*self._parts))
+        return self._positive
 
     @property
     def roots(self):
@@ -191,6 +199,12 @@ class RootSystem:
         """Each positive root's support, bit i for a_{i+1}; on first use."""
         return {b: sum(1 << i for i, x in enumerate(b) if x)
                 for b in self.positive_roots}
+
+    @cached_property
+    def _touches(self):
+        """Each positive root's mask of simple roots not orthogonal to it."""
+        return {b: sum(1 << i for i, x in enumerate(row) if x)
+                for b, row in self._gram_rows.items()}
 
     # -- construction-time invariants ---------------------------------
     def _check_invariants(self, S):
@@ -428,33 +442,59 @@ def _type_label(rank, size, lengths):
 
 def span_subsystem(R: RootSystem, S):
     """All roots of R in the rational span of the coefficient tuples S,
-    with its irreducible decomposition: the pieces of `_link` on its
-    positive roots, listed by (-rank, -size), then by first appearance in
-    R.positive_roots.  A root is in the span when each normal of
-    `IntSpan.annihilator` vanishes on it; a normal nonzero only at f does
-    so on the roots whose support (`R._supports`) misses f, which for
-    S = a_I reads "coefficients vanish off I".  A lone piece of a span of
-    roots spans it; other pieces are ranked by an `IntSpan`."""
+    with its irreducible decomposition, listed by (-rank, -size), then by
+    first appearance in R.positive_roots.  Distinct simple roots S = a_I
+    span a parabolic subsystem, read off the Dynkin diagram (`_parabolic`).
+    Any other S: the roots of `_roots_in`, split by `_link`; a lone piece
+    of a span of roots spans it, other pieces are ranked by an `IntSpan`."""
+    S = [tuple(s) for s in S]
+    if len(set(S)) == len(S) and set(S) <= set(R.simple):
+        return _parabolic(R, [s.index(1) for s in S])
     n = R.rank
     span = IntSpan(n)
     for s in S:
         span.add(s)
     pieces = _link(R, _roots_in(R, span))
-    lone = len(pieces) == 1 and all(tuple(s) in R._rootset for s in S)
+    lone = len(pieces) == 1 and all(s in R._rootset for s in S)
     components = []
-    for _, members, _ in pieces:
+    for members in pieces:
         cs = span
         if not lone:
             cs = IntSpan(n)
             for r in members:
                 cs.add(r)
-        components.append(_component(R, members, cs.rank))
+        components.append(Component(members, {
+            sum(map(mul, R._gram_rows[b], b)) for b in members}, cs.rank))
     components.sort(key=lambda c: (-c.rank, -c.size))
     return SubsystemReport(span.rank, components)
 
 
+def _parabolic(R: RootSystem, I):
+    """`span_subsystem` of a_i, i in I (0-based): a component per connected
+    piece (bit mask) of the Cartan matrix on I, holding the roots whose
+    support, which is connected, is in I and starts in the piece.  Its
+    rank and root lengths are those of its simple roots."""
+    C = R.cartan
+    pieces = []
+    for i in I:
+        near = sum(1 << j for j in I if C[i][j])     # i too: C_ii = 2
+        pieces = [p for p in pieces if not p & near] + \
+            [near | sum(p for p in pieces if p & near)]
+    home = {1 << i: p for p in pieces for i in I if p >> i & 1}
+    off, members = ~sum(pieces), {}
+    for b, support in R._supports.items():
+        if not support & off:
+            members.setdefault(home[support & -support], []).append(b)
+    G = R._igram
+    components = [Component(ms, {G[i][i] for i in I if p >> i & 1},
+                            p.bit_count()) for p, ms in members.items()]
+    components.sort(key=lambda c: (-c.rank, -c.size))
+    return SubsystemReport(len(I), components)
+
+
 def _roots_in(R: RootSystem, span):
-    """The positive roots of R in `span`; see `span_subsystem`."""
+    """The positive roots of R in `span`: a normal of its annihilator nonzero
+    only at f vanishes where the support misses f, any other is dotted."""
     off, dense = 0, []
     for v in span.annihilator():
         support = sum(1 << j for j, x in enumerate(v) if x)
@@ -466,51 +506,26 @@ def _roots_in(R: RootSystem, span):
             and not any(sum(map(mul, v, b)) for v in dense)]
 
 
-def _link(R: RootSystem, roots, pieces=()):
-    """The connected pieces of the non-orthogonality graph on the positive
-    roots `roots`, joined to the seed `pieces`.
-
-    A piece is a triple (probes, members, tags) of two lists of roots and
-    a set.  Each root b in turn joins every piece with a probe p such that
-    (b, p) != 0 under the integer Gram matrix; those pieces merge into one
-    that holds b as a probe and a member, their probes, members and tags,
-    and takes the place of the first of them (b starts a new last piece
-    ([b], [b], set()) when it joins none).  So without seeds the pieces
-    come in order of first appearance in `roots`.  The seeds are read and
-    never changed."""
+def _link(R: RootSystem, roots):
+    """The connected pieces (lists) of the non-orthogonality graph on the
+    positive roots `roots`, in order of first appearance: each root b in
+    turn merges every piece with a root b' such that (b, b') != 0 into the
+    place of the first of them, or starts a new last piece."""
     rows = R._gram_rows
-    pieces = list(pieces)
+    pieces = []
     for b in roots:
         row = rows[b]
-        probes, members, tags = [b], [b], set()
-        kept, at = [], None
+        joined, kept, at = [b], [], None
         for p in pieces:
-            if any(sum(map(mul, row, a)) for a in p[0]):
+            if any(sum(map(mul, row, a)) for a in p):
                 if at is None:
                     at = len(kept)
-                probes += p[0]
-                members += p[1]
-                tags |= p[2]
+                joined += p
             else:
                 kept.append(p)
-        kept.insert(len(kept) if at is None else at, (probes, members, tags))
+        kept.insert(len(kept) if at is None else at, joined)
         pieces = kept
     return pieces
-
-
-def _component(R: RootSystem, pos, rank, merged=()):
-    """The irreducible component of the given rank whose positive roots
-    are `pos` (any order) and those of the components `merged`, which span
-    less than it.  Only `pos` is measured for root lengths: the short
-    roots of an irreducible system span its space, and so do the long
-    ones, so every length occurs off a proper subspace."""
-    rows = R._gram_rows
-    positive = list(pos)
-    for c in merged:
-        positive += c.positive
-    positive.sort()
-    return Component(positive, {sum(map(mul, rows[b], b)) for b in pos},
-                     rank)
 
 
 # ---------------------------------------------------------------------------

@@ -5,31 +5,28 @@ A stratum is given by an index set I of simple roots (after fundamental
 reduction): D = {x : a_i(x) = 0, i in I}, parametrized by x = sum_{j not in
 I} s_j w^j, so restricting a root b = sum b_i a_i to D truncates it to
 sum_{j not in I} b_j s_j: integer truncation and canonicalization, no
-projections.  A `Stratum` computes b -> b|_D once: `D.classes` maps one
-`LinearForm` per projective class to its roots, `D.forms` sends each
-positive root to its class's form, or to None exactly on R_D, and A_D is
-built from the classes on first use as `D.arrangement`.
+projections.  A `Stratum` canonicalizes each distinct truncation once:
+`D.classes` maps one `LinearForm` per projective class to its roots, and
+`D.class_index` and `D.forms` send each positive root to its class's
+position and form, or to None exactly on R_D.
 
-R_D is `roots.span_subsystem` of a_I, whose membership test reads
-"coefficients vanish off I" from each root's support bitmask.  No graph
-search runs per hyperplane: R_{D,beta} = R_D u +-class(H), and `roots._link`
-seeded with R_D's components merges those the class members touch; the
-merged component takes the members plus the stored positive roots and
-length sets of what it absorbs.  Components keep only positive roots and
-build full root lists when read.  The Gram rows, support bitmasks and the
-2-planes through a root gamma (for the Q-polynomial) depend on R alone and
-are cached on it: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every
+R_D is `roots.span_subsystem` of a_I: parabolic, so its components are the
+connected pieces of the Dynkin subdiagram on I.  A_D (`D.arrangement`,
+built on first use) runs no graph search: `_join` links each class to R_D's
+components by bit masks of simple roots.  The Gram rows, support and touch
+masks and the 2-planes through a root gamma (for the Q-polynomial) are
+cached on R: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every
 positive root serves as gamma.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
                       InvariantViolation, _canon_int)
-from .roots import (RootSystem, SubsystemReport, span_subsystem, _component,
-                    _link)
+from .roots import RootSystem, Component, SubsystemReport, span_subsystem
 
 
 class NegativeFinalExponent(ArithmeticError):
@@ -44,20 +41,23 @@ class Stratum:
         self.dim = len(self.params)
         self.rd = rd
         self.param_labels = tuple(f"s{j}" for j in self.params)
-        # b -> b|_D on the positive roots: the roots of each projective
-        # class in R.positive_roots order, the classes in order of first
-        # appearance, and R_D under the key None
-        split = {}
+        # b -> b|_D, one _canon_int per distinct truncation: the roots of
+        # each class in R.positive_roots order, classes by first appearance
+        cut = [j - 1 for j in self.params]
+        memo, split = {}, {}
         for beta in R.positive_roots:
-            c = _canon_int([beta[j - 1] for j in self.params])
-            split.setdefault(c, []).append(beta)
+            t = tuple([beta[j] for j in cut])
+            if t not in memo:
+                memo[t] = _canon_int(t)
+            split.setdefault(memo[t], []).append(beta)
         split.pop(None, None)
         self.classes = {LinearForm(c, self.param_labels): roots
                         for c, roots in split.items()}
+        self.class_index = dict.fromkeys(R.positive_roots)
         self.forms = dict.fromkeys(R.positive_roots)
-        for form, roots in self.classes.items():
+        for i, (form, roots) in enumerate(self.classes.items()):
             for beta in roots:
-                self.forms[beta] = form
+                self.class_index[beta], self.forms[beta] = i, form
 
     @cached_property
     def arrangement(self):
@@ -74,10 +74,8 @@ def make_stratum(R: RootSystem, I) -> Stratum:
         raise ValueError("I must be a subset of {1..n}")
     if len(I) == R.rank:
         raise ValueError("|I| = n gives a zero-dimensional stratum")
-    rd = span_subsystem(R, [R.simple[i - 1] for i in sorted(I)])
-    if rd.rank != len(I):
-        raise InvariantViolation("simple roots a_I are not independent")
-    return Stratum(R, I, rd)
+    return Stratum(R, I, span_subsystem(R, [R.simple[i - 1]
+                                            for i in sorted(I)]))
 
 
 class RestrictedHyperplane:
@@ -103,50 +101,58 @@ def restricted_arrangement(D: Stratum):
 
     Restriction to D has kernel span(a_I), so a root g lies in
     span(a_I, beta) exactly when g|_D is proportional to beta|_D: hence
-    R_{D,beta} = R_D u +-class(H).  `roots._link` joins the class members
-    to R_D's components (parabolic: the pieces of the Dynkin subdiagram on
-    I), each seeded as a piece probed by its a_i.  R_{D,beta} spans
-    span(a_I, beta), of rank |I| + 1, and its components are mutually
-    orthogonal, so their ranks add up to |I| + 1; the untouched components
-    keep theirs, so the one piece that holds class members has rank 1 +
-    those it merges.  Two pieces with members would each add at least one
-    (b is not in span(a_I)); that is still checked, as an
-    `InvariantViolation`.  The components are ordered as
-    `roots.span_subsystem` orders them: by (-rank, -size), ties by first
-    appearance in R.positive_roots."""
-    R = D.R
-    at = {beta: i for i, beta in enumerate(R.positive_roots)}
-
-    # once per stratum: one seed per component of R_D, probed by its a_i,
-    # and where the component first appears in R.positive_roots
-    rd_comps = D.rd.components
-    simple_I = [R.simple[i - 1] for i in sorted(D.I)]
-    seeds = [([a for a in simple_I if a in c.positive], [], {ci})
-             for ci, c in enumerate(rd_comps)]
-    first = [min(at[r] for r in c.positive) for c in rd_comps]
-
+    R_{D,beta} = R_D u +-class(H), and `_join` links the class members to
+    R_D's components.  R_{D,beta} spans span(a_I, beta), of rank |I| + 1,
+    and its components are mutually orthogonal, so the one piece that holds
+    class members has rank 1 + those it merges; a second piece with members
+    would add one more (b is not in span(a_I)), an `InvariantViolation`.
+    The components are ordered as `roots.span_subsystem` orders them: by
+    (-rank, -size), ties by first appearance in R.positive_roots."""
+    R, rows = D.R, D.R._gram_rows
+    at = dict(zip(R.positive_roots, range(len(R.positive_roots))))
+    # per component of R_D: its simple roots, the support of its highest
+    # (and last) positive root, and its first appearance in R.positive_roots
+    rd = [(c, R._supports[c.positive[-1]],
+           min(map(at.__getitem__, c.positive))) for c in D.rd.components]
+    masks = [mask for _, mask, _ in rd]
     out = []
-    for form in sorted(D.classes):
-        members = D.classes[form]
-        held = [p for p in _link(R, members, seeds) if p[1]]
+    for form, members in sorted(D.classes.items(),
+                                key=lambda fm: fm[0].coeffs):
+        held = _join(R, members, masks)
         # the multiplicity data must not depend on the representative
         # root in the projective class
         if len(held) != 1:
             raise InvariantViolation(
                 "component through beta differs within a projective class")
-        _, ms, cis = held[0]
-        merged = [rd_comps[ci] for ci in cis]
-        comp0 = _component(R, ms, 1 + sum(c.rank for c in merged), merged)
-        keyed = [((-c.rank, -c.size, first[ci]), c)
-                 for ci, c in enumerate(rd_comps) if ci not in cis]
-        keyed.append(((-comp0.rank, -comp0.size,
-                       min([at[members[0]]] + [first[ci] for ci in cis])),
-                      comp0))
-        keyed.sort(key=lambda kc: kc[0])
-        rep = SubsystemReport(D.rd.rank + 1, [c for _, c in keyed])
+        merged = [(c, f) for c, mask, f in rd if mask & held[0][0]]
+        comp0 = Component(
+            members, {sum(map(mul, rows[b], b)) for b in members},
+            1 + sum(c.rank for c, _ in merged), [c for c, _ in merged])
+        keyed = [(c, f) for c, mask, f in rd if not mask & held[0][0]]
+        keyed.append((comp0, min([at[members[0]]] + [f for _, f in merged])))
+        keyed.sort(key=lambda cf: (-cf[0].rank, -cf[0].size, cf[1]))
+        rep = SubsystemReport(D.rd.rank + 1, [c for c, _ in keyed])
         out.append(RestrictedHyperplane(form, members[0], members, rep,
                                         comp0))
     return out
+
+
+def _join(R: RootSystem, members, masks):
+    """The pieces (mask of R_D components touched, members) of the class
+    `members` and R_D's components of simple-root masks `masks`: b touches
+    one that meets `R._touches[b]`, and members touching one component or
+    with (b, b') != 0 share a piece."""
+    rows, touches, pieces = R._gram_rows, R._touches, []
+    for b in members:
+        row, t = rows[b], touches[b]
+        mask, ms, kept = sum(m for m in masks if m & t), [b], []
+        for p_mask, p_ms in pieces:
+            if p_mask & mask or any(sum(map(mul, row, a)) for a in p_ms):
+                mask, ms = mask | p_mask, ms + p_ms
+            else:
+                kept.append((p_mask, p_ms))
+        pieces = kept + [(mask, ms)]
+    return pieces
 
 
 def predict_determinant(D: Stratum) -> FactoredDeterminant:
@@ -174,10 +180,8 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
         raise ValueError("need one gamma per component of R_D")
 
     # I(A \ A^D) restricted: one linear form per mirror not containing D,
-    # counted by position in D.classes.  D.forms hands out the very
-    # objects that key D.classes, so identity finds a class's position
-    # without a LinearForm.__hash__ per plane
-    at = {id(form): i for i, form in enumerate(D.classes)}
+    # counted by position in D.classes, which D.class_index records
+    index = D.class_index
     total = [m * len(roots) for roots in D.classes.values()]
 
     # the I_i factors, with exponent r_i each.  gamma vanishes on D, and
@@ -190,7 +194,7 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
                 and tuple(-x for x in g) not in comp.positive:
             raise ValueError("gamma must lie in its component of R_D")
         for members in _planes_through(R, g):
-            i = at.get(id(D.forms[members[0]]))
+            i = index[members[0]]
             if i is not None:
                 total[i] += comp.rank
 

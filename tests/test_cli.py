@@ -6,6 +6,7 @@ import io
 import json
 import os
 import hashlib
+import random
 import subprocess
 import sys
 from argparse import Namespace
@@ -627,13 +628,11 @@ class TestGroupMemo:
         assert calls["flat_coordinates"] == 4
 
 
-# a broken `strata._link` that returns the seeds untouched and makes every
-# class member its own piece, reaching no component of R_D
+# a broken `strata._join` that makes every class member its own piece,
+# touching no component of R_D
 SPLIT_COMPONENTS = """
 from saitostrata import strata
-strata._link = lambda R, roots, pieces=(): (list(pieces)
-                                            + [([b], [b], set())
-                                               for b in roots])
+strata._join = lambda R, members, masks: [(0, [b]) for b in members]
 """
 
 
@@ -651,14 +650,14 @@ class TestInvariantViolation:
                                                    monkeypatch):
         monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
         # registers the original for restoring; the exec then breaks it
-        monkeypatch.setattr(strata, "_link", strata._link)
+        monkeypatch.setattr(strata, "_join", strata._join)
         exec(SPLIT_COMPONENTS, {})
         status, out = run(capsys, *self.ARGV)
         self._assert_class_failure(status, json.loads(out))
 
     def test_symbolic_checks_report_it_too(self, capsys, monkeypatch):
         monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
-        monkeypatch.setattr(strata, "_link", strata._link)
+        monkeypatch.setattr(strata, "_join", strata._join)
         exec(SPLIT_COMPONENTS, {})
         argv = [a for a in self.ARGV if a != "--skip-symbolic"]
         status, out = run(capsys, *argv)
@@ -679,6 +678,40 @@ class TestInvariantViolation:
                               capture_output=True, text=True, timeout=120)
         assert "Traceback" not in proc.stderr
         self._assert_class_failure(proc.returncode, json.loads(proc.stdout))
+
+
+class TestQPolynomialChecks:
+    def test_each_choice_is_reported_under_its_own_name(self, capsys,
+                                                        monkeypatch):
+        # the seed-2 choice raises: it alone fails, with the exception's
+        # repr, and the default and the other choices are each reported
+        # once
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        real, seed2 = cli.q_polynomial, random.Random(2).getstate()
+
+        def q_polynomial(D, rng=None):
+            if rng is not None and rng.getstate() == seed2:
+                raise strata.NegativeFinalExponent("injected")
+            return real(D, rng=rng)
+
+        monkeypatch.setattr(cli, "q_polynomial", q_polynomial)
+        status, report = run_json(capsys, "verify", "--group", "A3",
+                                  "--skip-symbolic")
+        assert status == 1
+        strata_seen = {tuple(c["stratum"]) for c in report["checks"]}
+        assert len(strata_seen) == 6
+        for I in strata_seen:
+            q = [(c["check"], c["passed"], c["detail"])
+                 for c in report["checks"] if tuple(c["stratum"]) == I
+                 and c["check"].startswith("q_polynomial")]
+            assert q == [
+                ("q_polynomial_default", True, ""),
+                ("q_polynomial_random_1", True, ""),
+                ("q_polynomial_random_2", False,
+                 "NegativeFinalExponent('injected')"),
+                ("q_polynomial_random_3", True, "")]
+        assert {f["check"] for f in report["failures"]} == \
+            {"q_polynomial_random_2"}
 
 
 # ---------------------------------------------------------------------------

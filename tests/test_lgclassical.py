@@ -464,8 +464,8 @@ class TestPredictorConsistency:
         fd = closed_form_det_A(cfg)
         R = root_system("A", cfg.n)
         D = make_stratum(R, _a_stratum_indices(mults))
-        assert fd.exponents_sorted() == \
-            predict_determinant(D).exponents_sorted()
+        assert sorted(fd.factors.values()) == \
+            sorted(predict_determinant(D).factors.values())
 
     @pytest.mark.parametrize("kind,N", [("B", 3), ("B", 4), ("D", 4)])
     def test_type_bd_exponents_all_strata(self, root_system, kind, N):
@@ -475,5 +475,6 @@ class TestPredictorConsistency:
                 cfg = _bd_config_from_walls(N, I, kind)
                 fd = closed_form_det_BD(cfg)
                 D = make_stratum(R, I)
-                assert fd.exponents_sorted() == \
-                    predict_determinant(D).exponents_sorted(), (kind, N, I)
+                pred = predict_determinant(D)
+                assert sorted(fd.factors.values()) == \
+                    sorted(pred.factors.values()), (kind, N, I)

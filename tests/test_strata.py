@@ -10,10 +10,11 @@ from itertools import combinations
 import pytest
 
 from saitostrata import roots, strata
-from saitostrata.algebra import FactoredDeterminant, UNKNOWN
+from saitostrata.algebra import (FactoredDeterminant, InvariantViolation,
+                                 UNKNOWN)
 from saitostrata.exactla import IntSpan
-from saitostrata.roots import (SubsystemReport, reduce_to_fundamental,
-                               span_subsystem)
+from saitostrata.roots import (SubsystemReport, build_root_system,
+                               reduce_to_fundamental, span_subsystem)
 from saitostrata.saitosym import restricted_saito_det
 from saitostrata.strata import (RestrictedHyperplane, _canon_int,
                                 make_stratum, restricted_arrangement,
@@ -45,6 +46,7 @@ class TestStratumBasics:
         assert outside
         for beta in R.positive_roots:
             assert (D.forms[beta] is None) == (beta in rd)
+            assert (D.class_index[beta] is None) == (beta in rd)
 
     @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 4), ("D", 5),
                                             ("F", 4), ("E", 6), ("E", 7),
@@ -63,10 +65,12 @@ class TestStratumBasics:
             firsts = [roots[0] for roots in D.classes.values()]
             assert firsts == [b for b in outside
                               if D.classes[D.forms[b]][0] == b]
-            for form, roots in D.classes.items():
+            assert list(D.class_index) == list(R.positive_roots)
+            for i, (form, roots) in enumerate(D.classes.items()):
                 assert roots == [b for b in outside if b in set(roots)]
                 for b in roots:
                     assert D.forms[b] is form
+                    assert D.class_index[b] == i
                     assert _canon_int([b[j - 1] for j in D.params]) == \
                         form.coeffs
 
@@ -234,7 +238,9 @@ class TestMergedComponents:
                 span = IntSpan(rank)
                 for r in merged:
                     span.add(r)
-                ref = roots._component(R, merged, span.rank)
+                ref = roots.Component(
+                    merged, {sum(x * y for x, y in zip(rows[b], b))
+                             for b in merged}, span.rank)
                 c0 = h.component0
                 assert (c0.type_label, c0.rank, c0.size, c0.coxeter_number) \
                     == (ref.type_label, ref.rank, ref.size,
@@ -252,16 +258,148 @@ class TestMergedComponents:
                                 for j in range(R.rank))
 
 
+def _general_span(R, I):
+    """`span_subsystem` of a_I down its general path (annihilator, then
+    `roots._link`): a repeated simple root, or the zero vector when I is
+    empty, spans the same space but is no set of distinct simple roots."""
+    S = [R.simple[i - 1] for i in sorted(I)]
+    return span_subsystem(R, S + (S[:1] or [(0,) * R.rank]))
+
+
+def _seeded_link(R, roots, pieces):
+    """`roots._link` joined to seed pieces (probes, members, tags), each
+    root b merging every piece with a probe p such that (b, p) != 0: the
+    link of `_seeded_restricted_arrangement`."""
+    rows = R._gram_rows
+    pieces = list(pieces)
+    for b in roots:
+        row = rows[b]
+        probes, members, tags = [b], [b], set()
+        kept, at = [], None
+        for p in pieces:
+            if any(sum(x * y for x, y in zip(row, a)) for a in p[0]):
+                if at is None:
+                    at = len(kept)
+                probes += p[0]
+                members += p[1]
+                tags |= p[2]
+            else:
+                kept.append(p)
+        kept.insert(len(kept) if at is None else at, (probes, members, tags))
+        pieces = kept
+    return pieces
+
+
+def _seeded_restricted_arrangement(D):
+    """A_D with the class members linked to R_D's components, each seeded
+    as a piece probed by its simple roots, by Gram dot products: the
+    reference for the link by simple-root masks."""
+    R = D.R
+    at = {beta: i for i, beta in enumerate(R.positive_roots)}
+    rd_comps = D.rd.components
+    simple_I = [R.simple[i - 1] for i in sorted(D.I)]
+    seeds = [([a for a in simple_I if a in c.positive], [], {ci})
+             for ci, c in enumerate(rd_comps)]
+    first = [min(at[r] for r in c.positive) for c in rd_comps]
+    out = []
+    for form in sorted(D.classes):
+        members = D.classes[form]
+        held = [p for p in _seeded_link(R, members, seeds) if p[1]]
+        assert len(held) == 1
+        _, ms, cis = held[0]
+        merged = [rd_comps[ci] for ci in cis]
+        lengths = {sum(x * y for x, y in zip(R._gram_rows[b], b)) for b in ms}
+        comp0 = roots.Component(ms, lengths, 1 + sum(c.rank for c in merged),
+                                merged)
+        keyed = [((-c.rank, -c.size, first[ci]), c)
+                 for ci, c in enumerate(rd_comps) if ci not in cis]
+        keyed.append(((-comp0.rank, -comp0.size,
+                       min([at[members[0]]] + [first[ci] for ci in cis])),
+                      comp0))
+        keyed.sort(key=lambda kc: kc[0])
+        rep = SubsystemReport(D.rd.rank + 1, [c for _, c in keyed])
+        out.append(RestrictedHyperplane(form, members[0], members, rep,
+                                        comp0))
+    return out
+
+
+def _full_data(c):
+    return c.positive, c.rank, c.size, c.type_label
+
+
+def _parabolic_mismatches(R):
+    """The subsets I on which R_D read off the Cartan matrix, or A_D linked
+    by masks (I proper), differs from the general span path and the seeded
+    link, or fails to build (a rank, size or length set that no type
+    has)."""
+    n, bad = R.rank, []
+    for size in range(n + 1):
+        for I in combinations(range(1, n + 1), size):
+            ref = _general_span(R, I)
+            try:
+                got = span_subsystem(R, [R.simple[i - 1] for i in I])
+                arr = [] if size == n else \
+                    restricted_arrangement(make_stratum(R, I))
+            except (InvariantViolation, KeyError, ValueError):
+                bad.append(I)
+                continue
+            oracle = [] if size == n else \
+                _seeded_restricted_arrangement(strata.Stratum(R, I, ref))
+            if (got.rank, [_full_data(c) for c in got.components]) != \
+                    (ref.rank, [_full_data(c) for c in ref.components]) \
+                    or [_hyperplane_data(h) for h in arr] != \
+                    [_hyperplane_data(h) for h in oracle]:
+                bad.append(I)
+    return bad
+
+
+def _hyperplane_data(h):
+    comps = h.rd_beta.components
+    return (h.form.coeffs, h.beta, h.roots, h.k, h.rd_beta.rank,
+            h.rd_beta.size, [_full_data(c) for c in comps],
+            _full_data(h.component0),
+            [i for i, c in enumerate(comps) if c is h.component0])
+
+
+PARABOLIC_GROUPS = ([("A", r) for r in range(1, 7)]
+                    + [("B", r) for r in range(2, 7)]
+                    + [("D", r) for r in range(4, 8)]
+                    + [("F", 4), ("E", 6), ("E", 7)])
+
+
+class TestParabolicPath:
+    @pytest.mark.parametrize("label,rank", PARABOLIC_GROUPS)
+    def test_matches_general_path_and_seeded_link(self, root_system, label,
+                                                  rank):
+        # every subset I: R_D equals the general span path component by
+        # component, and every hyperplane of A_D equals the seeded link's
+        assert _parabolic_mismatches(root_system(label, rank)) == []
+
+    @pytest.mark.parametrize("changes", [
+        [(0, 6, -1)], [(2, 4, -1)], [(4, 1, -2)],
+        [(0, 2, 0), (2, 0, 0)], [(3, 4, 0), (4, 3, 0)]])
+    def test_a_mutated_cartan_matrix_is_caught(self, changes):
+        # E7 (a1 - a3 - a4 - a5 - a6 - a7, a2 - a4): one nonzero entry off
+        # the diagram joins two pieces; an edge counts from either of its
+        # entries, so removing it zeroes both.  The general path reads the
+        # Gram matrix, so it keeps the true pieces
+        R = build_root_system("E", 7)
+        for i, j, entry in changes:
+            assert (R.cartan[i][j] == 0) == (entry != 0)
+            R.cartan[i][j] = entry
+        assert _parabolic_mismatches(R) != []
+
+
 class TestPredictor:
     def test_a3_line_stratum(self, root_system):
         D = make_stratum(root_system("A", 3), [1, 2])
         fd = predict_determinant(D)
-        assert fd.exponents_sorted() == [4]
+        assert sorted(fd.factors.values()) == [4]
 
     def test_f4_wall_stratum(self, root_system):
         D = make_stratum(root_system("F", 4), [1])
         fd = predict_determinant(D)
-        assert fd.exponents_sorted() == \
+        assert sorted(fd.factors.values()) == \
             [2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4]
 
     def test_e8_a5_row(self, root_system):
@@ -299,7 +437,8 @@ class TestPredictor:
             _, I2 = reduce_to_fundamental(R, wS)
             fd1 = predict_determinant(make_stratum(R, I1))
             fd2 = predict_determinant(make_stratum(R, I2))
-            assert fd1.exponents_sorted() == fd2.exponents_sorted()
+            assert sorted(fd1.factors.values()) == \
+                sorted(fd2.factors.values())
 
 
 class TestQPolynomial:
