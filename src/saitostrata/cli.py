@@ -126,10 +126,6 @@ def _fork_map(fn, items, nproc):
             os.waitpid(pid, 0)
 
 
-def load_schema():
-    return json.loads((_DATA / "cli_schema.json").read_text())
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -614,7 +610,11 @@ def _emit(report, args):
     else:
         text = _render_text(report)
     if args.output:
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as exc:
+            raise InputError(f"cannot write --output: {exc}")
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -648,9 +648,6 @@ def build_parser():
     p.add_argument("--ambient", action="store_true",
                    help="interpret --roots vectors as raw ambient "
                         "coordinates instead of simple-basis coefficients")
-    p.add_argument("--fast", action="store_true",
-                   help="no effect, kept so existing command lines parse; "
-                        "the projective class check always runs")
 
     p = sub.add_parser("det", help="exact symbolic determinant")
     common(p)
@@ -694,10 +691,10 @@ def main(argv=None):
     command = globals()[f"cmd_{args.subcommand}"]
     try:
         report, status = command(args)
+        _emit(report, args)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    _emit(report, args)
     return status
 
 

@@ -4,7 +4,7 @@ Matrices are lists of rows of Fractions or ints.  Each row is scaled to
 integers by the lcm of its denominators (`_int_row`), and one elimination
 runs on the ints: `IntSpan`'s fraction-free row echelon for `rank` and
 `rref` (and through it `solve` and `matinv`), its integer annihilator for
-`nullspace` and for membership tests in bulk (`roots.span_subsystem`),
+`nullspace` and for the roots of E_6 and E_7 in E_8 (`roots._build_E`),
 and the Bareiss elimination of `algebra.poly_det` for `det_fraction`.
 """
 

@@ -22,8 +22,10 @@ the reports), for the one inverse of the Gram matrix, and one per output
 coordinate by `vector`; `coefficients`, which reads ambient input, still
 pairs it with the Fraction coweights.
 
-Type labels B_r and C_r are merged (they generate the same Coxeter group);
-reports use "B".
+The only subsystems the package builds are parabolic, spanned by simple
+roots a_I: `span_subsystem` reads them off the Dynkin diagram.  Type labels
+B_r and C_r are merged (they generate the same Coxeter group); reports use
+"B".
 """
 
 from __future__ import annotations
@@ -440,40 +442,16 @@ def _type_label(rank, size, lengths):
     raise ValueError(f"unrecognized subsystem rank={rank} size={size}")
 
 
-def span_subsystem(R: RootSystem, S):
-    """All roots of R in the rational span of the coefficient tuples S,
-    with its irreducible decomposition, listed by (-rank, -size), then by
-    first appearance in R.positive_roots.  Distinct simple roots S = a_I
-    span a parabolic subsystem, read off the Dynkin diagram (`_parabolic`).
-    Any other S: the roots of `_roots_in`, split by `_link`; a lone piece
-    of a span of roots spans it, other pieces are ranked by an `IntSpan`."""
-    S = [tuple(s) for s in S]
-    if len(set(S)) == len(S) and set(S) <= set(R.simple):
-        return _parabolic(R, [s.index(1) for s in S])
-    n = R.rank
-    span = IntSpan(n)
-    for s in S:
-        span.add(s)
-    pieces = _link(R, _roots_in(R, span))
-    lone = len(pieces) == 1 and all(s in R._rootset for s in S)
-    components = []
-    for members in pieces:
-        cs = span
-        if not lone:
-            cs = IntSpan(n)
-            for r in members:
-                cs.add(r)
-        components.append(Component(members, {
-            sum(map(mul, R._gram_rows[b], b)) for b in members}, cs.rank))
-    components.sort(key=lambda c: (-c.rank, -c.size))
-    return SubsystemReport(span.rank, components)
-
-
-def _parabolic(R: RootSystem, I):
-    """`span_subsystem` of a_i, i in I (0-based): a component per connected
-    piece (bit mask) of the Cartan matrix on I, holding the roots whose
-    support, which is connected, is in I and starts in the piece.  Its
+def span_subsystem(R: RootSystem, I):
+    """The parabolic subsystem spanned by the simple roots a_i, i in I
+    (1-based), with its irreducible decomposition, listed by (-rank, -size),
+    then by first appearance in R.positive_roots.  A component per
+    connected piece (bit mask) of the Cartan matrix on I holds the roots
+    whose support, which is connected, is in I and starts in the piece; its
     rank and root lengths are those of its simple roots."""
+    I = {i - 1 for i in I}
+    if not all(0 <= i < R.rank for i in I):
+        raise ValueError("I must be a subset of {1..n}")
     C = R.cartan
     pieces = []
     for i in I:
@@ -490,42 +468,6 @@ def _parabolic(R: RootSystem, I):
                             p.bit_count()) for p, ms in members.items()]
     components.sort(key=lambda c: (-c.rank, -c.size))
     return SubsystemReport(len(I), components)
-
-
-def _roots_in(R: RootSystem, span):
-    """The positive roots of R in `span`: a normal of its annihilator nonzero
-    only at f vanishes where the support misses f, any other is dotted."""
-    off, dense = 0, []
-    for v in span.annihilator():
-        support = sum(1 << j for j, x in enumerate(v) if x)
-        if support & (support - 1):
-            dense.append(v)
-        else:
-            off |= support
-    return [b for b, support in R._supports.items() if not support & off
-            and not any(sum(map(mul, v, b)) for v in dense)]
-
-
-def _link(R: RootSystem, roots):
-    """The connected pieces (lists) of the non-orthogonality graph on the
-    positive roots `roots`, in order of first appearance: each root b in
-    turn merges every piece with a root b' such that (b, b') != 0 into the
-    place of the first of them, or starts a new last piece."""
-    rows = R._gram_rows
-    pieces = []
-    for b in roots:
-        row = rows[b]
-        joined, kept, at = [b], [], None
-        for p in pieces:
-            if any(sum(map(mul, row, a)) for a in p):
-                if at is None:
-                    at = len(kept)
-                joined += p
-            else:
-                kept.append(p)
-        kept.insert(len(kept) if at is None else at, joined)
-        pieces = kept
-    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +497,15 @@ def reduce_to_fundamental(R: RootSystem, S):
         if not span.add(s):
             raise ValueError("S must be linearly independent")
 
+    # z lies on D_S, so it is generic when only the roots of span(S)
+    # vanish there
     basis = nullspace(S or [(0,) * n])
-    off = set(R.positive_roots).difference(_roots_in(R, span))
     for _attempt in range(200):
         mix = [rng.randint(-10**6, 10**6) for _ in basis]
         z = [sum(m * b[j] for m, b in zip(mix, basis)) for j in range(n)]
         den = lcm(*(Fraction(x).denominator for x in z))
         z = [int(x * den) for x in z]
-        if all(_dot(r, z) for r in off):
+        if all(span.contains(r) for r in R.positive_roots if not _dot(r, z)):
             break
     else:  # pragma: no cover
         raise RuntimeError("could not find a generic point of the stratum")

@@ -850,7 +850,7 @@ def identity_field_checks(basis: InvariantBasis):
                 q = divide_exact(q, MultiPoly.variable(n, j))
         Ik[k] = q
     for l, m in combinations(range(n), 2):
-        sub = span_subsystem(R, [R.simple[l], R.simple[m]])
+        sub = span_subsystem(R, (l + 1, m + 1))
         if sub.size // 2 <= 2:
             continue
         lhs = Ik[m].set_vars_zero([l, m])

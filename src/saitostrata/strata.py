@@ -7,13 +7,13 @@ I} s_j w^j, so restricting a root b = sum b_i a_i to D truncates it to
 sum_{j not in I} b_j s_j: integer truncation and canonicalization, no
 projections.  A `Stratum` canonicalizes each distinct truncation once:
 `D.classes` maps one `LinearForm` per projective class to its roots, and
-`D.class_index` and `D.forms` send each positive root to its class's
-position and form, or to None exactly on R_D.
+`D.class_index` sends each positive root to its class's position there,
+or to None exactly on R_D.
 
-R_D is `roots.span_subsystem` of a_I: parabolic, so its components are the
-connected pieces of the Dynkin subdiagram on I.  A_D (`D.arrangement`,
-built on first use) runs no graph search: `_join` links each class to R_D's
-components by bit masks of simple roots.  The Gram rows, support and touch
+R_D is `roots.span_subsystem(R, I)`, spanned by a_I: parabolic, so its
+components are the connected pieces of the Dynkin subdiagram on I.  A_D
+(`D.arrangement`, built on first use) runs no graph search: `_join` links
+each class to R_D's components by bit masks of simple roots.  The Gram rows, support and touch
 masks and the 2-planes through a root gamma (for the Q-polynomial) are
 cached on R: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every
 positive root serves as gamma.
@@ -54,10 +54,9 @@ class Stratum:
         self.classes = {LinearForm(c, self.param_labels): roots
                         for c, roots in split.items()}
         self.class_index = dict.fromkeys(R.positive_roots)
-        self.forms = dict.fromkeys(R.positive_roots)
-        for i, (form, roots) in enumerate(self.classes.items()):
+        for i, roots in enumerate(self.classes.values()):
             for beta in roots:
-                self.class_index[beta], self.forms[beta] = i, form
+                self.class_index[beta] = i
 
     @cached_property
     def arrangement(self):
@@ -70,12 +69,10 @@ class Stratum:
 
 def make_stratum(R: RootSystem, I) -> Stratum:
     I = frozenset(int(i) for i in I)
-    if not I <= set(range(1, R.rank + 1)):
-        raise ValueError("I must be a subset of {1..n}")
+    rd = span_subsystem(R, I)       # ValueError for I off 1..n
     if len(I) == R.rank:
         raise ValueError("|I| = n gives a zero-dimensional stratum")
-    return Stratum(R, I, span_subsystem(R, [R.simple[i - 1]
-                                            for i in sorted(I)]))
+    return Stratum(R, I, rd)
 
 
 class RestrictedHyperplane:

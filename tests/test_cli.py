@@ -13,6 +13,7 @@ from argparse import Namespace
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -20,10 +21,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from saitostrata import cli, lgclassical, roots, saitosym, strata
-from saitostrata.cli import main, load_schema, worker_count
+from saitostrata.cli import main, worker_count
 from saitostrata.roots import parse_group
 
-SCHEMA = load_schema()
+SCHEMA = json.loads((Path(cli.__file__).parent / "data" / "cli_schema.json")
+                    .read_text())
 
 
 class _StratumFault(Exception):
@@ -56,7 +58,7 @@ def run_json(capsys, *argv):
 class TestPredict:
     def test_e8_a5_row(self, capsys):
         status, rep = run_json(capsys, "predict", "--group", "E8",
-                               "--simple", "4,5,6,7,8", "--fast")
+                               "--simple", "4,5,6,7,8")
         assert status == 0
         factors = rep["stratum"]["factors"]
         assert len(factors) == 13
@@ -485,6 +487,18 @@ class TestPlumbing:
         report = json.loads(path.read_text())
         jsonschema.validate(report, SCHEMA)
 
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        # exit 1 means only a failed check or table diff
+        path = tmp_path / "missing" / "report.json"
+        assert_input_error(capsys, "predict", "--group", "A3", "--simple",
+                           "1", "--output", str(path))
+        assert not path.parent.exists()
+
+    def test_fast_is_no_option(self):
+        status, out = _run_argv(["predict", "--group", "A3", "--simple",
+                                 "1", "--fast"])
+        assert (status, out) == (2, "")
+
 
 # sha256 over the flat bases of A1, A2, A3, B2, B3, D3, D4 and F4, and over
 # those of A4, B4, D5 and A5: per group the terms of `polys`, then of
@@ -804,8 +818,7 @@ def _predict(draw):
                          "D3", "D4", "D5", "E6", "F4"]),
         st.sampled_from(INVALID_GROUPS)))
     where = draw(st.one_of(_simple(_rank(group)), _roots(group)))
-    flags = draw(st.lists(st.sampled_from(["--dump-roots", "--fast"]),
-                          unique=True))
+    flags = draw(st.sampled_from([[], ["--dump-roots"]]))
     return ["predict", "--group", group, *where, *flags]
 
 

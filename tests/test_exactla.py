@@ -216,7 +216,7 @@ class TestAnnihilator:
 
     def test_unit_vectors_give_unit_normals(self):
         # the span of e_i (i in I) is cut out by e_f (f not in I), one
-        # nonzero entry each: `roots.span_subsystem` tests these by support
+        # nonzero entry each
         for dim in range(5):
             for size in range(dim + 1):
                 for I in itertools.combinations(range(dim), size):

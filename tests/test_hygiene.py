@@ -1,7 +1,8 @@
 """Code hygiene: every top-level function and class of the package is named
-somewhere besides its own definition, in the Python files of the package,
-the tests or the benchmark, and every name a module of the package imports
-is used in that module. A helper whose last caller is gone, or an import
+somewhere besides its own definition, in the Python files of the package
+or the benchmark (a name `__init__.py` re-exports is named there), and
+every name a module of the package imports is used in that module. A
+helper whose last caller is gone, or that only tests call, or an import
 whose last use is gone, fails here."""
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "saitostrata"
-SEARCHED = ("src", "tests", "benchmark")
+SEARCHED = ("src", "benchmark")
 
 
 def _top_level_names(path):

@@ -122,43 +122,36 @@ def test_parse_group_forms():
 class TestSpanSubsystem:
     def test_e8_parabolic_a5(self):
         R = build_root_system("E", 8)
-        S = [R.simple[i - 1] for i in (4, 5, 6, 7, 8)]
-        rep = span_subsystem(R, S)
+        rep = span_subsystem(R, (4, 5, 6, 7, 8))
         assert rep.type_string() == "A5"
         assert rep.size == 30
         assert rep.rank == 5
 
-    def test_b3_short_long_split(self):
-        R = build_root_system("B", 3)
-        # two orthogonal short roots e1, e2 span a B-side A1 x A1... their
-        # rational span contains the long roots e1 +- e2 as well: type B2
-        e1 = R.coefficients((1, 0, 0))
-        e2 = R.coefficients((0, 1, 0))
-        assert (e1, e2) == ((1, 1, 1), (0, 1, 1))
-        rep = span_subsystem(R, [e1, e2])
-        assert rep.type_string() == "B2"
-        assert rep.size == 8
-
     def test_reducible_span(self):
         R = build_root_system("A", 3)
-        a1, a3 = R.simple[0], R.simple[2]
-        rep = span_subsystem(R, [a1, a3])
+        rep = span_subsystem(R, (1, 3))
         assert len(rep.components) == 2
         assert rep.type_string() == "A1^2"
         assert sorted(c.rank for c in rep.components) == [1, 1]
 
     def test_components_partition_roots(self):
         R = build_root_system("E", 7)
-        S = [R.simple[i] for i in (0, 2, 4, 6)]
-        rep = span_subsystem(R, S)
+        rep = span_subsystem(R, (1, 3, 5, 7))
         total = sum(c.size for c in rep.components)
         assert total == rep.size == len(rep.roots)
+
+    def test_rejects_indices_off_the_diagram(self):
+        R = build_root_system("A", 3)
+        for I in ((0,), (4,), (1, 4), (-1, 2)):
+            with pytest.raises(ValueError):
+                span_subsystem(R, I)
 
 
 def _ref_components(R, sub_pos):
     """Irreducible components of the subsystem with positive roots
-    `sub_pos` (in R.positive_roots order) by one graph search that pops a
-    root and scans every unseen one: the reference for `roots._link`."""
+    `sub_pos` (in R.positive_roots order) by one graph search on the Gram
+    rows that pops a root and scans every unseen one: the reference for
+    `roots.span_subsystem`, which reads the Cartan matrix."""
     n, rows = R.rank, R._gram_rows
     unseen = set(sub_pos)
     components = []
@@ -184,18 +177,14 @@ def _ref_components(R, sub_pos):
     return components
 
 
-def _assert_span_matches_reference(R, S):
+def _ref_span(R, S):
+    """The roots of R in the span of the coefficient tuples S, split by
+    `_ref_components`: the reference subsystem for any S."""
     span = IntSpan(R.rank)
     for s in S:
         span.add(s)
-    ref = _ref_components(R, [r for r in R.positive_roots
-                              if span.contains(r)])
-    rep = span_subsystem(R, S)
-    assert rep.rank == span.rank
-    assert [(c.type_label, c.rank, c.size, c.roots)
-            for c in rep.components] == \
-        [(c.type_label, c.rank, c.size, c.roots) for c in ref]
-    assert rep.roots == [r for c in ref for r in c.roots]
+    return roots.SubsystemReport(span.rank, _ref_components(
+        R, [r for r in R.positive_roots if span.contains(r)]))
 
 
 class TestLinkMatchesGraphSearch:
@@ -204,49 +193,28 @@ class TestLinkMatchesGraphSearch:
     def test_simple_root_subsets(self, label, rank):
         R = build_root_system(label, rank)
         for size in range(rank + 1):
-            for I in itertools.combinations(range(rank), size):
-                _assert_span_matches_reference(R, [R.simple[i] for i in I])
+            for I in itertools.combinations(range(1, rank + 1), size):
+                ref = _ref_span(R, [R.simple[i - 1] for i in I])
+                rep = span_subsystem(R, I)
+                assert rep.rank == ref.rank == size
+                assert [(c.type_label, c.rank, c.size, c.roots)
+                        for c in rep.components] == \
+                    [(c.type_label, c.rank, c.size, c.roots)
+                     for c in ref.components]
+                assert rep.roots == ref.roots
 
-    @pytest.mark.parametrize("label,rank", [("B", 2), ("B", 3), ("B", 4),
-                                            ("D", 5), ("E", 6), ("E", 7),
-                                            ("F", 4)])
-    def test_random_independent_sets(self, label, rank):
-        # root sets not in standard position, e.g. B3 {e1, e2} -> B2, and
-        # B2 {e1, e2}, short roots that span the plane
-        R = build_root_system(label, rank)
-        rng = random.Random(rank * 101 + ord(label))
-        for _ in range(12):
-            while True:
-                S = rng.sample(R.positive_roots, rng.randint(1, rank))
-                span = IntSpan(rank)
-                if all(span.add(s) for s in S):
-                    break
-            _assert_span_matches_reference(R, S)
-        if (label, rank) == ("B", 3):
-            _assert_span_matches_reference(R, [(1, 1, 1), (0, 1, 1)])
-        if (label, rank) == ("B", 2):
-            assert (R.coefficients((1, 0)), R.coefficients((0, 1))) == \
-                ((1, 1), (0, 1))
-            _assert_span_matches_reference(R, [(1, 1), (0, 1)])
 
-    def test_dependent_and_non_root_sets(self):
-        # a lone piece takes the span's rank only when S consists of
-        # roots: a1 with 2 a2 + a3 on A3 spans a plane that holds the
-        # roots +-a1 alone, of rank 1
-        R = build_root_system("A", 3)
-        rep = span_subsystem(R, [(1, 0, 0), (0, 2, 1)])
-        assert rep.rank == 2
-        assert [(c.type_label, c.rank) for c in rep.components] == [("A1", 1)]
-        rng = random.Random(7)
-        for label, rank in (("A", 3), ("B", 4), ("F", 4), ("E", 7)):
-            R = build_root_system(label, rank)
-            for _ in range(8):
-                S = rng.sample(R.positive_roots, rng.randint(1, rank - 1))
-                S.append(tuple(a - b for a, b in zip(S[0], S[-1])))
-                _assert_span_matches_reference(R, S)
-                _assert_span_matches_reference(
-                    R, [tuple(rng.randint(-2, 2) for _ in range(rank))
-                        for _ in range(rng.randint(1, rank))])
+# recorded before `reduce_to_fundamental` tested genericity by span
+# membership in place of the roots off the span
+REDUCE_DIGESTS = {
+    ("A", 4): "0cb2154451488a58ee193afb306600ce4b64a8f0e9aab6036f6007513289aa88",
+    ("B", 3): "cb84906867dfc37269f429691df22c467f46957b095370f9c7f28ae1bd17a681",
+    ("D", 4): "50bc919d50ae39eeaf2e52a4f127912a5b59b017edd597b2525c6d4e25fb404d",
+    ("F", 4): "fc26bf08592b7e1035e3b737a89141df9b9fbf904236fc5d1a892aa90222e3bc",
+    ("E", 6): "cb97e7dacba51b1324092310d667b61cc59f85ab9e8a9f0d73d3808f01b03727",
+    ("E", 7): "e304bf676c7da44ec597dab9d0153e7d3d5eee36393f6128faeefc287d8e558d",
+    ("E", 8): "e546302ff3988be5f01cab119d608951d8843ccc211f7af91924a151e69ff056",
+}
 
 
 class TestReduceToFundamental:
@@ -267,8 +235,25 @@ class TestReduceToFundamental:
             assert len(I) == len(S)
             # w maps the span of S onto the span of the walls alpha_i, i in I
             wS = [R.apply_word(word, s) for s in S]
-            walls = span_subsystem(R, [R.simple[i - 1] for i in I])
+            walls = _ref_span(R, [R.simple[i - 1] for i in I])
             assert set(wS) <= set(walls.roots)
+
+    @pytest.mark.parametrize("label,rank", sorted(REDUCE_DIGESTS))
+    def test_words_and_walls_are_pinned(self, label, rank):
+        # sha256 of (word, sorted(I)) over seeded root samples, None for a
+        # dependent one: the word depends on the generic point drawn
+        R = build_root_system(label, rank)
+        rng = random.Random(rank * 101 + ord(label))
+        out = []
+        for _ in range(24):
+            S = rng.sample(R.positive_roots, rng.randint(1, rank - 1))
+            try:
+                word, I = reduce_to_fundamental(R, S)
+                out.append((word, sorted(I)))
+            except ValueError:
+                out.append(None)
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == REDUCE_DIGESTS[(label, rank)]
 
     def test_rejects_non_roots_and_dependence(self):
         R = build_root_system("A", 3)

@@ -20,7 +20,7 @@ from saitostrata.strata import (RestrictedHyperplane, _canon_int,
                                 make_stratum, restricted_arrangement,
                                 predict_determinant, q_polynomial,
                                 stratum_json_dict)
-from test_roots import _ref_components
+from test_roots import _ref_components, _ref_span
 
 
 def _all_strata(R):
@@ -41,11 +41,10 @@ class TestStratumBasics:
         R = root_system("A", 3)
         D = make_stratum(R, [1])
         rd = set(D.rd.roots)
-        assert list(D.forms) == list(R.positive_roots)
+        assert list(D.class_index) == list(R.positive_roots)
         outside = [b for b in R.positive_roots if b not in rd]
         assert outside
         for beta in R.positive_roots:
-            assert (D.forms[beta] is None) == (beta in rd)
             assert (D.class_index[beta] is None) == (beta in rd)
 
     @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 4), ("D", 5),
@@ -62,14 +61,14 @@ class TestStratumBasics:
             outside = [b for b in R.positive_roots if b not in rd]
             flat = [b for roots in D.classes.values() for b in roots]
             assert sorted(flat) == sorted(outside)
-            firsts = [roots[0] for roots in D.classes.values()]
+            members = list(D.classes.values())
+            firsts = [roots[0] for roots in members]
             assert firsts == [b for b in outside
-                              if D.classes[D.forms[b]][0] == b]
+                              if members[D.class_index[b]][0] == b]
             assert list(D.class_index) == list(R.positive_roots)
             for i, (form, roots) in enumerate(D.classes.items()):
                 assert roots == [b for b in outside if b in set(roots)]
                 for b in roots:
-                    assert D.forms[b] is form
                     assert D.class_index[b] == i
                     assert _canon_int([b[j - 1] for j in D.params]) == \
                         form.coeffs
@@ -104,9 +103,10 @@ class TestRestrictedArrangement:
             assert len(arr) == expect
 
     def test_class_data_is_well_defined(self, root_system):
-        # R_{D,beta} is built from the projective class; span_subsystem is
-        # the reference: every member beta spans the same subsystem with
-        # a_I, and lies in the component through the representative
+        # R_{D,beta} is built from the projective class; a graph search
+        # over the span is the reference: every member beta spans the same
+        # subsystem with a_I, and lies in the component through the
+        # representative
         for label, rank in (("F", 4), ("B", 4), ("D", 5), ("E", 6)):
             R = root_system(label, rank)
             for I in _all_strata(R):
@@ -115,7 +115,7 @@ class TestRestrictedArrangement:
                 for hp in restricted_arrangement(D):
                     comp0 = set(hp.component0.roots)
                     for beta in hp.roots:
-                        ref = span_subsystem(R, simple_I + [beta])
+                        ref = _ref_span(R, simple_I + [beta])
                         assert set(ref.roots) == set(hp.rd_beta.roots)
                         assert ref.rank == hp.rd_beta.rank
                         assert _multiset(ref) == _multiset(hp.rd_beta)
@@ -135,14 +135,14 @@ def _multiset(rep):
 def _ref_restricted_arrangement(D):
     """A_D by one graph search over R_D u class(H) per hyperplane: the
     reference for the merge of R_D's components."""
-    pos = D.R.positive_roots
+    pos, forms = D.R.positive_roots, list(D.classes)
     rd_idx, classes = [], {}
     for i, beta in enumerate(pos):
-        form = D.forms[beta]
-        if form is None:
+        c = D.class_index[beta]
+        if c is None:
             rd_idx.append(i)
         else:
-            classes.setdefault(form, []).append(i)
+            classes.setdefault(forms[c], []).append(i)
     out = []
     for form in sorted(classes):
         idx = classes[form]
@@ -166,10 +166,9 @@ def _ref_q_polynomial(D, gamma_choices=None, rng=None):
                     for c in comps]
         gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
                          for pos in positive]
-    total = Counter()
-    for form in D.forms.values():
-        if form is not None:
-            total[form] += m
+    forms, total = list(D.classes), Counter()
+    for form, roots in D.classes.items():
+        total[form] += m * len(roots)
     for comp, g in zip(comps, gamma_choices):
         piv = next(i for i, x in enumerate(g) if x)
         hyperplanes = {}
@@ -179,9 +178,9 @@ def _ref_q_polynomial(D, gamma_choices=None, rng=None):
             if key is not None:
                 hyperplanes.setdefault(key, []).append(beta)
         for members in hyperplanes.values():
-            if any(D.forms[b] is None for b in members):
+            if any(D.class_index[b] is None for b in members):
                 continue
-            total[D.forms[members[0]]] += comp.rank
+            total[forms[D.class_index[members[0]]]] += comp.rank
     return FactoredDeterminant(UNKNOWN, dict(total))
 
 
@@ -258,18 +257,11 @@ class TestMergedComponents:
                                 for j in range(R.rank))
 
 
-def _general_span(R, I):
-    """`span_subsystem` of a_I down its general path (annihilator, then
-    `roots._link`): a repeated simple root, or the zero vector when I is
-    empty, spans the same space but is no set of distinct simple roots."""
-    S = [R.simple[i - 1] for i in sorted(I)]
-    return span_subsystem(R, S + (S[:1] or [(0,) * R.rank]))
-
-
 def _seeded_link(R, roots, pieces):
-    """`roots._link` joined to seed pieces (probes, members, tags), each
-    root b merging every piece with a probe p such that (b, p) != 0: the
-    link of `_seeded_restricted_arrangement`."""
+    """The pieces of `roots` joined to seed pieces (probes, members, tags),
+    each root b in turn merging every piece with a probe p such that
+    (b, p) != 0 into the place of the first of them, or starting a new last
+    piece: the link of `_seeded_restricted_arrangement`."""
     rows = R._gram_rows
     pieces = list(pieces)
     for b in roots:
@@ -329,15 +321,15 @@ def _full_data(c):
 
 def _parabolic_mismatches(R):
     """The subsets I on which R_D read off the Cartan matrix, or A_D linked
-    by masks (I proper), differs from the general span path and the seeded
-    link, or fails to build (a rank, size or length set that no type
-    has)."""
+    by masks (I proper), differs from the graph search on the Gram rows and
+    the seeded link, or fails to build (a rank, size or length set that no
+    type has)."""
     n, bad = R.rank, []
     for size in range(n + 1):
         for I in combinations(range(1, n + 1), size):
-            ref = _general_span(R, I)
+            ref = _ref_span(R, [R.simple[i - 1] for i in I])
             try:
-                got = span_subsystem(R, [R.simple[i - 1] for i in I])
+                got = span_subsystem(R, I)
                 arr = [] if size == n else \
                     restricted_arrangement(make_stratum(R, I))
             except (InvariantViolation, KeyError, ValueError):
@@ -371,7 +363,7 @@ class TestParabolicPath:
     @pytest.mark.parametrize("label,rank", PARABOLIC_GROUPS)
     def test_matches_general_path_and_seeded_link(self, root_system, label,
                                                   rank):
-        # every subset I: R_D equals the general span path component by
+        # every subset I: R_D equals the graph search's component by
         # component, and every hyperplane of A_D equals the seeded link's
         assert _parabolic_mismatches(root_system(label, rank)) == []
 
@@ -381,8 +373,8 @@ class TestParabolicPath:
     def test_a_mutated_cartan_matrix_is_caught(self, changes):
         # E7 (a1 - a3 - a4 - a5 - a6 - a7, a2 - a4): one nonzero entry off
         # the diagram joins two pieces; an edge counts from either of its
-        # entries, so removing it zeroes both.  The general path reads the
-        # Gram matrix, so it keeps the true pieces
+        # entries, so removing it zeroes both.  The graph search reads the
+        # Gram rows, so it keeps the true pieces
         R = build_root_system("E", 7)
         for i, j, entry in changes:
             assert (R.cartan[i][j] == 0) == (entry != 0)
@@ -486,7 +478,8 @@ class TestQPolynomial:
                       for g in c.roots[:c.size // 2]]
             for g in gammas:
                 for members in strata._planes_through(R, g):
-                    assert len({D.forms[b] is None for b in members}) == 1
+                    assert len({D.class_index[b] is None
+                                for b in members}) == 1
 
     def test_gamma_validation(self, root_system):
         R = root_system("A", 3)
