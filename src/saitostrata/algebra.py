@@ -28,8 +28,9 @@ using dynamic arrays, heaps, and packed exponent vectors" (CASC 2007):
   negative exponent, proves the division inexact and raises
   `NotDivisible` at once.
 
-Callers that want exponent tuples and `Fraction`s read `.terms`, a dict
-built on each access.
+`coefficient(e)` reads one coefficient off the packed terms.  `.terms`,
+a dict from exponent tuples to `Fraction`s built on each access, serves
+reports, tests, `__hash__` and `substitute`.
 """
 
 from __future__ import annotations
@@ -229,6 +230,14 @@ class MultiPoly:
         """{exponent tuple: Fraction}, in storage order, built on access."""
         exponents, den = self.layout.exponents, self.den
         return {exponents(k): Fraction(c, den) for k, c in self.nums.items()}
+
+    def coefficient(self, e):
+        """The coefficient of the monomial with exponent tuple e, read off
+        `nums`; 0 for a total degree this layout does not hold."""
+        lay = self.layout
+        if sum(e) > lay.degree:
+            return Fraction(0)
+        return Fraction(self.nums.get(lay.pack(e), 0), self.den)
 
     def is_zero(self):
         return not self.nums

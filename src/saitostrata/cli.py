@@ -690,6 +690,12 @@ def main(argv=None):
     # looked up at each call, so a rebinding of `cmd_*` takes effect
     command = globals()[f"cmd_{args.subcommand}"]
     try:
+        # refuse an --output that cannot take the report before the command
+        # runs, and open nothing until it has succeeded
+        if args.output and (os.path.isdir(args.output) or not os.access(
+                os.path.dirname(args.output) or ".", os.W_OK)):
+            raise InputError(f"cannot write --output: {args.output!r} is a "
+                             f"directory or its directory is not writable")
         report, status = command(args)
         _emit(report, args)
     except InputError as exc:

@@ -150,8 +150,7 @@ def _check_generic_BD(cfg, xi):
 def _float_coeffs(w):
     """The coefficients of a one-variable polynomial as floats, high degree
     first."""
-    terms = w.terms
-    return [float(terms.get((k,), 0)) for k in range(w.degree(), -1, -1)]
+    return [float(w.coefficient((k,))) for k in range(w.degree(), -1, -1)]
 
 
 def _horner(coeffs, x):

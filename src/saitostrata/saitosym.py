@@ -179,10 +179,7 @@ class InvariantBasis:
                 "Jacobian vanishes: invariants are algebraically dependent; "
                 "perturb by products of lower invariants")
         le, lc = prod.leading()
-        ce = J.terms.get(le)
-        if ce is None:
-            raise DegenerateBasis("Jacobian does not match the mirror product")
-        scale = ce / lc
+        scale = J.coefficient(le) / lc
         if J != prod * scale:
             raise DegenerateBasis(
                 "Jacobian is not proportional to the mirror product; "
@@ -331,9 +328,7 @@ def express_in_invariants(q: MultiPoly, basis: InvariantBasis) -> MultiPoly:
     if q.is_zero():
         return MultiPoly.zero(n)
     monos, zmonos, rows = _coefficient_plan(basis, q.degree())
-    pack, nums = q.layout.pack, q.nums
-    coeffs = solve(rows, [Fraction(nums.get(pack(e), 0), q.den)
-                          for e in zmonos]) if rows else []
+    coeffs = solve(rows, [q.coefficient(e) for e in zmonos]) if rows else []
     pairs = [(e, c) for e, c in zip(monos, coeffs) if c]
     if MultiPoly.sum(n, (_invariant_product(basis, e) * c
                          for e, c in pairs)) != q:
@@ -362,111 +357,101 @@ def _sqrt_fraction(c: Fraction):
     return None
 
 
+def _flat_nullspaces(eta, degs):
+    """(d, monos, null space) for each degree d of `degs`, ascending: the
+    null space of the raised-index flatness equations of `flat_coordinates`
+    on the ansatz sum_e x_e p^e over the p-monomials e of weighted degree d,
+    one row per (i <= j, p-monomial) of a residual."""
+    n = len(eta)
+    d_eta = [[[x.diff(a) for a in range(n)] for x in row] for row in eta]
+    for d in sorted(set(degs)):
+        monos, rows = _weighted_monomials(degs, d), {}
+        for m, e in enumerate(monos):
+            t = MultiPoly(n, {e: 1})
+            V = [MultiPoly.sum(n, (eta[j][c] * t.diff(c)
+                                   for c in range(n) if e[c]))
+                 for j in range(n)]
+            dV = [[v.diff(a) for a in range(n)] for v in V]
+            W = [[MultiPoly.sum(n, (eta[i][a] * dV[j][a] for a in range(n)))
+                  for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    r = MultiPoly.sum(n, [W[i][j], W[j][i]] + [
+                        -(V[a] * d_eta[i][j][a]) for a in range(n)])
+                    exponents = r.layout.exponents
+                    for key, c in r.nums.items():
+                        rows.setdefault((i, j, exponents(key)), {})[m] = \
+                            Fraction(c, r.den)
+        A = [[row.get(m, 0) for m in range(len(monos))]
+             for row in rows.values()]
+        yield d, monos, nullspace(A or [[0] * len(monos)])
+
+
 def flat_coordinates(R: RootSystem, base=None) -> InvariantBasis:
-    """Solve for a flat basis over `base` (default `basic_invariants(R)`):
-    convolution, Christoffel data, flatness equations, normalization."""
+    """Solve for a flat basis over `base` (default `basic_invariants(R)`).
+    Stages: the convolution g^{ab} in the invariants p; the Saito metric
+    eta^{ab}(p) = d g^{ab} / d p^n, whose determinant must be a nonzero
+    constant; per degree, the flatness null space (`_flat_nullspaces`);
+    the pairing and its normalization.
+
+    t is flat when H_ab = d_a d_b t - Gamma^c_ab d_c t vanishes.  By
+    d eta_{..} = -eta_{..} (d eta^{..}) eta_{..}, eta^{ia} eta^{jb} H_ab =
+    eta^{ia} eta^{jb} d_a d_b t + (F^{ijc} + F^{jic} - F^{cij}) d_c t / 2,
+    F^{ijc} = eta^{ia} d_a eta^{jc} (Dubrovin, "Geometry of 2D topological
+    field theories", Lecture 3).  With V^j = eta^{jc} d_c t, F^{ijc} d_c t
+    = eta^{ia} d_a V^j - eta^{ia} eta^{jc} d_a d_c t, so
+
+        2 eta^{ia} eta^{jb} H_ab = eta^{ia} d_a V^j + eta^{ja} d_a V^i
+                                   - V^a d_a eta^{ij}:
+
+    polynomials in eta^{ab}(p), with no inverse of eta and no covariant
+    Christoffel symbol.  det eta is a nonzero constant, so eta is
+    invertible over the polynomials and each degree's kernel is that of
+    H_ab = 0.  `nullspace` scales its basis to 1 at the free columns of
+    the kernel's annihilator, whose reduced row echelon form is unique:
+    the output is that of the covariant form (the oracle in
+    `tests/test_saitosym.py`)."""
     base = base or basic_invariants(R)
     n = R.rank
     degs = list(base.degrees)
-    h = degs[-1]
 
-    # contravariant invariant form in the p-frame, as p-polynomials
     gz = convolution_matrix(base)
-    g_p = [[express_in_invariants(gz[a][b], base) if b >= a else None
-            for b in range(n)] for a in range(n)]
+    eta_p = [[None] * n for _ in range(n)]
     for a in range(n):
-        for b in range(a):
-            g_p[a][b] = g_p[b][a]
-
-    # eta^{ab}(p) = d g^{ab} / d p^n ; det must be a nonzero constant
-    eta_p = [[g_p[a][b].diff(n - 1) for b in range(n)] for a in range(n)]
+        for b in range(a, n):
+            eta_p[a][b] = eta_p[b][a] = \
+                express_in_invariants(gz[a][b], base).diff(n - 1)
     det_eta = poly_det(eta_p)
     if not det_eta.is_constant() or det_eta.is_zero():
         raise SolverFailure("det of d g / d p^n is not a nonzero constant")
-    c0 = det_eta.constant_value()
-
-    # polynomial covariant inverse via cofactors
-    eta_cov = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            minor = [[eta_p[i][j] for j in range(n) if j != b]
-                     for i in range(n) if i != a]
-            cof = poly_det(minor) if n > 1 else MultiPoly.const(n, 1)
-            eta_cov[b][a] = cof * (Fraction((-1) ** (a + b)) / c0)
-
-    # Christoffel symbols of eta in the p-frame (polynomial)
-    half = Fraction(1, 2)
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                s = MultiPoly.sum(n, (eta_p[k][l] * (eta_cov[l][j].diff(i)
-                                                     + eta_cov[i][l].diff(j)
-                                                     - eta_cov[i][j].diff(l))
-                                      for l in range(n)))
-                gamma[k][i][j] = gamma[k][j][i] = s * half
-
-    # flatness equations per degree block
-    by_degree = {}
-    for d in sorted(set(degs)):
-        mult = degs.count(d)
-        monos = _weighted_monomials(degs, d)
-        basis_polys = [MultiPoly(n, {e: Fraction(1)}) for e in monos]
-        # linear map: ansatz coeffs -> PDE residual coefficients
-        cols = []
-        for bp in basis_polys:
-            residual_terms = {}
-            for i in range(n):
-                for j in range(i, n):
-                    resid = bp.diff(i).diff(j)
-                    for k in range(n):
-                        resid = resid - gamma[k][i][j] * bp.diff(k)
-                    for e, c in resid.terms.items():
-                        residual_terms[(i, j, e)] = \
-                            residual_terms.get((i, j, e), Fraction(0)) + c
-            cols.append(residual_terms)
-        keys = sorted({k for col in cols for k in col},
-                      key=lambda t: (t[0], t[1], t[2]))
-        A = [[col.get(key, Fraction(0)) for col in cols] for key in keys]
-        sols = nullspace(A) if A else \
-            [[Fraction(int(i == j)) for j in range(len(cols))]
-             for i in range(len(cols))]
-        if len(sols) != mult:
-            raise SolverFailure(
-                f"degree {d}: flatness solution space has dimension "
-                f"{len(sols)}, expected {mult}")
-        block = []
-        for v in sols:
-            t = MultiPoly(n, {e: c for e, c in zip(monos, v) if c})
-            block.append(t)
-        by_degree[d] = block
 
     ts = []
-    used = {d: 0 for d in by_degree}
-    for d in degs:
-        ts.append(by_degree[d][used[d]])
-        used[d] += 1
+    for d, monos, sols in _flat_nullspaces(eta_p, degs):
+        if len(sols) != degs.count(d):
+            raise SolverFailure(
+                f"degree {d}: flatness solution space has dimension "
+                f"{len(sols)}, expected {degs.count(d)}")
+        ts += [MultiPoly(n, {e: c for e, c in zip(monos, v) if c})
+               for v in sols]
 
     # self-consistent pairing: eta(dt^a, dt^b) = d g^{ab}(t) / d t^n, read
     # off in the frame of the flat basis itself.  By degree, p^n appears
     # only in t^n and there linearly with constant coefficient gamma, so
     # d/dt^n = (1/gamma) d/dp^n and the pairing is the p-frame pairing
     # contracted with the flat differentials, divided by gamma.
-    e_top = tuple(int(i == n - 1) for i in range(n))
-    gamma_top = ts[-1].terms.get(e_top, Fraction(0))
+    gamma_top = ts[-1].coefficient(tuple(int(i == n - 1) for i in range(n)))
     if not gamma_top:
         raise SolverFailure(
             "top flat coordinate does not involve the top invariant")
     G = _gram([[t.diff(c) for c in range(n)] for t in ts], eta_p)
     if not all(s.is_constant() for row in G for s in row):
         raise SolverFailure("flat pairing is not constant")
-    P0 = [[Fraction(0) if s.is_zero() else s.constant_value() / gamma_top
-           for s in row] for row in G]
+    P0 = [[s.constant_value() / gamma_top for s in row] for row in G]
     tz = [t.substitute(base.polys) for t in ts]
 
     # normalize without rescaling the top flat coordinate, so the metric
     # (defined through d/dt^n) stays fixed under the transformation
-    T, lam, normalized = _pairing_transform(P0, degs, h)
+    T, lam, normalized = _pairing_transform(P0, degs, degs[-1])
     ts = _apply_transform(T, ts)
     tz = _apply_transform(T, tz)
     pairing = [[x / lam for x in row]
@@ -491,8 +476,7 @@ def _constant_jacobian(ts):
     coefficient of p^b in t^a vanishes unless d_a = d_b)."""
     n = len(ts)
     unit = [tuple(int(i == b) for i in range(n)) for b in range(n)]
-    return det_fraction([[terms.get(e, 0) for e in unit]
-                         for terms in (t.terms for t in ts)])
+    return det_fraction([[t.coefficient(e) for e in unit] for t in ts])
 
 
 def _transpose(M):

@@ -346,6 +346,18 @@ class TestIntegerKernels:
         assert w.layout is not p.layout
         assert w == p and hash(w) == hash(p) and w != p + 1
 
+    @KERNEL_SETTINGS
+    @given(_wide_pair(), st.data())
+    def test_coefficient_matches_terms(self, pq, data):
+        # on its own layout and a wider one, and at a monomial whose total
+        # degree the narrow layout does not hold
+        p = pq[0]
+        for r in (p, p.widen(2 * max(p.degree(), 0) + 1)):
+            assert all(r.coefficient(e) == c for e, c in p.terms.items())
+        e = tuple(data.draw(st.lists(st.integers(0, p.layout.degree + 1),
+                                     min_size=p.nvars, max_size=p.nvars)))
+        assert p.coefficient(e) == p.terms.get(e, 0)
+
     def test_one_polynomial_on_two_layouts_and_denominators(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         p = x * Fraction(1, 3) + y * 2

@@ -494,6 +494,28 @@ class TestPlumbing:
                            "1", "--output", str(path))
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_output_fails_before_the_command(self, capsys,
+                                                        monkeypatch,
+                                                        tmp_path, where):
+        # a missing directory, or a directory as the target, is refused
+        # before verify runs its checks
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda args: (seen.append(args), ({}, 0))[1])
+        assert_input_error(capsys, "verify", "--group", "D5", "--output",
+                           str(tmp_path / where))
+        assert seen == [] and not (tmp_path / "missing").exists()
+
+    def test_failed_command_leaves_output_file_alone(self, capsys, tmp_path):
+        # a = 0 makes the D3 family degenerate: exit 2, and the file that
+        # --output names keeps its bytes
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier report\n")
+        assert_input_error(capsys, "det", "--group", "D3", "--simple", "1",
+                           "--invariants", "0,1", "--output", str(path))
+        assert path.read_bytes() == b"earlier report\n"
+
     def test_fast_is_no_option(self):
         status, out = _run_argv(["predict", "--group", "A3", "--simple",
                                  "1", "--fast"])

@@ -15,7 +15,7 @@ from saitostrata import saitosym
 from saitostrata.algebra import (MultiPoly, poly_det, divide_exact,
                                  factor_linear, IncompleteFactorization,
                                  NotDivisible)
-from saitostrata.exactla import det_fraction, rank, solve
+from saitostrata.exactla import det_fraction, nullspace, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   quartic_family_d3, express_in_invariants,
@@ -177,6 +177,66 @@ def _self_pairing(basis):
     return P
 
 
+def _ref_saito_metric(base):
+    """eta^{ab}(p) = d g^{ab}(p) / d p^n for the basis `base`."""
+    n = base.R.rank
+    gz = convolution_matrix(base)
+    return [[express_in_invariants(gz[a][b], base).diff(n - 1)
+             for b in range(n)] for a in range(n)]
+
+
+def _ref_flat_nullspaces(eta, degs):
+    """The covariant flatness equations, the oracle of the raised-index
+    ones of `flat_coordinates`: the inverse eta_{ab} by cofactors, the
+    Christoffel symbols Gamma^k_ij = (1/2) eta^{kl} (d_i eta_lj + d_j eta_il
+    - d_l eta_ij), and per degree d the null space of the residuals
+    d_i d_j t - Gamma^k_ij d_k t on the ansatz of the p-monomials of
+    weighted degree d, keyed by d."""
+    n = len(eta)
+    c0 = poly_det(eta).constant_value()
+    eta_cov = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            minor = [[eta[i][j] for j in range(n) if j != b]
+                     for i in range(n) if i != a]
+            cof = poly_det(minor) if n > 1 else MultiPoly.const(n, 1)
+            eta_cov[b][a] = cof * (Fraction((-1) ** (a + b)) / c0)
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                s = MultiPoly.zero(n)
+                for l in range(n):
+                    s = s + eta[k][l] * (eta_cov[l][j].diff(i)
+                                         + eta_cov[i][l].diff(j)
+                                         - eta_cov[i][j].diff(l))
+                gamma[k][i][j] = gamma[k][j][i] = s * Fraction(1, 2)
+    out = {}
+    for d in sorted(set(degs)):
+        cols = []
+        for e in saitosym._weighted_monomials(degs, d):
+            t = MultiPoly(n, {e: 1})
+            col = {}
+            for i in range(n):
+                for j in range(i, n):
+                    resid = t.diff(i).diff(j)
+                    for k in range(n):
+                        resid = resid - gamma[k][i][j] * t.diff(k)
+                    for m, c in resid.terms.items():
+                        col[i, j, m] = c
+            cols.append(col)
+        keys = sorted({key for col in cols for key in col})
+        A = [[col.get(key, Fraction(0)) for col in cols] for key in keys]
+        out[d] = nullspace(A) if A else \
+            [[Fraction(int(i == j)) for j in range(len(cols))]
+             for i in range(len(cols))]
+    return out
+
+
+FLAT_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
+               ("B", 3), ("B", 4), ("D", 3), ("D", 4), ("D", 5), ("F", 4)]
+
+
 class TestFlatCoordinates:
     @pytest.mark.parametrize("label,rank,normalized",
                              [("A", 2, True), ("A", 3, True), ("B", 2, True),
@@ -188,6 +248,16 @@ class TestFlatCoordinates:
         assert fb.normalized is normalized
         if normalized:
             assert fb.pairing == _antidiag(rank)
+
+    @pytest.mark.parametrize("label,rank", FLAT_GROUPS)
+    def test_raised_index_equations_match_covariant_ones(self, root_system,
+                                                        label, rank):
+        # on the same eta^{ab}(p), each degree's null space of the
+        # raised-index equations is that of the covariant ones, exactly
+        base = basic_invariants(root_system(label, rank))
+        eta, degs = _ref_saito_metric(base), list(base.degrees)
+        assert {d: sols for d, _, sols in saitosym._flat_nullspaces(
+            eta, degs)} == _ref_flat_nullspaces(eta, degs)
 
     @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("D", 3)])
     def test_pairing_is_self_consistent(self, flat_basis, root_system,
