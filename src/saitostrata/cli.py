@@ -479,7 +479,7 @@ def cmd_tables(args):
 # --- verify ----------------------------------------------------------------
 
 # `verify` runs the symbolic route by default up to this rank; B5 costs most
-# there: 13 s for its flat basis and 90 s over its strata, in one process
+# there: 2 s for its flat basis and 72 s over its strata, in one process
 _SYMBOLIC_MAX_RANK = 5
 
 

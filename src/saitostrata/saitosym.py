@@ -27,23 +27,23 @@ products, compared with q.  In an algebraically independent basis the
 p^e are independent, so the coefficients are unique, and the choice of
 z-monomials never shows in the output.
 
-The flat basis takes its Jacobian by the chain rule, J_t = det(dt/dp) J_p.
-Each flat coordinate t^a is weighted-homogeneous of degree d_a in the basic
-invariants p, so dt^a/dp^b has weighted degree d_a - d_b: zero if d_b > d_a
-and constant if d_b = d_a.  Ordered by degree, dt/dp is block-triangular
-with constant diagonal blocks, and its determinant is the product of
-theirs: a nonzero constant c, the determinant of the linear part of t
-(`_constant_jacobian`).  So J_t = c J_p, and the check of the basic
-basis (J_p is a scalar times the mirror product) covers the flat one: no
-second Bareiss and no second check.
+Every basis has one Jacobian rule, J = c prod_{beta > 0} beta (Humphreys,
+"Reflection groups and Coxeter groups", 1990, ch. 3), whose premise is
+homogeneous W-invariants of the degrees of W: J is then anti-invariant,
+so each mirror form divides it, and deg J = sum (d_i - 1) = |R+|.
+`_certify_forms` certifies the invariance of `basic_invariants`, and
+every other basis is a polynomial in them.  c is read at z_0 = (1, ...,
+1), where each positive root is its height, and c != 0 is algebraic
+independence.  The Bareiss expansion of J is an oracle in the tests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import isqrt
+from math import isqrt, prod
 
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
                       try_divide, factor_linear, IncompleteFactorization,
@@ -55,7 +55,8 @@ from .strata import Stratum, make_stratum
 
 
 class DegenerateBasis(ValueError):
-    """The candidate invariants fail the Jacobian factorization check.
+    """The candidate invariants have the wrong degrees or a vanishing
+    Jacobian.
 
     Perturbing the offending invariant by products of lower-degree ones
     restores algebraic independence."""
@@ -68,13 +69,6 @@ class SolverFailure(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # frames and derivatives
-
-def _ambient_coordinate_forms(R: RootSystem):
-    """The ambient coordinate functions x_a as linear forms in z."""
-    n = R.rank
-    return [MultiPoly.linear([Fraction(R.coweights[i][a]) for i in range(n)])
-            for a in range(R.ambient_dim)]
-
 
 def _d_root(R: RootSystem, f: MultiPoly, beta):
     """Directional derivative along the root with coefficient tuple beta."""
@@ -104,10 +98,10 @@ def _gram(rows, C):
 
 
 def _positive_product(R: RootSystem):
-    prod = MultiPoly.const(R.rank, 1)
+    out = MultiPoly.const(R.rank, 1)
     for beta in R.positive_roots:
-        prod = prod * MultiPoly.linear(beta)
-    return prod
+        out = out * MultiPoly.linear(beta)
+    return out
 
 
 def _antidiag(n):
@@ -119,7 +113,11 @@ def _antidiag(n):
 
 class InvariantBasis:
     """n homogeneous W-invariants p^1..p^n (z-polynomials, degrees
-    ascending) whose Jacobian factors into the mirror forms.
+    ascending) with Jacobian J = c prod_{beta > 0} beta, c =
+    `jacobian_scale` != 0 (module docstring).  Degrees and homogeneity
+    are checked here, invariance is not: every basis the package builds
+    is `basic_invariants` or a polynomial in them, and the CLI takes no
+    outside polynomials.
 
     `pairing` is the constant matrix eta(dp^a, dp^b): the anti-diagonal
     identity by convention for a non-flat basis (the generalized constant
@@ -128,12 +126,9 @@ class InvariantBasis:
     anti-diagonal identity.  It agrees with the flag of
     `_pairing_transform`, which could differ only on a self-dual degree
     of multiplicity >= 3; no group the route serves has one (D_2k has
-    the largest, degree 2k twice).  `flat_coordinates` passes
-    `_chain_rule = (base, det(dt/dp))` to take the Jacobian from the
-    basic basis (see the module docstring)."""
+    the largest, degree 2k twice)."""
 
-    def __init__(self, R: RootSystem, polys, flat=False, pairing=None, *,
-                 _chain_rule=None):
+    def __init__(self, R: RootSystem, polys, flat=False, pairing=None):
         self.R = R
         self.polys = list(polys)
         self.degrees = tuple(p.degree() for p in self.polys)
@@ -152,39 +147,25 @@ class InvariantBasis:
         self._mono_cache = {}
         self._coefficient_plans = {}
         self.jacobian = self._jacobian_matrix()
-        if _chain_rule is None:
-            self.jacobian_det = poly_det(self.jacobian)
-            self.jacobian_scale = self._check_jacobian()
-        else:
-            # these invariants are polynomials t(p) in the checked basis
-            # `base`, and c = det(dt/dp) is constant: J_t = c J_p
-            base, c = _chain_rule
-            if not c:
-                raise DegenerateBasis("Jacobian vanishes: det(dt/dp) = 0")
-            self.jacobian_det = base.jacobian_det * c
-            self.jacobian_scale = base.jacobian_scale * c
+        z0 = [1] * R.rank
+        self.jacobian_scale = det_fraction(
+            [[f.evaluate(z0) for f in row] for row in self.jacobian]) \
+            / prod(sum(beta) for beta in R.positive_roots)
+        if not self.jacobian_scale:
+            raise DegenerateBasis(
+                "Jacobian vanishes: invariants are algebraically dependent; "
+                "perturb by products of lower invariants")
 
     def _jacobian_matrix(self):
         R = self.R
         return [[_d_root(R, p, alpha) for alpha in R.simple]
                 for p in self.polys]
 
-    def _check_jacobian(self):
-        """det(d p^i / d alpha_j) must equal a nonzero scalar times the
-        product of all positive-root forms; returns that scalar."""
-        prod = _positive_product(self.R)
-        J = self.jacobian_det
-        if J.is_zero():
-            raise DegenerateBasis(
-                "Jacobian vanishes: invariants are algebraically dependent; "
-                "perturb by products of lower invariants")
-        le, lc = prod.leading()
-        scale = J.coefficient(le) / lc
-        if J != prod * scale:
-            raise DegenerateBasis(
-                "Jacobian is not proportional to the mirror product; "
-                "perturb by products of lower invariants")
-        return scale
+    @cached_property
+    def jacobian_det(self):
+        """det(d p^i / d alpha_j) = c prod_{beta > 0} beta, built on first
+        access (only the minor route reads it)."""
+        return _positive_product(self.R) * self.jacobian_scale
 
     @cached_property
     def minors(self):
@@ -209,43 +190,68 @@ class InvariantBasis:
         return f"<InvariantBasis {self.R.label}{self.R.rank} {tag} deg={self.degrees}>"
 
 
+def _certify_forms(R: RootSystem, forms, degrees):
+    """Raise InvariantViolation unless each simple reflection s_i permutes
+    the linear forms (z-coefficient vectors) whose power sums of `degrees`
+    are to be invariant: exactly for A_n, else up to sign with even
+    degrees, and for D_n flipping an even number of signs, so that the
+    product of the forms is invariant too.  f o s_i has the coefficient
+    vector s_i(f) (`RootSystem.reflect`), as z_k o s_i = (s_i a_k, x)."""
+    exact = R.label == "A"
+    if not exact and any(d % 2 for d in degrees):
+        raise InvariantViolation("an odd power sum of forms permuted only "
+                                 "up to sign")
+
+    def classes(vs):
+        return Counter(vs if exact else
+                       (max(v, tuple(-x for x in v)) for v in vs))
+    own, want = set(forms), classes(forms)
+    for i in range(R.rank):
+        images = [R.reflect(i, f) for f in forms]
+        if classes(images) != want:
+            raise InvariantViolation(f"s_{i + 1} does not permute the forms")
+        if R.label == "D" and sum(g not in own for g in images) % 2:
+            raise InvariantViolation(
+                f"s_{i + 1} flips an odd number of the forms' signs")
+
+
 def basic_invariants(R: RootSystem) -> InvariantBasis:
-    """Power-sum style invariants (plus the product invariant for D and
-    positive-root power sums for F_4); E_6, E_7 and E_8 raise ValueError."""
-    if R.label in ("A", "B"):
-        xs = _ambient_coordinate_forms(R)
-        polys = [MultiPoly.sum(R.rank, (x ** d for x in xs))
-                 for d in R.degrees]
-    elif R.label == "D":
-        xs = _ambient_coordinate_forms(R)
-        pf = MultiPoly.const(R.rank, 1)
-        for x in xs:
-            pf = pf * x
-        even = [MultiPoly.sum(R.rank, (x ** d for x in xs))
-                for d in range(2, 2 * R.rank - 1, 2)]
-        polys = sorted(even + [pf], key=lambda p: p.degree())
+    """Power sums of linear forms, certified by `_certify_forms`: of the
+    ambient coordinate forms x_a (x = sum_i z_i w^i, so x_a has the
+    coweight column) for A_n, B_n and D_n, with the product x_1...x_n for
+    D_n, and of the positive roots for F_4.  E_6, E_7 and E_8 raise
+    ValueError."""
+    if R.label in ("A", "B", "D"):
+        forms = [tuple(w[a] for w in R.coweights)
+                 for a in range(R.ambient_dim)]
     elif R.label == "F":
-        forms = [MultiPoly.linear(b) for b in R.positive_roots]
-        polys = [MultiPoly.sum(R.rank, (f ** d for f in forms))
-                 for d in R.degrees]
+        forms = list(R.positive_roots)
     else:
         raise ValueError(f"no basic invariants for {R.label}{R.rank}; "
                          f"built for A_n, B_n = C_n, D_n and F4")
+    degrees = range(2, 2 * R.rank - 1, 2) if R.label == "D" else R.degrees
+    _certify_forms(R, forms, degrees)
+    xs = [MultiPoly.linear(f) for f in forms]
+    polys = [MultiPoly.sum(R.rank, (x ** d for x in xs)) for d in degrees]
+    if R.label == "D":
+        pf = MultiPoly.const(R.rank, 1)
+        for x in xs:
+            pf = pf * x
+        polys = sorted(polys + [pf], key=lambda p: p.degree())
     return InvariantBasis(R, polys, flat=False)
 
 
 def quartic_family_d3(a, b) -> InvariantBasis:
     """The two-parameter D_3 basis p1 = (1/8) sum x^2, p2 = x1 x2 x3,
-    p3 = a sum x^4 + b p1^2 (a != 0)."""
+    p3 = a sum x^4 + b p1^2 (a != 0), built from the certified
+    `basic_invariants` of D_3: sum x^2, x1 x2 x3 and sum x^4."""
     a, b = Fraction(a), Fraction(b)
     if a == 0:
         raise DegenerateBasis("a = 0 makes p3 a multiple of p1^2")
-    R = build_root_system("D", 3)
-    xs = _ambient_coordinate_forms(R)
-    p1 = MultiPoly.sum(3, (x ** 2 for x in xs)) * Fraction(1, 8)
-    p2 = xs[0] * xs[1] * xs[2]
-    p3 = MultiPoly.sum(3, (x ** 4 for x in xs)) * a + p1 * p1 * b
-    return InvariantBasis(R, [p1, p2, p3], flat=False)
+    base = basic_invariants(build_root_system("D", 3))
+    b0, p2, b2 = base.polys
+    p1 = b0 * Fraction(1, 8)
+    return InvariantBasis(base.R, [p1, p2, b2 * a + p1 * p1 * b], flat=False)
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +466,9 @@ def flat_coordinates(R: RootSystem, base=None) -> InvariantBasis:
         raise SolverFailure("pairing normalization did not reach the "
                             "anti-diagonal identity")
 
-    out = InvariantBasis(R, tz, flat=True, pairing=pairing,
-                         _chain_rule=(base, _constant_jacobian(ts)))
+    out = InvariantBasis(R, tz, flat=True, pairing=pairing)
     out.polys_in_invariants = ts
     return out
-
-
-def _constant_jacobian(ts):
-    """det(dt^a/dp^b) for t^a weighted-homogeneous in the p^b (degree
-    d_a, respectively d_b).  The entry has weighted degree d_a - d_b: zero
-    when that is negative, and when it is zero the constant coefficient of
-    p^b in t^a.  In degree order the matrix is block-triangular with these
-    constant blocks on the diagonal, so its determinant is the product of
-    theirs, which is the determinant of the linear part of t (the
-    coefficient of p^b in t^a vanishes unless d_a = d_b)."""
-    n = len(ts)
-    unit = [tuple(int(i == b) for i in range(n)) for b in range(n)]
-    return det_fraction([[t.coefficient(e) for e in unit] for t in ts])
 
 
 def _transpose(M):

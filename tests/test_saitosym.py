@@ -14,7 +14,7 @@ import pytest
 from saitostrata import saitosym
 from saitostrata.algebra import (MultiPoly, poly_det, divide_exact,
                                  factor_linear, IncompleteFactorization,
-                                 NotDivisible)
+                                 InvariantViolation, NotDivisible)
 from saitostrata.exactla import det_fraction, nullspace, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (InvariantBasis, basic_invariants,
@@ -23,8 +23,9 @@ from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   restricted_saito_det, general_formula_det,
                                   frame_constant, identity_field_checks,
                                   DegenerateBasis, _antidiag,
-                                  _d_root, _identity_one_form,
-                                  _identity_tangency)
+                                  _certify_forms, _d_root,
+                                  _hyperbolic_basis, _identity_one_form,
+                                  _identity_tangency, _pairing_transform)
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -237,6 +238,128 @@ FLAT_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
                ("B", 3), ("B", 4), ("D", 3), ("D", 4), ("D", 5), ("F", 4)]
 
 
+def _mirror_product(R):
+    out = MultiPoly.const(R.rank, 1)
+    for beta in R.positive_roots:
+        out = out * MultiPoly.linear(beta)
+    return out
+
+
+def _assert_jacobian_rule(basis):
+    """The Bareiss expansion of the Jacobian is c prod beta, with c read at
+    one point, and is the basis's `jacobian_det`."""
+    want = _mirror_product(basis.R) * basis.jacobian_scale
+    assert poly_det(basis.jacobian) == basis.jacobian_det == want
+
+
+def _coordinate_forms(R):
+    """The forms `basic_invariants` takes power sums of, as z-coefficient
+    vectors: the ambient coordinates x_a, or the positive roots on F4."""
+    if R.label == "F":
+        return list(R.positive_roots)
+    return [tuple(w[a] for w in R.coweights) for a in range(R.ambient_dim)]
+
+
+def _power_degrees(R):
+    return range(2, 2 * R.rank - 1, 2) if R.label == "D" else R.degrees
+
+
+class TestJacobianRule:
+    @pytest.mark.parametrize("label,rank", FLAT_GROUPS)
+    def test_basic_and_flat_bases_match_bareiss(self, root_system,
+                                                flat_basis, label, rank):
+        _assert_jacobian_rule(basic_invariants(root_system(label, rank)))
+        _assert_jacobian_rule(flat_basis(label, rank))
+
+    @pytest.mark.parametrize("a,b", [(3, 5), (Fraction(-1, 2), 24)])
+    def test_quartic_family_matches_bareiss(self, a, b):
+        _assert_jacobian_rule(quartic_family_d3(a, b))
+
+    def test_b5_basic_basis_matches_bareiss(self, root_system):
+        # the 5 x 5 expansion the rule replaced, a few seconds of Bareiss
+        _assert_jacobian_rule(basic_invariants(root_system("B", 5)))
+
+    @pytest.mark.parametrize("label,rank", [
+        ("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+        + [("D", r) for r in range(3, 7)] + [("F", 4)])
+    def test_certificate_holds(self, root_system, label, rank):
+        R = root_system(label, rank)
+        _certify_forms(R, _coordinate_forms(R), _power_degrees(R))
+
+    @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 4),
+                                            ("F", 4)])
+    def test_dropped_form_fails_the_certificate(self, root_system, label,
+                                                rank):
+        R = root_system(label, rank)
+        with pytest.raises(InvariantViolation, match="does not permute"):
+            _certify_forms(R, _coordinate_forms(R)[:-1], _power_degrees(R))
+
+    def test_sign_flip_on_a_fails_the_certificate(self, root_system):
+        # A has odd degrees, so its forms must be permuted exactly
+        R = root_system("A", 3)
+        forms = _coordinate_forms(R)
+        forms[0] = tuple(-x for x in forms[0])
+        with pytest.raises(InvariantViolation, match="does not permute"):
+            _certify_forms(R, forms, R.degrees)
+
+    def test_odd_flip_count_on_d_fails_the_certificate(self, root_system):
+        # s_i permutes D4's positive roots up to the one sign of a_i, so
+        # their product would change sign
+        R = root_system("D", 4)
+        with pytest.raises(InvariantViolation, match="odd number"):
+            _certify_forms(R, list(R.positive_roots), _power_degrees(R))
+
+    def test_odd_degree_up_to_sign_fails_the_certificate(self, root_system):
+        R = root_system("B", 3)
+        with pytest.raises(InvariantViolation, match="odd power sum"):
+            _certify_forms(R, _coordinate_forms(R), (2, 3))
+
+    def test_dependent_basis_is_degenerate(self, root_system):
+        # right degrees and invariant, but p^4 = (p^2)^2: c = 0
+        p2, p3, _ = basic_invariants(root_system("A", 3)).polys
+        with pytest.raises(DegenerateBasis, match="Jacobian vanishes"):
+            InvariantBasis(root_system("A", 3), [p2, p3, p2 * p2])
+
+
+class TestHyperbolicBasis:
+    @staticmethod
+    def _form(S, u, v):
+        return sum(u[i] * S[i][j] * v[j] for i in range(2) for j in range(2))
+
+    @pytest.mark.parametrize("S", [
+        [[1, 0], [0, -1]], [[2, 3], [3, 4]], [[3, 0], [0, -12]],
+        [[Fraction(1, 2), Fraction(5, 3)], [Fraction(5, 3), 0]],
+        # S_00 = 0, where u = e_1 and S(u, .) has su[0] = 0
+        [[0, 2], [2, 5]], [[0, Fraction(-1, 3)], [Fraction(-1, 3), 0]]])
+    def test_split_block_gets_a_hyperbolic_basis(self, S):
+        S = [[Fraction(x) for x in row] for row in S]
+        u, v = _hyperbolic_basis(S)
+        assert self._form(S, u, u) == self._form(S, v, v) == 0
+        assert self._form(S, u, v) == 1
+
+    @pytest.mark.parametrize("S", [
+        [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[-3, 1], [1, -1]],
+        # indefinite, but -det S is not a rational square
+        [[1, 0], [0, -2]],
+        # singular: -det S = 0 is a square, but S(u, .) vanishes on the
+        # isotropic u, so no v has S(u, v) = 1
+        [[0, 0], [0, 1]], [[1, 1], [1, 1]]])
+    def test_block_without_hyperbolic_basis_gets_none(self, S):
+        assert _hyperbolic_basis([[Fraction(x) for x in row]
+                                  for row in S]) is None
+
+    def test_pairing_transform_splits_a_self_dual_pair(self):
+        # degrees 2, 4, 4, 6 as on D4, with a split middle block
+        C = [[Fraction(x) for x in row] for row in
+             [[0, 0, 0, 2], [0, 1, 3, 0], [0, 3, 8, 0], [2, 0, 0, 0]]]
+        T, lam, normalized = _pairing_transform(C, [2, 4, 4, 6], 6)
+        assert normalized and lam == 1
+        TC = [[sum(T[i][k] * C[k][j] for k in range(4)) for j in range(4)]
+              for i in range(4)]
+        assert [[sum(TC[i][k] * T[j][k] for k in range(4))
+                 for j in range(4)] for i in range(4)] == _antidiag(4)
+
+
 class TestFlatCoordinates:
     @pytest.mark.parametrize("label,rank,normalized",
                              [("A", 2, True), ("A", 3, True), ("B", 2, True),
@@ -277,12 +400,16 @@ class TestFlatCoordinates:
         assert det_fraction(S) > 0 and S[0][0] > 0
 
     @pytest.mark.parametrize("label,rank", [("A", 1)] + SMALL + [("F", 4)])
-    def test_chain_rule_jacobian(self, flat_basis, label, rank):
-        # J_t = det(dt/dp) J_p equals the determinant of the flat Jacobian
-        # matrix, and its scalar is the one the mirror-product check reads
+    def test_chain_rule_jacobian(self, flat_basis, root_system, label, rank):
+        # J_t = det(dt/dp) J_p, where dt/dp is block-triangular by degree
+        # with constant diagonal blocks: the c read at one point on the flat
+        # basis is the basic c times the determinant of the linear part of t
         fb = flat_basis(label, rank)
-        assert fb.jacobian_det == poly_det(fb.jacobian)
-        assert fb.jacobian_scale == fb._check_jacobian()
+        base = basic_invariants(root_system(label, rank))
+        unit = [tuple(int(i == b) for i in range(rank)) for b in range(rank)]
+        linear = [[t.coefficient(e) for e in unit]
+                  for t in fb.polys_in_invariants]
+        assert fb.jacobian_scale == base.jacobian_scale * det_fraction(linear)
 
     def test_flat_polys_expressed_in_basics(self, flat_basis, root_system):
         fb = flat_basis("B", 2)
