@@ -30,7 +30,7 @@ using dynamic arrays, heaps, and packed exponent vectors" (CASC 2007):
 
 `coefficient(e)` reads one coefficient off the packed terms.  `.terms`,
 a dict from exponent tuples to `Fraction`s built on each access, serves
-reports, tests, `__hash__` and `substitute`.
+reports and tests; `__hash__` and `substitute` read `nums` and `den`.
 """
 
 from __future__ import annotations
@@ -206,23 +206,41 @@ class MultiPoly:
 
     @classmethod
     def linear(cls, coeffs):
-        """Linear form sum_i coeffs[i] * x_i."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(n, terms)
+        """Linear form sum_i coeffs[i] * x_i, packed directly: the key of
+        x_i is its field bit plus one in the total-degree field."""
+        cs = [Fraction(c) for c in coeffs]
+        lay = _layout(len(cs), int(any(cs)))
+        den = lcm(*(c.denominator for c in cs))
+        one = 1 << lay.top
+        return cls._new(len(cs), lay, {
+            one | (1 << s): c.numerator * (den // c.denominator)
+            for c, s in zip(cs, lay.shifts) if c}, den)
 
-    def widen(self, degree):
-        """This polynomial on the shared layout that holds total degree
-        `degree` (and its own), so that the products of polynomials widened
-        alike stay on that layout while their degree does."""
-        lay = _layout(self.nvars, max(degree, self.degree()))
-        return MultiPoly._new(self.nvars, lay,
-                              self.layout.move(self.nums, lay), self.den)
+    @classmethod
+    def int_combinations(cls, nvars, polys, rows):
+        """The list of the integer combinations sum_j row[j] * polys[j], one
+        per row of ints.  The polys are put on one layout over one
+        denominator once, so each combination is int arithmetic on one
+        dict; an all-zero row gives the zero polynomial."""
+        polys = list(polys)
+        if any(p.nvars != nvars for p in polys):
+            raise ValueError("variable count mismatch")
+        lay = max((p.layout for p in polys), key=lambda lay: lay.width)
+        den = lcm(*(p.den for p in polys))
+        nums = [[(k, c * (den // p.den))
+                 for k, c in p.layout.move(p.nums, lay).items()]
+                for p in polys]
+        out = []
+        for row in rows:
+            t = {}
+            get = t.get
+            for r, terms in zip(row, nums):
+                if r:
+                    for k, c in terms:
+                        t[k] = get(k, 0) + r * c
+            out.append(cls._new(nvars, lay, {k: c for k, c in t.items() if c},
+                                den))
+        return out
 
     # -- basic queries ------------------------------------------------
     @property
@@ -354,7 +372,11 @@ class MultiPoly:
             other.layout.move(other.nums, lay)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # the keys on the narrowest layout that holds the degree, which
+        # equal polynomials share whatever layout they sit on
+        lay = _layout(self.nvars, self.degree())
+        return hash((self.nvars, self.den,
+                     frozenset(self.layout.move(self.nums, lay).items())))
 
     # -- calculus / substitution -------------------------------------
     def diff(self, i):
@@ -404,18 +426,20 @@ class MultiPoly:
         if not values:
             raise ValueError("empty substitution")
         tgt = values[0].nvars
+        exponents = self.layout.exponents
         pow_cache = [{} for _ in range(self.nvars)]
 
-        def term(e, c):
+        def term(k, c):
             out = MultiPoly.const(tgt, c)
-            for i, ei in enumerate(e):
+            for i, ei in enumerate(exponents(k)):
                 if ei:
                     cache = pow_cache[i]
                     if ei not in cache:
                         cache[ei] = values[i] ** ei
                     out = out * cache[ei]
             return out
-        return MultiPoly.sum(tgt, (term(e, c) for e, c in self.terms.items()))
+        out = MultiPoly.sum(tgt, (term(k, c) for k, c in self.nums.items()))
+        return MultiPoly._new(tgt, out.layout, out.nums, out.den * self.den)
 
     def set_vars_zero(self, indices):
         """Set the given variables to zero, producing a polynomial in the

@@ -164,7 +164,9 @@ class InvariantBasis:
     @cached_property
     def jacobian_det(self):
         """det(d p^i / d alpha_j) = c prod_{beta > 0} beta, built on first
-        access (only the minor route reads it)."""
+        access.  The minor route reads it for its codimension-1
+        restrictions (d_i J)|_{z_i = 0} and for its k - 2 divisions by J on
+        codimension k >= 3; nothing else in the package expands it."""
         return _positive_product(self.R) * self.jacobian_scale
 
     @cached_property
@@ -620,27 +622,32 @@ class _MinorChain:
     """The inputs of the minor formula of one basis.
 
     With w_b = (-1)^(n+b) J_b and v = grad J, the numerators J^2 eta^{ab}
-    are N = J S - w v^T - v w^T, where S_ab = d_a w_b + d_b w_a.  J, v and
-    w are built once; S_ab and y_ab = (v_a w_b - w_a v_b) / J once per
-    unordered pair, on first use (`_S`, `_y`).  y_ab has the degree of
-    S_ab, so the largest product `general_formula_det` forms is w_a v_b
-    times a (k-1)-minor of S, of degree deg J + k deg S.  J and w are
-    widened to the layout that holds it for every k <= n, and `one` sits
-    on it too, so no product of the chain moves an operand to another
-    layout."""
+    are N = J S - w v^T - v w^T, where S_ab = d_a w_b + d_b w_a.  v only
+    ever meets J as v / J, and J = c prod_{beta > 0} beta gives
+
+        v_b / J = sum_beta beta_b / beta,
+
+    with beta_b the coefficient of z_b in the root beta (c cancels).  So a
+    sum over b of polynomials g_b times v_b, divided by J, is the sum over
+    the positive roots of (sum_b beta_b g_b) / beta (`per_root`), and the
+    chain holds neither v nor J.  w is built once; S_ab and y_ab =
+    (v_a w_b - w_a v_b) / J = sum_beta (beta_a w_b - beta_b w_a) / beta
+    once per unordered pair, on first use (`_S`, `_y`); and (d_i J)|_{z_i
+    = 0}, all that k = 1 needs of J, once per i from `jacobian_det`
+    (`_dJ`).  `one` is the empty minor."""
 
     def __init__(self, basis: InvariantBasis):
         n = basis.R.rank
-        J, Jk = basis.jacobian_det, basis.minors
-        cap = max(1, J.degree() + n * max(0, max(p.degree() for p in Jk) - 1))
-        self.J = J.widen(cap)
-        self.v = [self.J.diff(a) for a in range(n)]
+        self.basis = basis
         # J_b carries the sign (-1)^(n+b) it has in eta
-        self.w = [(p if (n + b) % 2 == 0 else -p).widen(cap)
-                  for b, p in enumerate(Jk)]
-        self.one = MultiPoly.const(n, 1).widen(cap)
+        self.w = [p if (n + b) % 2 == 0 else -p
+                  for b, p in enumerate(basis.minors)]
+        self.roots = basis.R.positive_roots
+        self.forms = [MultiPoly.linear(beta) for beta in self.roots]
         self._S = {}
         self._y = {}
+        self._dJ = {}
+        self.one = MultiPoly.const(n, 1)
 
     def S(self, a, b):
         """d_a w_b + d_b w_a, for 0-based a, b."""
@@ -657,19 +664,45 @@ class _MinorChain:
         does not divide it."""
         out = self._y.get((a, b))
         if out is None:
-            v, w = self.v, self.w
-            out = self._y[a, b] = (v[a] * w[b] - w[a] * v[b]) // self.J
+            w = self.w
+            out = self._y[a, b] = self.per_root(
+                [w[a], w[b]], [(-beta[b], beta[a]) for beta in self.roots])
         return out
+
+    def dJ(self, i):
+        """(d_i J)|_{z_i = 0}, in the n - 1 other variables."""
+        out = self._dJ.get(i)
+        if out is None:
+            out = self._dJ[i] = \
+                self.basis.jacobian_det.diff(i).set_vars_zero([i])
+        return out
+
+    def per_root(self, polys, rows):
+        """sum_beta (sum_j rows[beta][j] polys[j]) / beta over the positive
+        roots, one row of ints per root, with a zero numerator skipped.
+
+        The roots are pairwise non-proportional, so coprime, and the sum is
+        a polynomial iff each beta divides its own numerator: only the beta
+        term can have a pole along beta = 0.  Each division is an exact
+        `divide_exact` and raises `NotDivisible` on a remainder, so this
+        raises exactly when J does not divide the sum over b of g_b v_b
+        that it stands for."""
+        n = polys[0].nvars
+        return MultiPoly.sum(n, (
+            num // form for num, form in
+            zip(MultiPoly.int_combinations(n, polys, rows), self.forms)
+            if not num.is_zero()))
 
 
 def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
     """-P_D where P = J^2 det(eta^{ij})_{i,j in I}, k = |I|.
 
     With the numerators N = J S - w v^T - v w^T of `_MinorChain`,
-    P = det N_I / J^{2k-2}; for k = 1 that is P = J S_ii - 2 w_i v_i.  For
-    k >= 2 the rank-2 update expands exactly.  Take A = J S_I (symmetric),
-    X = [w v] (k x 2) and G = X^T A^-1 X.  The matrix determinant lemma
-    gives
+    P = det N_I / J^{2k-2}.  For k = 1 that is P = J S_ii - 2 w_i v_i, and
+    J vanishes on D (z_i divides it), so -P_D = 2 w_i|_D (d_i J)|_D: a
+    product of two restricted polynomials.  For k >= 2 the rank-2 update
+    expands exactly.  Take A = J S_I (symmetric), X = [w v] (k x 2) and
+    G = X^T A^-1 X.  The matrix determinant lemma gives
 
         det N_I = det A ((1 - G_wv)^2 - G_ww G_vv)
                 = det A - 2 w^T adj(A) v - det A det G.
@@ -687,23 +720,29 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
 
         P = (det S_I - 2 x - Q) / J^{k-2}.
 
-    Each division (y_ab, x and the k - 2 divisions by J) is an exact
-    `divide_exact` of the full polynomial, before restricting, and raises
-    `NotDivisible` on a remainder.  If all succeed, det N_I = J^{2k-2} P:
-    the witness of the well-defined limit that the division of det N_I by
-    J^{2k-2} gives, with J | Y_ab checked besides.  Only then is P
-    restricted to z_I = 0.  No product of two numerators is formed: on 2
-    cores a codimension-3 stratum of D4 takes 0.06-0.11 s, against
-    5.1-6.5 s for Bareiss on the numerators."""
+    v enters only through v / J = sum_beta beta_b / beta (`_MinorChain`),
+    so with u_b = sum_a w_a adj(S_I)_ab,
+
+        x = sum_beta (sum_b beta_b u_b) / beta,
+        y_ab = sum_beta (beta_a w_b - beta_b w_a) / beta,
+
+    one exact division by a linear form per root whose numerator is not
+    zero, on the full polynomial, before restricting.  Together they raise
+    `NotDivisible` exactly when the division by J they replace would, and
+    the k - 2 divisions by J (`jacobian_det`) stay.  If all succeed,
+    det N_I = J^{2k-2} P: the witness of the well-defined limit that the
+    division of det N_I by J^{2k-2} gives, with J | Y_ab checked besides.
+    Only then is P restricted to z_I = 0.  No product with v and, for
+    k <= 2, no division by J is formed."""
     I0 = [i - 1 for i in sorted(D.I)]
     if not I0:
         raise ValueError("need |I| >= 1")
     chain = basis._minor_chain
-    J, v, w, S, y = chain.J, chain.v, chain.w, chain.S, chain.y
-    n, k = J.nvars, len(I0)
+    w, S, y = chain.w, chain.S, chain.y
+    n, k = basis.R.rank, len(I0)
     if k == 1:
         i, = I0
-        return -(J * S(i, i) - w[i] * v[i] * 2).set_vars_zero(I0)
+        return w[i].set_vars_zero(I0) * chain.dJ(i) * 2
     minors = {}
 
     def minor(rows, cols):
@@ -728,11 +767,11 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
                   tuple(a for c, a in enumerate(I0) if c not in q))
         return m if (sum(p) + sum(q)) % 2 == 0 else -m
 
-    # w^T adj(S_I) v = sum_b v_b u_b with u_b = sum_a w_a adj(S_I)_ab: the
-    # short w_a meet the minors first
-    x = MultiPoly.sum(n, (v[b] * MultiPoly.sum(n, (
-        w[a] * cofactor((p,), (q,)) for p, a in enumerate(I0)))
-        for q, b in enumerate(I0))) // J
+    # u_b = sum_a w_a adj(S_I)_ab: the short w_a meet the minors first
+    u = [MultiPoly.sum(n, (w[a] * cofactor((p,), (q,))
+                           for p, a in enumerate(I0)))
+         for q in range(k)]
+    x = chain.per_root(u, [[beta[b] for b in I0] for beta in chain.roots])
     # Q is symmetric in its two pairs: a pair of pairs i < j counts twice
     pairs = list(combinations(range(k), 2))
     ys = [y(I0[a], I0[b]) for a, b in pairs]
@@ -741,7 +780,7 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
         for i, j in combinations_with_replacement(range(len(pairs)), 2)))
     P = minor(tuple(I0), tuple(I0)) - x * 2 - Q
     for _ in range(k - 2):
-        P = P // J
+        P = P // basis.jacobian_det
     return -P.set_vars_zero(I0)
 
 

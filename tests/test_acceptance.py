@@ -212,13 +212,16 @@ def test_criterion_5_main_theorem(flat_basis, root_system, label, rank,
 # median of three fresh-process runs on 2 cores with the rank-2 update
 # expansion of `general_formula_det`: 0.79 s for D4 and 0.23 s for A4,
 # rounded up.  With Bareiss on the η numerators D4's codimension-3 strata
-# alone took 5.1-6.5 s each.
+# alone took 5.1-6.5 s each.  B4 (every stratum) and F4 (codimension
+# <= 2) joined once the minor formula divided by one mirror at a time:
+# ten times the median of three fresh-process runs on 2 cores, 1.23 s for
+# B4 and 2.48 s for F4.  With one division by J, F4's codimension-2 strata
+# took 13-17 s.
 TWO_ROUTE = {("A", 3): (2, 120.0), ("B", 3): (2, 120.0), ("D", 4): (3, 8.0),
-             ("A", 4): (3, 2.3)}
+             ("A", 4): (3, 2.3), ("B", 4): (3, 12.3), ("F", 4): (2, 24.8)}
 
 
-@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 4),
-                                        ("A", 4)])
+@pytest.mark.parametrize("label,rank", list(TWO_ROUTE))
 def test_criterion_6_two_route_equality(flat_basis, root_system, label,
                                         rank):
     """Covariant restriction equals the minor-formula route exactly, up to

@@ -3,6 +3,7 @@ linear factorization; the packed integer kernels against Fraction and
 exponent-tuple reference loops."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
                                  UNKNOWN, poly_det, divide_exact, try_divide,
                                  factor_linear, NotDivisible,
-                                 IncompleteFactorization)
+                                 IncompleteFactorization, _layout)
 from saitostrata.exactla import det_fraction
 
 NVARS = 3
@@ -212,15 +213,34 @@ def _ref_quotient(numerator, divisor):
         return None
 
 
+def _widened(p, degree):
+    """p on the shared layout that holds total degree `degree` (and its
+    own), wider than the one p needs when `degree` passes p's layout."""
+    lay = _layout(p.nvars, max(degree, p.degree()))
+    return MultiPoly._new(p.nvars, lay, p.layout.move(p.nums, lay), p.den)
+
+
 def _widened_quotient(numerator, divisor):
     """`divide_exact` on operands widened to a layout wider than the one
-    they need, as the minor formula of `saitosym` runs it; None when it
-    raises NotDivisible."""
+    they need, as products leave them; None when it raises NotDivisible."""
     deg = 2 * max(numerator.degree(), divisor.degree(), 0) + 1
     try:
-        return divide_exact(numerator.widen(deg), divisor.widen(deg))
+        return divide_exact(_widened(numerator, deg), _widened(divisor, deg))
     except NotDivisible:
         return None
+
+
+@contextmanager
+def _without_terms_view():
+    """`MultiPoly.terms` raises while the block runs."""
+    def fail(p):
+        raise AssertionError("the Fraction view of the terms was built")
+    saved = MultiPoly.terms
+    MultiPoly.terms = property(fail)
+    try:
+        yield
+    finally:
+        MultiPoly.terms = saved
 
 
 def _listed(p):
@@ -342,7 +362,7 @@ class TestIntegerKernels:
         p, q = pq
         r = (p * q) // q
         assert r == p and hash(r) == hash(p)
-        w = p.widen(2 * max(p.degree(), 0) + 1)
+        w = _widened(p, 2 * max(p.degree(), 0) + 1)
         assert w.layout is not p.layout
         assert w == p and hash(w) == hash(p) and w != p + 1
 
@@ -352,11 +372,54 @@ class TestIntegerKernels:
         # on its own layout and a wider one, and at a monomial whose total
         # degree the narrow layout does not hold
         p = pq[0]
-        for r in (p, p.widen(2 * max(p.degree(), 0) + 1)):
+        for r in (p, _widened(p, 2 * max(p.degree(), 0) + 1)):
             assert all(r.coefficient(e) == c for e, c in p.terms.items())
         e = tuple(data.draw(st.lists(st.integers(0, p.layout.degree + 1),
                                      min_size=p.nvars, max_size=p.nvars)))
         assert p.coefficient(e) == p.terms.get(e, 0)
+
+    @KERNEL_SETTINGS
+    @given(_wide_pair(), st.data())
+    def test_hash_and_substitute_read_the_packed_terms(self, pq, data):
+        # neither builds the Fraction view; equal polynomials on two
+        # layouts hash alike, and substituting the variables is evaluation
+        p, q = pq
+        point = data.draw(st.lists(_rationals(10 ** 6), min_size=p.nvars,
+                                   max_size=p.nvars))
+        want = _ref_evaluate(p, point)
+        r = (p * q) // q if not q.is_zero() else p
+        w = _widened(p, 2 * max(p.degree(), 0) + 1)
+        with _without_terms_view():
+            assert hash(r) == hash(w) == hash(p)
+            assert hash(p * 3) == hash(w + w + w)
+            consts = [MultiPoly.const(1, x) for x in point]
+            got = p.substitute(consts)
+        assert got == want and w.layout is not p.layout
+
+    @KERNEL_SETTINGS
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        _wide_poly(n), min_size=1, max_size=4)), st.data())
+    def test_int_combinations_match_scaled_sums(self, polys, data):
+        rows = data.draw(st.lists(st.lists(
+            st.integers(-BIG, BIG) | st.just(0), min_size=len(polys),
+            max_size=len(polys)), max_size=4))
+        n = polys[0].nvars
+        got = MultiPoly.int_combinations(n, polys, rows + [[0] * len(polys)])
+        assert len(got) == len(rows) + 1 and got[-1].is_zero()
+        for combo, row in zip(got, rows):
+            want = MultiPoly.sum(n, (p * r for p, r in zip(polys, row)))
+            assert combo == want
+
+    @KERNEL_SETTINGS
+    @given(st.lists(_rationals(10 ** 6) | st.just(0), min_size=1,
+                    max_size=8))
+    def test_linear_packs_the_constructor_terms(self, coeffs):
+        # the same layout, terms and term order as the general constructor
+        n = len(coeffs)
+        got = MultiPoly.linear(coeffs)
+        want = MultiPoly(n, {tuple(int(j == i) for j in range(n)): c
+                             for i, c in enumerate(coeffs)})
+        assert got.layout is want.layout and _listed(got) == _listed(want)
 
     def test_one_polynomial_on_two_layouts_and_denominators(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)

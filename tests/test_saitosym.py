@@ -6,7 +6,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
@@ -515,7 +515,103 @@ def _ref_general_formula_det(basis, D):
     return -P.set_vars_zero(I0)
 
 
+# the oracle of the per-root sums: the minor formula as it ran with J as
+# one dense polynomial, v = grad J, the x term divided by J and y_ab by J
+# (the same code, less the layout widening, which moves no value)
+
+class _RefJDivisionChain:
+    def __init__(self, basis):
+        n = basis.R.rank
+        self.J = basis.jacobian_det
+        self.v = [self.J.diff(a) for a in range(n)]
+        self.w = [p if (n + b) % 2 == 0 else -p
+                  for b, p in enumerate(basis.minors)]
+
+    def S(self, a, b):
+        w = self.w
+        return w[b].diff(a) + w[a].diff(b)
+
+    def y(self, a, b):
+        v, w = self.v, self.w
+        return (v[a] * w[b] - w[a] * v[b]) // self.J
+
+
+def _ref_j_division_general_formula_det(basis, D):
+    I0 = [i - 1 for i in sorted(D.I)]
+    chain = _RefJDivisionChain(basis)
+    J, v, w, S, y = chain.J, chain.v, chain.w, chain.S, chain.y
+    n, k = J.nvars, len(I0)
+    if k == 1:
+        i, = I0
+        return -(J * S(i, i) - w[i] * v[i] * 2).set_vars_zero(I0)
+    minors = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return MultiPoly.const(n, 1)
+        key = (rows, cols) if rows <= cols else (cols, rows)
+        out = minors.get(key)
+        if out is None:
+            r, rest = rows[0], rows[1:]
+            out = minors[key] = MultiPoly.sum(n, (
+                (-S(r, c) if j % 2 else S(r, c))
+                * minor(rest, cols[:j] + cols[j + 1:])
+                for j, c in enumerate(cols)))
+        return out
+
+    def cofactor(p, q):
+        m = minor(tuple(a for r, a in enumerate(I0) if r not in p),
+                  tuple(a for c, a in enumerate(I0) if c not in q))
+        return m if (sum(p) + sum(q)) % 2 == 0 else -m
+
+    x = MultiPoly.sum(n, (v[b] * MultiPoly.sum(n, (
+        w[a] * cofactor((p,), (q,)) for p, a in enumerate(I0)))
+        for q, b in enumerate(I0))) // J
+    pairs = list(combinations(range(k), 2))
+    ys = [y(I0[a], I0[b]) for a, b in pairs]
+    Q = MultiPoly.sum(n, (
+        ys[i] * ys[j] * cofactor(pairs[i], pairs[j]) * (1 if i == j else 2)
+        for i, j in combinations_with_replacement(range(len(pairs)), 2)))
+    P = minor(tuple(I0), tuple(I0)) - x * 2 - Q
+    for _ in range(k - 2):
+        P = P // J
+    return -P.set_vars_zero(I0)
+
+
+def _terms_or_not_divisible(det, basis, D):
+    try:
+        return det(basis, D).terms
+    except NotDivisible:
+        return NotDivisible
+
+
 class TestPackedMinorFormula:
+    @pytest.mark.parametrize("label,rank", [
+        ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4),
+        ("F", 4)])
+    def test_per_root_sums_match_the_j_division(self, flat_basis,
+                                                root_system, label, rank):
+        # every stratum, D4's and A4's of codimension 3 included, and F4's
+        # of codimension 1; on the perturbed basis both raise NotDivisible
+        # on the same strata and agree elsewhere
+        R = root_system(label, rank)
+        fb = flat_basis(label, rank)
+        bad = _perturbed(fb)
+        raised = set()
+        for I in _all_strata(R):
+            if label == "F" and len(I) > 1:
+                continue
+            D = make_stratum(R, I)
+            assert general_formula_det(fb, D).terms == \
+                _ref_j_division_general_formula_det(fb, D).terms, I
+            got = _terms_or_not_divisible(general_formula_det, bad, D)
+            assert got == _terms_or_not_divisible(
+                _ref_j_division_general_formula_det, bad, D), I
+            if got is NotDivisible:
+                raised.add(I)
+        assert raised == {I for I in _all_strata(R) if len(I) > 1
+                          and label != "F"}
+
     @pytest.mark.parametrize("label,rank", SMALL)
     def test_flat_bases_match_reference(self, flat_basis, root_system,
                                         label, rank):
@@ -750,10 +846,12 @@ class TestIdentityOneForm:
                 minors.append(len(M))
             return poly_det(M)
         monkeypatch.setattr(saitosym, "poly_det", counting_det)
-        # count every S_ab = d_a w_b + d_b w_a and every y_ab = Y_ab / J
-        # stored by the minor formula: none may be built a second time
+        # count every S_ab = d_a w_b + d_b w_a, every y_ab = Y_ab / J and
+        # every (d_i J)|_{z_i=0} stored by the minor formula: none may be
+        # built a second time
         chain = basis._minor_chain
         chain._S, chain._y = _CountingDict(), _CountingDict()
+        chain._dJ = _CountingDict()
         R = root_system("B", 3)
         for I in _all_strata(R):
             general_formula_det(basis, make_stratum(R, I))
@@ -764,3 +862,4 @@ class TestIdentityOneForm:
         assert chain._S.writes == Counter(
             [(i, i) for i in range(R.rank)] + pairs)
         assert chain._y.writes == Counter(pairs)
+        assert chain._dJ.writes == Counter(range(R.rank))
