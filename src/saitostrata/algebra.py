@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Fraction
@@ -517,9 +518,6 @@ class LinearForm:
     def as_poly(self):
         return MultiPoly.linear(self.coeffs)
 
-    def evaluate(self, point):
-        return sum(Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, point))
-
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
@@ -595,12 +593,20 @@ class FactoredDeterminant:
         return p
 
     def evaluate(self, point):
+        """Exact value at a rational point (a sequence of Fractions).
+
+        With the point as xs / d, a form f takes the value (f . xs) / d,
+        so the value is c * prod((f . xs)^k) / d^degree: integer work and
+        one Fraction at the end."""
         if isinstance(self.coefficient, Unknown):
             raise ValueError("cannot evaluate with unknown coefficient")
-        v = Fraction(self.coefficient)
+        pt = [Fraction(x) for x in point]
+        d = lcm(*(x.denominator for x in pt))
+        xs = [x.numerator * (d // x.denominator) for x in pt]
+        num = self.coefficient.numerator
         for f, k in self.factors.items():
-            v *= f.evaluate(point) ** k
-        return v
+            num *= sum(map(mul, f.coeffs, xs)) ** k
+        return Fraction(num, self.coefficient.denominator * d ** self.degree())
 
     def __repr__(self):
         parts = [repr(self.coefficient)]

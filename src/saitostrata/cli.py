@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from .algebra import IncompleteFactorization, factor_linear
 from .lgclassical import (StratumConfigA, StratumConfigBD, DegeneratePoint,
@@ -604,9 +605,60 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
+_INF = float("inf")
+
+
+def _float_json(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the JSON text of each scalar type, looked up by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            float: _float_json, bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def _report_json(obj, indent="\n"):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, built
+    without the encoder: with an indent, json.dumps runs its pure-Python
+    generator encoder, since the C one cannot indent.  Scalars are of the
+    exact types str, int, float, bool and None; containers are dicts with
+    str keys, lists and tuples.  Anything else, a non-str key included,
+    raises TypeError."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _report_json(v, inner)
+            for k, v in sorted(obj.items())]) + indent + "}"
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        try:      # one join when every item is a scalar
+            items = [_SCALARS[type(x)](x) for x in obj]
+        except KeyError:
+            items = [_report_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
 def _emit(report, args):
+    """Write the report to --output or stdout: with --format json the
+    bytes of ``json.dumps(report, sort_keys=True, indent=2)`` and a
+    newline, written by `_report_json`; else `_render_text`."""
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _report_json(report) + "\n"
     else:
         text = _render_text(report)
     if args.output:

@@ -20,7 +20,8 @@ exact divisibility test. Fractions are still built for the public
 `simple_vectors`, `coweights` and `_gram` (read by the symbolic layer and
 the reports), for the one inverse of the Gram matrix, and one per output
 coordinate by `vector`; `coefficients`, which reads ambient input, still
-pairs it with the Fraction coweights.
+pairs it with the Fraction coweights.  The reports print root vectors by
+`vector_strs`, from the ints alone.
 
 The only subsystems the package builds are parabolic, spanned by simple
 roots a_I: `span_subsystem` reads them off the Dynkin diagram.  Type labels
@@ -242,6 +243,18 @@ class RootSystem:
         return tuple(Fraction(sum(map(mul, beta, col)), q)
                      for col in self._qsimple_cols)
 
+    def vector_strs(self, beta):
+        """The entries of `vector(beta)` as `str` prints them ("n" or
+        "n/d" in lowest terms), from the integers q a_i with one gcd per
+        entry and no Fraction: what the JSON reports print."""
+        q = self._q
+        out = []
+        for col in self._qsimple_cols:
+            n = sum(map(mul, beta, col))
+            g = gcd(n, q)
+            out.append(str(n // g) if g == q else f"{n // g}/{q // g}")
+        return out
+
     def coefficients(self, v):
         """The coefficient tuple of the root with ambient vector v, or None
         if v is not a root."""
@@ -274,7 +287,7 @@ class RootSystem:
             "coxeter_number": self.coxeter_number,
             "degrees": list(self.degrees),
             "simple_roots": [[str(x) for x in a] for a in self.simple_vectors],
-            "positive_roots": [[str(x) for x in self.vector(r)]
+            "positive_roots": [self.vector_strs(r)
                                for r in self.positive_roots],
             "coweights": [[str(x) for x in w] for w in self.coweights],
             "cartan_matrix": self.cartan,

@@ -233,7 +233,7 @@ def stratum_json_dict(D: Stratum):
             for c in D.rd.components],
         "factors": [
             {"form": list(h.form.coeffs), "exponent": h.k,
-             "beta": [str(x) for x in D.R.vector(h.beta)],
+             "beta": D.R.vector_strs(h.beta),
              "component0": {"type": h.component0.type_label,
                             "size": h.component0.size,
                             "rank": h.component0.rank,

@@ -574,6 +574,16 @@ class TestFactorLinear:
             factor_linear(MultiPoly.zero(NVARS), [LinearForm([1, 0, 0])])
 
 
+def _ref_factored_evaluate(fd, point):
+    """The value as a product of Fraction powers, one Fraction per form:
+    the reference for the integer evaluation."""
+    v = Fraction(fd.coefficient)
+    for f, k in fd.factors.items():
+        v *= sum(Fraction(c) * Fraction(x)
+                 for c, x in zip(f.coeffs, point)) ** k
+    return v
+
+
 class TestFactoredDeterminant:
     def test_degree_multiset_evaluate(self):
         f1, f2 = LinearForm([1, -1]), LinearForm([1, 1])
@@ -583,6 +593,37 @@ class TestFactoredDeterminant:
         assert fd.multiset() == frozenset({((1, -1), 2), ((1, 1), 3)})
         pt = [Fraction(3), Fraction(1)]
         assert fd.evaluate(pt) == Fraction(-2) * 2 ** 2 * 4 ** 3
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              database=None)
+    @given(data=st.data(), nvars=st.integers(1, 4))
+    def test_integer_evaluate_matches_fraction_powers(self, data, nvars):
+        coeffs = st.lists(st.integers(-4, 4), min_size=nvars,
+                          max_size=nvars).filter(any)
+        forms = data.draw(st.lists(coeffs, max_size=5))
+        factors = {LinearForm.canonical(c)[0]: data.draw(st.integers(1, 4))
+                   for c in forms}
+        coefficient = data.draw(st.fractions(-50, 50, max_denominator=20))
+        fd = FactoredDeterminant(coefficient, factors)
+        point = data.draw(st.one_of(
+            st.just([Fraction(0)] * nvars),
+            st.lists(st.fractions(-20, 20, max_denominator=12),
+                     min_size=nvars, max_size=nvars)))
+        assert fd.evaluate(point) == _ref_factored_evaluate(fd, point)
+
+    def test_integer_evaluate_at_mixed_denominators(self):
+        f1, f2, f3 = LinearForm([1, -1, 0]), LinearForm([0, 2, 3]), \
+            LinearForm([1, 1, 1])
+        fd = FactoredDeterminant(Fraction(-5, 4), {f1: 3, f2: 2, f3: 1})
+        for point in ([Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7)],
+                      [0, 0, 0], [Fraction(3, 4), Fraction(3, 4), 1],
+                      [-2, Fraction(1, 6), Fraction(-9, 10)]):
+            assert fd.evaluate(point) == _ref_factored_evaluate(fd, point)
+        assert FactoredDeterminant(Fraction(-7, 3), {}).evaluate([]) == \
+            Fraction(-7, 3)
+        with pytest.raises(ValueError):
+            FactoredDeterminant(UNKNOWN, {f1: 1}).evaluate(
+                [Fraction(-1, 2), Fraction(2, 3), 0])
 
     def test_unknown_coefficient_blocks_expansion(self):
         fd = FactoredDeterminant(UNKNOWN, {LinearForm([1, 0]): 1})

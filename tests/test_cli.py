@@ -522,6 +522,77 @@ class TestPlumbing:
         assert (status, out) == (2, "")
 
 
+# one request per kind of report, and per optional part of one
+WRITER_ARGV = [
+    ["predict", "--group", "E8", "--simple", "4,5,6,7,8", "--dump-roots"],
+    ["predict", "--group", "F4", "--simple", "2", "--dump-roots"],
+    ["predict", "--group", "A3", "--roots", "1,1,1;0,1,0"],
+    ["det", "--group", "B3", "--simple", "2", "--backend", "symbolic"],
+    ["det", "--group", "B3", "--simple", "1,3", "--backend", "minor",
+     "--dump-roots"],
+    ["det", "--group", "D3", "--simple", "1", "--invariants", "3,5"],
+    ["classical", "--type", "A", "--mult", "2,1,1"],
+    ["classical", "--type", "B", "--mult", "2,1", "--m", "1", "--at", "3,1/2"],
+    ["classical", "--type", "D", "--mult", "1,2", "--at", "2,3"],
+    *(["tables", "--which", str(w)] for w in range(1, 7)),
+    ["verify", "--group", "A2"],
+    ["verify", "--group", "B3"],
+    ["verify", "--group", "E8", "--skip-symbolic"],
+]
+
+# random JSON trees: the scalars of every type, with all of Unicode in the
+# strings and keys, ints past 64 bits, and floats with their specials
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.text())
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("argv", WRITER_ARGV,
+                             ids=lambda argv: " ".join(argv))
+    def test_stdout_is_the_json_dumps_text(self, capsys, argv):
+        status, out = run(capsys, *argv)
+        assert status == 0
+        report = json.loads(out)
+        if "--at" in argv:
+            assert all(type(x) is float for x in report["oracle_det"])
+        if "--invariants" in argv:
+            assert report["cofactor"]
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(tree=_JSON_TREES)
+    @example(tree={"é\x00\n \U0001F600": [], "": {}, "a": ()})
+    @example(tree=[0.0, -0.0, 1e-300, -1e300, float("inf"), float("-inf"),
+                   float("nan"), 5e-324, 2 ** 63, -2 ** 200])
+    @example(tree={"b": [[], {}, (1, "x", None, True, False)], "a": [{}]})
+    @example(tree="\x7f\x1f\"\\/")
+    def test_matches_json_dumps(self, tree):
+        assert cli._report_json(tree) == \
+            json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 2), [1, Fraction(1, 2)], {"a": Fraction(1, 2)},
+        {"a": {1, 2}}, {(1, 2): 0}], ids=repr)
+    def test_what_json_dumps_refuses_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._report_json(obj)
+
+    def test_non_str_key_raises_type_error(self):
+        # json.dumps would print the int key as a string; a report has none
+        with pytest.raises(TypeError):
+            cli._report_json({1: "a"})
+
+
 # sha256 over the flat bases of A1, A2, A3, B2, B3, D3, D4 and F4, and over
 # those of A4, B4, D5 and A5: per group the terms of `polys`, then of
 # `polys_in_invariants`, then the pairing (`_update_flat_digest`)

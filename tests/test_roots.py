@@ -276,6 +276,20 @@ def test_json_serialization_uses_exact_fractions():
             Fraction(entry)  # every coordinate parses back exactly
 
 
+VECTOR_STR_GROUPS = ([("A", r) for r in range(1, 9)]
+                     + [("B", r) for r in range(2, 9)] + [("C", 3)]
+                     + [("D", r) for r in range(4, 9)]
+                     + [("E", 6), ("E", 7), ("E", 8), ("F", 4)])
+
+
+@pytest.mark.parametrize("label,rank", VECTOR_STR_GROUPS)
+def test_vector_strs_print_the_fraction_vector(label, rank):
+    R = build_root_system(label, rank)
+    for b in R.positive_roots:
+        for beta in (b, tuple(-x for x in b)):
+            assert R.vector_strs(beta) == [str(x) for x in R.vector(beta)]
+
+
 # A2 in R^3 given the degrees of B2: h = 4 needs |R+| = n h / 2 = 4, not 3
 A2_ROOTS = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1),
             (0, -1, 1)]
