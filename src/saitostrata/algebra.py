@@ -284,13 +284,6 @@ class MultiPoly:
         return [(exponents(k), Fraction(c, den))
                 for k, c in sorted(self.nums.items(), reverse=True)]
 
-    def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self.nums)
-        return self.layout.exponents(k), Fraction(self.nums[k], self.den)
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

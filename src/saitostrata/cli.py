@@ -243,10 +243,6 @@ def _stratum_indices(R, args):
     return I, word
 
 
-def _frac_str(x):
-    return str(Fraction(x))
-
-
 def _factor_list(factors):
     """[{form, exponent}] for a mapping LinearForm -> exponent."""
     return [{"form": list(form.coeffs), "exponent": int(e)}
@@ -291,7 +287,7 @@ def cmd_det(args):
         ab = _parse_fracs(args.invariants, "--invariants")
         if len(ab) != 2:
             raise InputError("--invariants needs two rationals a,b")
-        invariants = _det_strs(ab)
+        invariants = _exact_strs(ab, "--invariants")
         try:
             basis = saitosym.quartic_family_d3(*ab)
         except saitosym.DegenerateBasis as exc:
@@ -310,22 +306,22 @@ def cmd_det(args):
     except IncompleteFactorization as exc:
         return _incomplete(report, exc), 0
     report["complete"] = True
-    report["coefficient"] = _det_strs([fd.coefficient])[0]
+    report["coefficient"] = _exact_strs([fd.coefficient],
+                                        "--invariants")[0]
     report["factors"] = _factor_list(fd.factors)
     if args.dump_roots:
         report["roots"] = R.to_json_dict()
     return report, 0
 
 
-def _det_strs(values):
-    """The exact values of a det report as strings, formatted before they
-    go into the report.  Only --invariants can make one too long for
-    Python's int-to-str digit limit, so that is bad input."""
+def _exact_strs(values, source):
+    """The exact values of a report as strings.  A value too long for
+    Python's int-to-str digit limit comes from the option `source`, and is
+    bad input."""
     try:
-        return [_frac_str(x) for x in values]
+        return [str(Fraction(x)) for x in values]
     except ValueError as exc:
-        raise InputError(f"--invariants gives values too long to print: "
-                         f"{exc}")
+        raise InputError(f"{source} gives values too long to print: {exc}")
 
 
 def _incomplete(report, exc: IncompleteFactorization):
@@ -335,7 +331,8 @@ def _incomplete(report, exc: IncompleteFactorization):
         terms = exc.cofactor.sorted_terms()
         report["cofactor"] = [
             [list(e), c]
-            for (e, _), c in zip(terms, _det_strs(c for _, c in terms))]
+            for (e, _), c in zip(terms, _exact_strs((c for _, c in terms),
+                                                    "--invariants"))]
     return report
 
 
@@ -361,7 +358,8 @@ def cmd_classical(args):
         "subcommand": "classical",
         "type": args.type,
         "mults": mults,
-        "kappa": _frac_str(kap),
+        "kappa": _exact_strs([kap], "--mult" if args.type == "A"
+                             else "--mult or --m")[0],
         "factors": _factor_list(fd.factors),
     }
     if args.type != "A":
@@ -379,15 +377,8 @@ def cmd_classical(args):
             if res[k] > RESIDUAL_BOUND:
                 raise InputError(f"--at is not a generic point: residual "
                                  f"{k} {res[k]:.1e} > {RESIDUAL_BOUND:g}")
-        # format every value first, so a point whose exact determinant is
-        # too long to print fails as bad input, not halfway through
-        try:
-            at = [_frac_str(x) for x in xi]
-            closed = _frac_str(fd.evaluate(xi))
-        except ValueError as exc:
-            raise InputError(f"--at gives values too long to print: {exc}")
-        report["at"] = at
-        report["closed_form_det"] = closed
+        report["at"] = _exact_strs(xi, "--at")
+        report["closed_form_det"] = _exact_strs([fd.evaluate(xi)], "--at")[0]
         det = complex(det)
         report["oracle_det"] = [det.real, det.imag]
         report["residuals"] = {k: res[k] for k in RESIDUALS}

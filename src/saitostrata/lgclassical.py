@@ -80,7 +80,6 @@ class StratumConfigBD:
             raise NZero("N = m + sum m_i must be nonzero")
         self.d = len(self.mults)
         self.kind = kind  # optional 'B' / 'D' tag for the group realization
-        self.stratum_realizable = self.m >= -1
         self._last_transport = None  # (point, result) of `_transport`
 
     def __repr__(self):

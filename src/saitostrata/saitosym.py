@@ -123,10 +123,8 @@ class InvariantBasis:
     identity by convention for a non-flat basis (the generalized constant
     metric sum_i dp^i dp^{n+1-i}), the verified flat pairing for solver
     output.  `normalized` records whether that pairing is exactly the
-    anti-diagonal identity.  It agrees with the flag of
-    `_pairing_transform`, which could differ only on a self-dual degree
-    of multiplicity >= 3; no group the route serves has one (D_2k has
-    the largest, degree 2k twice)."""
+    anti-diagonal identity; on solver output it always agrees with the
+    flag of `_pairing_transform`, whose docstring proves it."""
 
     def __init__(self, R: RootSystem, polys, flat=False, pairing=None):
         self.R = R
@@ -457,9 +455,9 @@ def flat_coordinates(R: RootSystem, base=None) -> InvariantBasis:
     P0 = [[s.constant_value() / gamma_top for s in row] for row in G]
     tz = [t.substitute(base.polys) for t in ts]
 
-    # normalize without rescaling the top flat coordinate, so the metric
-    # (defined through d/dt^n) stays fixed under the transformation
-    T, lam, normalized = _pairing_transform(P0, degs, degs[-1])
+    # normalize; the metric is defined through d/dt^n, so scaling the top
+    # flat coordinate by lam also divides the pairing by lam
+    T, lam, normalized = _pairing_transform(P0, degs)
     ts = _apply_transform(T, ts)
     tz = _apply_transform(T, tz)
     pairing = [[x / lam for x in row]
@@ -484,105 +482,61 @@ def _apply_transform(T, ts):
             for a in range(n)]
 
 
-def _pairing_transform(C, degs, h):
-    """A block transformation T (new = T old) taking the constant pairing C
-    to the anti-diagonal identity where that is possible over the
-    rationals.  Since the metric is defined through the top flat
-    coordinate, rescaling that coordinate by lam rescales every pairing
-    entry by 1/lam on top of the usual congruence; this extra freedom
-    absorbs the square class of a one-dimensional self-dual block."""
-    n = len(degs)
-    top = n - 1
-    blocks = {}
-    for i, d in enumerate(degs):
-        blocks.setdefault(d, []).append(i)
+def _pairing_transform(C, degs):
+    """(T, lam, normalized): the transformation T (new = T old) and scale
+    lam of the top flat coordinate that take the constant pairing C to the
+    anti-diagonal identity where that is possible, by one rule of the
+    degrees (h = degs[-1]).  The metric is defined through the top flat
+    coordinate, so scaling it by lam also divides the pairing by lam.
+
+    C pairs degree d only with h + 2 - d.  Per pair d < h + 2 - d, the
+    block that avoids h moves onto the anti-diagonal of the other.  A
+    single coordinate i of the self-dual degree (h + 2)/2 goes to
+    1/sqrt(C_ii), after lam = C_ii has made C_ii a square if it was not
+    one (lam = 1/C_ii when i is the top index: A1, n = 1).
+
+    A self-dual degree of multiplicity two stays, and normalized=False.
+    Only D_n, n = 2k, has one: sum x^n and Pf = x_1 ... x_n in the forms
+    x_a, with g(dx_a, dx_b) = delta_ab.  At p = 0 only the linear parts
+    of the flat coordinates count, and there eta = d g / d p^n, p^n =
+    sum x^{2n-2}, is diag(n^2, 1/(n-1)) on span{d sum x^n, dPf}:
+    g(d sum x^n, d sum x^n) = n^2 sum x^{2n-2}; g(dPf, dPf) = e_{n-1}(x^2),
+    whose sum x^{2n-2} coefficient is 1/(n-1) by Newton's identities; and
+    g(d sum x^n, dPf) = n Pf sum x^{n-2} has no p^n term.  So the block is
+    S = L diag(n^2, 1/(n-1)) L^T / gamma (L rational, gamma the p^n
+    coefficient of the top flat coordinate): definite, with det S =
+    n^2/(n-1) times a rational square.  Any real T and lam leave a block
+    of determinant det(T)^2 det S / lam^2 > 0, never the -1 of the
+    anti-diagonal identity.  D4: det S = 625/243 = (16/3)(25/36)^2."""
+    n, h, top = len(degs), degs[-1], len(degs) - 1
+    at = {d: [i for i, e in enumerate(degs) if e == d] for d in degs}
+    if any(h + 2 - d not in at for d in at):
+        raise SolverFailure("degrees do not pair up to h + 2")
+    mid = [i for i, d in enumerate(degs) if 2 * d == h + 2]
     lam = Fraction(1)
-    if n == 1:
-        lam = 1 / C[0][0]
-    else:
-        for d, idx in sorted(blocks.items()):
-            if h + 2 - d == d and len(idx) == 1 and idx[0] != top \
-                    and _sqrt_fraction(C[idx[0]][idx[0]]) is None:
-                lam = C[idx[0]][idx[0]]
-                break
-    if lam != 1:
-        T0 = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        T0[top][top] = lam
-        C = [[C[i][j] * (lam if i == top else 1) * (lam if j == top else 1)
-              / lam for j in range(n)] for i in range(n)]
-    else:
-        T0 = None
+    if len(mid) == 1:
+        c = C[mid[0]][mid[0]]
+        if mid == [top]:
+            lam = 1 / c
+        elif _sqrt_fraction(c) is None:
+            lam = c
+    C = [[C[i][j] * (lam if i == top else 1) * (lam if j == top else 1)
+          / lam for j in range(n)] for i in range(n)]
     T = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if n == 1:
-        return (T0 if T0 is not None else T), lam, True
-    normalized = True
-    done = set()
-    for d, idx in sorted(blocks.items()):
-        if d in done:
-            continue
-        dual = h + 2 - d
-        if dual not in blocks:
-            raise SolverFailure("degrees do not pair up to h + 2")
-        jdx = blocks[dual]
-        mu = len(idx)
-        done.add(d)
-        done.add(dual)
-        if d != dual:
-            # transform whichever block avoids the top degree h
-            fixed, moved = (jdx, idx) if dual == h else (idx, jdx)
-            M = [[C[i][j] for j in moved] for i in fixed]
-            # want C(fixed[i], new_moved[j]) = delta_{i + j, mu - 1}
-            X = matmul(matinv(M), _antidiag(mu))
-            for col in range(mu):
-                for row in range(mu):
-                    T[moved[col]][moved[row]] = X[row][col]
-        else:
-            S = [[C[i][j] for j in idx] for i in idx]
-            if mu == 1:
-                r = _sqrt_fraction(S[0][0])
-                if r is None:
-                    normalized = False
-                else:
-                    T[idx[0]][idx[0]] = 1 / r
-            elif mu == 2:
-                uv = _hyperbolic_basis(S)
-                if uv is None:
-                    normalized = False
-                else:
-                    u, v = uv
-                    i0, i1 = idx
-                    T[i0][i0], T[i0][i1] = u[0], u[1]
-                    T[i1][i0], T[i1][i1] = v[0], v[1]
-            else:
-                normalized = False
-    if T0 is not None:
-        T = matmul(T, T0)
-    return T, lam, normalized
-
-
-def _hyperbolic_basis(S):
-    """Rational basis (u, v) with S(u,u) = S(v,v) = 0, S(u,v) = 1, if one
-    exists (iff -det S is a rational square)."""
-    disc = S[0][1] ** 2 - S[0][0] * S[1][1]
-    r = _sqrt_fraction(disc)
-    if r is None:
-        return None
-    if S[0][0] != 0:
-        u = [(-S[0][1] + r) / S[0][0], Fraction(1)]
-    else:
-        u = [Fraction(1), Fraction(0)]
-    su = [S[0][0] * u[0] + S[0][1] * u[1],
-          S[1][0] * u[0] + S[1][1] * u[1]]
-    if su[0] != 0:
-        v = [Fraction(1) / su[0], Fraction(0)]
-    elif su[1] != 0:
-        v = [Fraction(0), Fraction(1) / su[1]]
-    else:
-        return None
-    svv = (S[0][0] * v[0] * v[0] + 2 * S[0][1] * v[0] * v[1]
-           + S[1][1] * v[1] * v[1])
-    v = [v[0] - svv / 2 * u[0], v[1] - svv / 2 * u[1]]
-    return u, v
+    for d, block in at.items():
+        if 2 * d < h + 2:
+            dual = at[h + 2 - d]
+            fixed, moved = (dual, block) if h + 2 - d == h else (block, dual)
+            # C(fixed[i], new moved[j]) = delta_{i + j, len(moved) - 1}
+            X = matmul(matinv([[C[i][j] for j in moved] for i in fixed]),
+                       _antidiag(len(moved)))
+            for col, a in enumerate(moved):
+                for row, b in enumerate(moved):
+                    T[a][b] = X[row][col]
+    if len(mid) == 1:
+        T[mid[0]][mid[0]] = 1 / _sqrt_fraction(C[mid[0]][mid[0]])
+    T[top][top] *= lam
+    return T, lam, len(mid) < 2
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def _ref_divide_exact(numerator, divisor):
             e: c / divisor.constant_value()
             for e, c in numerator.terms.items()})
     rem = dict(numerator.terms)
-    de, dc = divisor.leading()
+    # the divisor's leading term in the order the remainder is reduced in
+    de, dc = max(divisor.terms.items(), key=lambda t: (sum(t[0]), t[0]))
     q = {}
     while rem:
         e = max(rem, key=lambda t: (sum(t), t))

@@ -178,6 +178,18 @@ class TestClassical:
             "error": "--at is not a generic point: residual determinant "
                      "1.8e-03 > 1e-08"}
 
+    @pytest.mark.parametrize("argv,source", [
+        (["--type", "A", "--mult", "1400,1"], "--mult"),
+        (["--type", "D", "--mult", "2000", "--m", "2"], "--mult or --m")])
+    def test_kappa_past_the_digit_limit_is_bad_input(self, capsys, argv,
+                                                     source):
+        capsys.readouterr()
+        assert main(["classical"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith(
+            f"{source} gives values too long to print: ")
+
     def test_input_validation(self, capsys):
         assert main(["classical", "--type", "A", "--mult", "2,1",
                      "--m", "1"]) == 2
@@ -265,7 +277,8 @@ class TestStandardLibraryOnly:
 # singular transport, one
 # whose exact determinant has a denominator past Python's 4,300-digit
 # int-to-str limit, one whose determinant residual (1.8e-3) is past
-# `cli.RESIDUAL_BOUND`, and det --invariants pairs past the same limit
+# `cli.RESIDUAL_BOUND`, det --invariants pairs past the same limit, and
+# classical multiplicities whose kappa is past it
 FAR_OUT_POINTS = (
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e400"],
     ["classical", "--type", "A", "--mult", "1,1", "--at", "1e300"],
@@ -279,6 +292,8 @@ FAR_OUT_POINTS = (
      "--at=100000000000000000002,2000000000000003"],
     ["det", "--group", "D3", "--simple", "1", "--invariants", "1e-5000,1"],
     ["det", "--group", "D3", "--simple", "1", "--invariants", "1,1e-5000"],
+    ["classical", "--type", "A", "--mult", "1400,1"],
+    ["classical", "--type", "D", "--mult", "2000", "--m", "2"],
 )
 
 
@@ -968,6 +983,8 @@ class TestExitContract:
     @example(argv=FAR_OUT_POINTS[7])
     @example(argv=FAR_OUT_POINTS[8])
     @example(argv=FAR_OUT_POINTS[9])
+    @example(argv=FAR_OUT_POINTS[10])
+    @example(argv=FAR_OUT_POINTS[11])
     def test_status_and_report(self, argv):
         with mock.patch.dict(os.environ, {"SAITO_STRATA_THREADS": "1"}):
             status, out = _run_argv(argv)

@@ -1,7 +1,8 @@
 """Code hygiene: every top-level function and class of the package is named
 somewhere besides its own definition, in the Python files of the package
-or the benchmark (a name `__init__.py` re-exports is named there), and
-every name a module of the package imports is used in that module. A
+or the benchmark (a name `__init__.py` re-exports is named there), every
+method and property of a package class is read as an attribute there,
+and every name a module of the package imports is used in that module. A
 helper whose last caller is gone, or that only tests call, or an import
 whose last use is gone, fails here."""
 
@@ -31,6 +32,34 @@ def test_no_unreferenced_top_level_definitions():
               for path in sorted(PACKAGE.glob("*.py"))
               for name in _top_level_names(path) if words[name] < 2]
     assert not unused, "defined but never named: " + ", ".join(unused)
+
+
+# members kept without a reader in the package or the benchmark
+EXEMPT_MEMBERS = {
+    # the README documents it, a CI step calls it, and the Weyl-orbit
+    # transport of `verify` that the ROADMAP plans would call it
+    "RootSystem.apply_word",
+}
+
+
+def test_no_unreferenced_methods():
+    # attribute reads, not words: a docstring naming a method is no caller.
+    # Dunders are called by the language itself, and tests do not count.
+    attributes = Counter(node.attr for d in SEARCHED
+                         for p in sorted((ROOT / d).rglob("*.py"))
+                         for node in ast.walk(ast.parse(p.read_text()))
+                         if isinstance(node, ast.Attribute))
+    unused = [f"{path.name}: {cls.name}.{node.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in ast.parse(path.read_text()).body
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and not attributes[node.name]
+              and f"{cls.name}.{node.name}" not in EXEMPT_MEMBERS]
+    assert not unused, "defined but never read: " + ", ".join(unused)
 
 
 def _unused_imports(path):

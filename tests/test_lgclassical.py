@@ -59,7 +59,6 @@ class TestConfigs:
         assert (cfg.N, cfg.d) == (4, 2)
         with pytest.raises(NZero):
             StratumConfigBD(-2, (1, 1))
-        assert not StratumConfigBD(-2, (1, 1, 3)).stratum_realizable
 
 
 class TestKappa:

@@ -24,8 +24,8 @@ from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   frame_constant, identity_field_checks,
                                   DegenerateBasis, _antidiag,
                                   _certify_forms, _d_root,
-                                  _hyperbolic_basis, _identity_one_form,
-                                  _identity_tangency, _pairing_transform)
+                                  _identity_one_form, _identity_tangency,
+                                  _sqrt_fraction)
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -321,43 +321,16 @@ class TestJacobianRule:
             InvariantBasis(root_system("A", 3), [p2, p3, p2 * p2])
 
 
-class TestHyperbolicBasis:
-    @staticmethod
-    def _form(S, u, v):
-        return sum(u[i] * S[i][j] * v[j] for i in range(2) for j in range(2))
-
-    @pytest.mark.parametrize("S", [
-        [[1, 0], [0, -1]], [[2, 3], [3, 4]], [[3, 0], [0, -12]],
-        [[Fraction(1, 2), Fraction(5, 3)], [Fraction(5, 3), 0]],
-        # S_00 = 0, where u = e_1 and S(u, .) has su[0] = 0
-        [[0, 2], [2, 5]], [[0, Fraction(-1, 3)], [Fraction(-1, 3), 0]]])
-    def test_split_block_gets_a_hyperbolic_basis(self, S):
-        S = [[Fraction(x) for x in row] for row in S]
-        u, v = _hyperbolic_basis(S)
-        assert self._form(S, u, u) == self._form(S, v, v) == 0
-        assert self._form(S, u, v) == 1
-
-    @pytest.mark.parametrize("S", [
-        [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[-3, 1], [1, -1]],
-        # indefinite, but -det S is not a rational square
-        [[1, 0], [0, -2]],
-        # singular: -det S = 0 is a square, but S(u, .) vanishes on the
-        # isotropic u, so no v has S(u, v) = 1
-        [[0, 0], [0, 1]], [[1, 1], [1, 1]]])
-    def test_block_without_hyperbolic_basis_gets_none(self, S):
-        assert _hyperbolic_basis([[Fraction(x) for x in row]
-                                  for row in S]) is None
-
-    def test_pairing_transform_splits_a_self_dual_pair(self):
-        # degrees 2, 4, 4, 6 as on D4, with a split middle block
-        C = [[Fraction(x) for x in row] for row in
-             [[0, 0, 0, 2], [0, 1, 3, 0], [0, 3, 8, 0], [2, 0, 0, 0]]]
-        T, lam, normalized = _pairing_transform(C, [2, 4, 4, 6], 6)
-        assert normalized and lam == 1
-        TC = [[sum(T[i][k] * C[k][j] for k in range(4)) for j in range(4)]
-              for i in range(4)]
-        assert [[sum(TC[i][k] * T[j][k] for k in range(4))
-                 for j in range(4)] for i in range(4)] == _antidiag(4)
+def _definite_self_dual_block(pairing, degrees):
+    """Whether a flat pairing of D_n, n even, has the self-dual block that
+    `_pairing_transform` derives: two coordinates of degree (h + 2)/2, a
+    block S with det S > 0 (definite), and det S (n - 1)/n^2 a rational
+    square."""
+    n = len(degrees)
+    idx = [i for i, d in enumerate(degrees) if 2 * d == degrees[-1] + 2]
+    det = det_fraction([[pairing[i][j] for j in idx] for i in idx])
+    return len(idx) == 2 and det > 0 \
+        and _sqrt_fraction(det * (n - 1) / n ** 2) is not None
 
 
 class TestFlatCoordinates:
@@ -393,11 +366,16 @@ class TestFlatCoordinates:
         assert oracle == fb.pairing
 
     def test_d4_pairing_middle_block_obstruction(self, flat_basis):
-        # the degree-4 self-dual 2x2 block is positive definite, so no
-        # rational congruence can reach the hyperbolic form
+        # the degree-4 self-dual 2x2 block is definite, so no real
+        # congruence reaches the anti-diagonal identity (det -1)
         fb = flat_basis("D", 4)
-        S = [[fb.pairing[i][j] for j in (1, 2)] for i in (1, 2)]
-        assert det_fraction(S) > 0 and S[0][0] > 0
+        assert _definite_self_dual_block(fb.pairing, fb.degrees)
+        assert det_fraction([row[1:3] for row in fb.pairing[1:3]]) \
+            == Fraction(625, 243)
+        # one negative diagonal entry makes the block indefinite
+        flipped = copy.deepcopy(fb.pairing)
+        flipped[1][1] = -flipped[1][1]
+        assert not _definite_self_dual_block(flipped, fb.degrees)
 
     @pytest.mark.parametrize("label,rank", [("A", 1)] + SMALL + [("F", 4)])
     def test_chain_rule_jacobian(self, flat_basis, root_system, label, rank):
