@@ -1,6 +1,6 @@
 """Exact polynomial arithmetic: rational scalars, sparse multivariate
-polynomials, polynomial-matrix determinants (Bareiss), exact division and
-trial factorization into linear forms.
+polynomials, determinants by memoized minors, exact division and trial
+factorization into linear forms.
 
 Nothing here ever rounds.  `MultiPoly` is the one polynomial type, and it
 computes on Python ints, after Monagan & Pearce, "Polynomial division
@@ -36,6 +36,7 @@ reports and tests; `__hash__` and `substitute` read `nums` and `den`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
@@ -339,8 +340,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        """The exact quotient (`divide_exact`), so that `poly_det` runs the
-        same elimination on polynomials and on ints."""
+        """The exact quotient (`divide_exact`)."""
         return divide_exact(self, other)
 
     def __pow__(self, k):
@@ -611,34 +611,42 @@ class FactoredDeterminant:
 # ---------------------------------------------------------------------------
 # determinants
 
+def minor_table(entry, one):
+    """The minors of the matrix with entries `entry(row, col)`, read as
+    `minor(rows, cols)` for index tuples of equal length: the Laplace
+    expansion along the first row, with zero entries skipped, each minor
+    built once however many expansions reach it.  `one`, the empty minor
+    (a MultiPoly or the int 1), fixes the ring.  Nothing is divided, and
+    an n x n determinant builds at most 2^n minors (a suffix of its rows
+    by a subset of its columns)."""
+    add = sum if isinstance(one, int) else partial(MultiPoly.sum, one.nvars)
+    table = {((), ()): one}
+
+    def minor(rows, cols):
+        out = table.get((rows, cols))
+        if out is None:
+            r, rest = rows[0], rows[1:]
+            if not rest:        # a 1 x 1 minor is its entry, not entry * one
+                return entry(r, cols[0])
+            out = table[rows, cols] = add(
+                (-e if j % 2 else e) * minor(rest, cols[:j] + cols[j + 1:])
+                for j, c in enumerate(cols) if (e := entry(r, c)) != 0)
+        return out
+    return minor
+
+
 def poly_det(matrix):
-    """Exact determinant of a square matrix by fraction-free Bareiss
-    elimination.  The entries are MultiPolys, or ints (`exactla.det_fraction`
-    scales a rational matrix to them); every division is exact."""
+    """Exact determinant of a square matrix, the full minor of its
+    `minor_table`.  The entries are MultiPolys, or ints
+    (`exactla.det_fraction` scales a rational matrix to them)."""
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix not square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    m = [list(row) for row in matrix]
-    sign, prev = 1, 1       # the first step would divide by 1 and skips it
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num // prev if k else num
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    if not n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix empty or not square")
+    corner = matrix[0][0]
+    one = MultiPoly.const(corner.nvars, 1) \
+        if isinstance(corner, MultiPoly) else 1
+    full = tuple(range(n))
+    return minor_table(lambda i, j: matrix[i][j], one)(full, full)
 
 
 # ---------------------------------------------------------------------------

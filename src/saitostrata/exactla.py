@@ -4,8 +4,8 @@ Matrices are lists of rows of Fractions or ints.  Each row is scaled to
 integers by the lcm of its denominators (`_int_row`), and one elimination
 runs on the ints: `IntSpan`'s fraction-free row echelon for `rank` and
 `rref` (and through it `solve` and `matinv`), its integer annihilator for
-`nullspace` and for the roots of E_6 and E_7 in E_8 (`roots._build_E`),
-and the Bareiss elimination of `algebra.poly_det` for `det_fraction`.
+`nullspace` and for the roots of E_6 and E_7 in E_8 (`roots._build_E`).
+`det_fraction` expands the integer matrix by `algebra.poly_det`.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def matmul(A, B):
 
 def det_fraction(A):
     """Determinant of a rational matrix: each row is scaled to integers by
-    the lcm of its denominators, and `poly_det` eliminates on the ints."""
+    the lcm of its denominators, and `poly_det` expands on the ints."""
     scaled = [_int_row(row) for row in A]
     return Fraction(poly_det([row for _, row in scaled]),
                     prod(den for den, _ in scaled))

@@ -34,7 +34,8 @@ so each mirror form divides it, and deg J = sum (d_i - 1) = |R+|.
 `_certify_forms` certifies the invariance of `basic_invariants`, and
 every other basis is a polynomial in them.  c is read at z_0 = (1, ...,
 1), where each positive root is its height, and c != 0 is algebraic
-independence.  The Bareiss expansion of J is an oracle in the tests.
+independence.  The Jacobi matrix's determinant, expanded, is an oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import isqrt, prod
 
-from .algebra import (MultiPoly, FactoredDeterminant, poly_det, divide_exact,
-                      try_divide, factor_linear, IncompleteFactorization,
-                      InvariantViolation)
+from .algebra import (MultiPoly, FactoredDeterminant, poly_det, minor_table,
+                      divide_exact, try_divide, factor_linear,
+                      IncompleteFactorization, InvariantViolation)
 from .exactla import (IntSpan, matinv, matmul, det_fraction, nullspace,
                       solve, rank as mat_rank)
 from .roots import RootSystem, build_root_system, span_subsystem
@@ -169,15 +170,14 @@ class InvariantBasis:
 
     @cached_property
     def minors(self):
-        """J_k for k = 1..n, built on first access: eliminate the k-th
-        column and n-th row of the directional Jacobi matrix."""
+        """J_k for k = 1..n, built on first access: the maximal minors of
+        the directional Jacobi matrix without its n-th row, J_k the one
+        without the k-th column, all read from one `minor_table`."""
         n = self.R.rank
-        out = []
-        for k in range(n):
-            B = [[self.jacobian[i][j] for j in range(n) if j != k]
-                 for i in range(n - 1)]
-            out.append(poly_det(B) if n > 1 else MultiPoly.const(1, 1))
-        return out
+        minor = minor_table(lambda i, j: self.jacobian[i][j],
+                            MultiPoly.const(n, 1))
+        rows, cols = tuple(range(n - 1)), tuple(range(n))
+        return [minor(rows, cols[:k] + cols[k + 1:]) for k in range(n)]
 
     @cached_property
     def _minor_chain(self):
@@ -697,22 +697,7 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
     if k == 1:
         i, = I0
         return w[i].set_vars_zero(I0) * chain.dJ(i) * 2
-    minors = {}
-
-    def minor(rows, cols):
-        """det S[rows, cols] for index tuples, each minor built once (S is
-        symmetric, so [cols, rows] is the same minor)."""
-        if not rows:
-            return chain.one
-        key = (rows, cols) if rows <= cols else (cols, rows)
-        out = minors.get(key)
-        if out is None:
-            r, rest = rows[0], rows[1:]
-            out = minors[key] = MultiPoly.sum(n, (
-                (-S(r, c) if j % 2 else S(r, c))
-                * minor(rest, cols[:j] + cols[j + 1:])
-                for j, c in enumerate(cols)))
-        return out
+    minor = minor_table(S, chain.one)
 
     def cofactor(p, q):
         """(-1)^(sum p + sum q) det S_I without the rows at the positions p

@@ -15,6 +15,8 @@ from saitostrata.algebra import (MultiPoly, LinearForm, FactoredDeterminant,
                                  IncompleteFactorization, _layout)
 from saitostrata.exactla import det_fraction
 
+from conftest import bareiss_det
+
 NVARS = 3
 
 
@@ -469,8 +471,8 @@ class TestIntegerKernels:
 
 
 def _ref_det_cofactor(matrix):
-    """Laplace expansion along the first row: the reference for the
-    Bareiss elimination of `poly_det`."""
+    """Laplace expansion along the first row, each minor rebuilt as a
+    matrix: the reference for `poly_det` and for the Bareiss oracle."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
@@ -497,7 +499,7 @@ class TestDeterminants:
         for n in (1, 2, 3, 4):
             for _ in range(4):
                 m = self._random_matrix(rng, n)
-                assert poly_det(m) == _ref_det_cofactor(m)
+                assert bareiss_det(m) == _ref_det_cofactor(m)
 
     def test_poly_det_alternating(self):
         rng = random.Random(11)
@@ -508,8 +510,47 @@ class TestDeterminants:
     def test_singular_matrix(self):
         x = MultiPoly.variable(NVARS, 0)
         m = [[x, x, x], [x, x, x], [x, x, x]]
-        for det in (poly_det, _ref_det_cofactor):
+        for det in (poly_det, bareiss_det, _ref_det_cofactor):
             assert det(m).is_zero()
+
+    def test_minor_expansion_matches_bareiss_and_cofactor(self):
+        # ints and polynomials, with a zero (0, 0) entry (Bareiss swaps
+        # rows there), a zero row, a singular matrix and the 1 x 1 case
+        rng = random.Random(13)
+        x = MultiPoly.variable(NVARS, 0)
+        cases = []
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(6):
+                ints = [[rng.randint(-3, 3) for _ in range(n)]
+                        for _ in range(n)]
+                cases.append(ints)
+                cases.append(self._random_matrix(rng, n))
+            m = self._random_matrix(rng, n)
+            m[0][0] = MultiPoly.zero(NVARS)
+            cases.append(m)
+            ints = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+            ints[0][0] = 0
+            cases.append(ints)
+            if n > 1:
+                m = self._random_matrix(rng, n)
+                m[n // 2] = [MultiPoly.zero(NVARS)] * n
+                cases.append(m)
+                m = self._random_matrix(rng, n)
+                m[-1] = [e * x for e in m[0]]
+                cases.append(m)
+        for m in cases:
+            want = bareiss_det(m)
+            got = poly_det(m)
+            if isinstance(m[0][0], int):
+                assert isinstance(got, int)
+                ref = _ref_det_cofactor(
+                    [[MultiPoly.const(NVARS, e) for e in row] for row in m])
+                assert got == want == ref.constant_value()
+            else:
+                assert got == want == _ref_det_cofactor(m)
+        for bad in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], []):
+            with pytest.raises(ValueError):
+                poly_det(bad)
 
     def test_det_fraction(self):
         # singular, a row swap flips the sign, and the 1x1 case

@@ -12,9 +12,10 @@ from math import prod
 import pytest
 
 from saitostrata import saitosym
-from saitostrata.algebra import (MultiPoly, poly_det, divide_exact,
-                                 factor_linear, IncompleteFactorization,
-                                 InvariantViolation, NotDivisible)
+from saitostrata.algebra import (MultiPoly, poly_det, minor_table,
+                                 divide_exact, factor_linear,
+                                 IncompleteFactorization, InvariantViolation,
+                                 NotDivisible)
 from saitostrata.exactla import det_fraction, nullspace, rank, solve
 from saitostrata.strata import make_stratum, predict_determinant
 from saitostrata.saitosym import (InvariantBasis, basic_invariants,
@@ -26,6 +27,8 @@ from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   _certify_forms, _d_root,
                                   _identity_one_form, _identity_tangency,
                                   _sqrt_fraction)
+
+from conftest import bareiss_det
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
 
@@ -194,13 +197,13 @@ def _ref_flat_nullspaces(eta, degs):
     d_i d_j t - Gamma^k_ij d_k t on the ansatz of the p-monomials of
     weighted degree d, keyed by d."""
     n = len(eta)
-    c0 = poly_det(eta).constant_value()
+    c0 = bareiss_det(eta).constant_value()
     eta_cov = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             minor = [[eta[i][j] for j in range(n) if j != b]
                      for i in range(n) if i != a]
-            cof = poly_det(minor) if n > 1 else MultiPoly.const(n, 1)
+            cof = bareiss_det(minor) if n > 1 else MultiPoly.const(n, 1)
             eta_cov[b][a] = cof * (Fraction((-1) ** (a + b)) / c0)
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -249,7 +252,7 @@ def _assert_jacobian_rule(basis):
     """The Bareiss expansion of the Jacobian is c prod beta, with c read at
     one point, and is the basis's `jacobian_det`."""
     want = _mirror_product(basis.R) * basis.jacobian_scale
-    assert poly_det(basis.jacobian) == basis.jacobian_det == want
+    assert bareiss_det(basis.jacobian) == basis.jacobian_det == want
 
 
 def _coordinate_forms(R):
@@ -487,7 +490,7 @@ def _ref_general_formula_det(basis, D):
     I0 = [i - 1 for i in sorted(D.I)]
     N = _ref_eta_numerators(basis, I0)
     k = len(I0)
-    num = poly_det([[N[(i, j)] for j in I0] for i in I0])
+    num = bareiss_det([[N[(i, j)] for j in I0] for i in I0])
     J = basis.jacobian_det
     P = num if k == 1 else divide_exact(num, J ** (2 * k - 2))
     return -P.set_vars_zero(I0)
@@ -663,7 +666,7 @@ def _ref_restricted_saito_det(basis, D):
                     if Pinv[a][b]:
                         s = s + rgrads[a][r] * rgrads[b][l] * Pinv[a][b]
             M[r][l] = M[l][r] = s
-    return factor_linear(poly_det(M), [hp.form for hp in D.arrangement])
+    return factor_linear(bareiss_det(M), [hp.form for hp in D.arrangement])
 
 
 def _ref_one_form(basis, gamma):
@@ -720,6 +723,52 @@ def _perturbed(fb):
     return bad
 
 
+class TestDeterminantCallersMatchBareiss:
+    """Each determinant the package expands, against the Bareiss oracle on
+    the same matrix: the restricted Gram matrix of `restricted_saito_det`
+    and the Jacobian minors J_k of `InvariantBasis.minors`."""
+
+    @pytest.mark.parametrize("label,rank,min_codim", [
+        ("A", 2, 1), ("A", 3, 1), ("A", 4, 1), ("A", 5, 1), ("B", 2, 1),
+        ("B", 3, 1), ("B", 4, 1), ("D", 4, 1), ("F", 4, 1), ("D", 5, 2)])
+    def test_restricted_saito_det(self, flat_basis, root_system, monkeypatch,
+                                  label, rank, min_codim):
+        R = root_system(label, rank)
+        fb = flat_basis(label, rank)
+        expanded = []
+
+        def recording_det(M):
+            det = poly_det(M)
+            expanded.append((M, det))
+            return det
+        monkeypatch.setattr(saitosym, "poly_det", recording_det)
+        for I in _all_strata(R):
+            if len(I) < min_codim:
+                continue
+            D = make_stratum(R, I)
+            got = restricted_saito_det(fb, D)
+            (M, det), = expanded
+            expanded.clear()
+            want = bareiss_det(M)
+            assert det == want
+            fd = factor_linear(want, [hp.form for hp in D.arrangement])
+            assert (got.coefficient, got.factors) == \
+                (fd.coefficient, fd.factors)
+
+    @pytest.mark.parametrize("label,rank", [
+        ("A", r) for r in range(2, 7)] + [("B", r) for r in range(2, 6)]
+        + [("D", r) for r in range(3, 6)] + [("F", 4)])
+    def test_jacobian_minors(self, root_system, flat_basis, label, rank):
+        bases = [basic_invariants(root_system(label, rank))]
+        if (label, rank) in FLAT_GROUPS:
+            bases.append(flat_basis(label, rank))
+        for basis in bases:
+            for k, Jk in enumerate(basis.minors):
+                B = [[row[j] for j in range(rank) if j != k]
+                     for row in basis.jacobian[:-1]]
+                assert Jk == bareiss_det(B)
+
+
 class TestOneGramContraction:
     @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 3), ("D", 3),
                                             ("D", 4)])
@@ -757,7 +806,7 @@ class TestOneGramContraction:
             I0 = [i - 1 for i in sorted(D.I)]
             p0 = [j - 1 for j in D.params]
             M = [[G[r][l].set_vars_zero(I0) for l in p0] for r in p0]
-            got = factor_linear(poly_det(M),
+            got = factor_linear(bareiss_det(M),
                                 [hp.form for hp in D.arrangement])
             want = restricted_saito_det(fb, D)
             assert (got.coefficient, got.factors) == \
@@ -816,14 +865,18 @@ class TestIdentityOneForm:
         # a fresh basis, so no earlier test has built its minors yet
         fb = flat_basis("B", 3)
         basis = InvariantBasis(fb.R, fb.polys, flat=True, pairing=fb.pairing)
-        jacobian = {id(e) for row in basis.jacobian for e in row}
-        minors = []
+        tables = []
 
-        def counting_det(M):
-            if M and all(id(e) in jacobian for row in M for e in row):
-                minors.append(len(M))
-            return poly_det(M)
-        monkeypatch.setattr(saitosym, "poly_det", counting_det)
+        def counting_table(entry, one):
+            # count each read of a minor from outside its own table
+            minor, reads = minor_table(entry, one), Counter()
+
+            def counted(rows, cols):
+                reads[rows, cols] += 1
+                return minor(rows, cols)
+            tables.append((entry, reads))
+            return counted
+        monkeypatch.setattr(saitosym, "minor_table", counting_table)
         # count every S_ab = d_a w_b + d_b w_a, every y_ab = Y_ab / J and
         # every (d_i J)|_{z_i=0} stored by the minor formula: none may be
         # built a second time
@@ -835,7 +888,13 @@ class TestIdentityOneForm:
             general_formula_det(basis, make_stratum(R, I))
         report = identity_field_checks(basis)
         assert all(item["passed"] for item in report)
-        assert minors == [R.rank - 1] * R.rank
+        # one table on the Jacobian, which gives each J_k once; the others
+        # are the minor formula's tables on S, one per stratum with k >= 2
+        jacobian = [reads for entry, reads in tables if entry != chain.S]
+        rows, cols = tuple(range(R.rank - 1)), tuple(range(R.rank))
+        assert jacobian == [Counter(
+            (rows, cols[:k] + cols[k + 1:]) for k in range(R.rank))]
+        assert len(tables) == 1 + sum(len(I) > 1 for I in _all_strata(R))
         pairs = list(combinations(range(R.rank), 2))
         assert chain._S.writes == Counter(
             [(i, i) for i in range(R.rank)] + pairs)
