@@ -98,13 +98,6 @@ def _gram(rows, C):
     return G
 
 
-def _positive_product(R: RootSystem):
-    out = MultiPoly.const(R.rank, 1)
-    for beta in R.positive_roots:
-        out = out * MultiPoly.linear(beta)
-    return out
-
-
 def _antidiag(n):
     return [[Fraction(int(i + j == n - 1)) for j in range(n)] for i in range(n)]
 
@@ -159,14 +152,6 @@ class InvariantBasis:
         R = self.R
         return [[_d_root(R, p, alpha) for alpha in R.simple]
                 for p in self.polys]
-
-    @cached_property
-    def jacobian_det(self):
-        """det(d p^i / d alpha_j) = c prod_{beta > 0} beta, built on first
-        access.  The minor route reads it for its codimension-1
-        restrictions (d_i J)|_{z_i = 0} and for its k - 2 divisions by J on
-        codimension k >= 3; nothing else in the package expands it."""
-        return _positive_product(self.R) * self.jacobian_scale
 
     @cached_property
     def minors(self):
@@ -384,10 +369,8 @@ def _flat_nullspaces(eta, degs):
                 for j in range(i, n):
                     r = MultiPoly.sum(n, [W[i][j], W[j][i]] + [
                         -(V[a] * d_eta[i][j][a]) for a in range(n)])
-                    exponents = r.layout.exponents
-                    for key, c in r.nums.items():
-                        rows.setdefault((i, j, exponents(key)), {})[m] = \
-                            Fraction(c, r.den)
+                    for e, c in r.terms.items():
+                        rows.setdefault((i, j, e), {})[m] = c
         A = [[row.get(m, 0) for m in range(len(monos))]
              for row in rows.values()]
         yield d, monos, nullspace(A or [[0] * len(monos)])
@@ -586,9 +569,10 @@ class _MinorChain:
     the positive roots of (sum_b beta_b g_b) / beta (`per_root`), and the
     chain holds neither v nor J.  w is built once; S_ab and y_ab =
     (v_a w_b - w_a v_b) / J = sum_beta (beta_a w_b - beta_b w_a) / beta
-    once per unordered pair, on first use (`_S`, `_y`); and (d_i J)|_{z_i
-    = 0}, all that k = 1 needs of J, once per i from `jacobian_det`
-    (`_dJ`).  `one` is the empty minor."""
+    once per unordered pair, on first use (`_S`, `_y`).  J itself is never
+    expanded: k = 1 needs only (d_i J)|_{z_i = 0} (`dJ`), and k >= 3
+    divides by c and by each root form in turn.  `one` is the empty
+    minor."""
 
     def __init__(self, basis: InvariantBasis):
         n = basis.R.rank
@@ -600,7 +584,6 @@ class _MinorChain:
         self.forms = [MultiPoly.linear(beta) for beta in self.roots]
         self._S = {}
         self._y = {}
-        self._dJ = {}
         self.one = MultiPoly.const(n, 1)
 
     def S(self, a, b):
@@ -624,12 +607,15 @@ class _MinorChain:
         return out
 
     def dJ(self, i):
-        """(d_i J)|_{z_i = 0}, in the n - 1 other variables."""
-        out = self._dJ.get(i)
-        if out is None:
-            out = self._dJ[i] = \
-                self.basis.jacobian_det.diff(i).set_vars_zero([i])
-        return out
+        """(d_i J)|_{z_i = 0}, in the n - 1 other variables.  J = c z_i
+        prod_{beta != alpha_i} beta, so d_i J = c prod_{beta != alpha_i}
+        beta + z_i (...), and on z_i = 0 that is the product of the other
+        roots restricted: the forms that do not vanish there, as alpha_i is
+        the one positive root proportional to z_i."""
+        restricted = (form.set_vars_zero([i]) for form in self.forms)
+        return prod((f for f in restricted if not f.is_zero()),
+                    start=MultiPoly.const(self.basis.R.rank - 1,
+                                          self.basis.jacobian_scale))
 
     def per_root(self, polys, rows):
         """sum_beta (sum_j rows[beta][j] polys[j]) / beta over the positive
@@ -682,12 +668,14 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
 
     one exact division by a linear form per root whose numerator is not
     zero, on the full polynomial, before restricting.  Together they raise
-    `NotDivisible` exactly when the division by J they replace would, and
-    the k - 2 divisions by J (`jacobian_det`) stay.  If all succeed,
-    det N_I = J^{2k-2} P: the witness of the well-defined limit that the
-    division of det N_I by J^{2k-2} gives, with J | Y_ab checked besides.
-    Only then is P restricted to z_I = 0.  No product with v and, for
-    k <= 2, no division by J is formed."""
+    `NotDivisible` exactly when the division by J they replace would.  The
+    k - 2 divisions of P by J = c prod_{beta > 0} beta are one scaling by
+    c^{-(k-2)} and k - 2 exact divisions by each root form in turn; the
+    roots are coprime, so these raise exactly when a division by J would.
+    If all succeed, det N_I = J^{2k-2} P: the witness of the well-defined
+    limit that the division of det N_I by J^{2k-2} gives, with J | Y_ab
+    checked besides.  Only then is P restricted to z_I = 0.  Neither v nor
+    J is ever formed."""
     I0 = [i - 1 for i in sorted(D.I)]
     if not I0:
         raise ValueError("need |I| >= 1")
@@ -717,9 +705,10 @@ def general_formula_det(basis: InvariantBasis, D: Stratum) -> MultiPoly:
     Q = MultiPoly.sum(n, (
         ys[i] * ys[j] * cofactor(pairs[i], pairs[j]) * (1 if i == j else 2)
         for i, j in combinations_with_replacement(range(len(pairs)), 2)))
-    P = minor(tuple(I0), tuple(I0)) - x * 2 - Q
-    for _ in range(k - 2):
-        P = P // basis.jacobian_det
+    P = (minor(tuple(I0), tuple(I0)) - x * 2 - Q) \
+        * basis.jacobian_scale ** (2 - k)
+    for form in chain.forms * (k - 2):
+        P = P // form
     return -P.set_vars_zero(I0)
 
 

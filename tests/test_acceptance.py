@@ -216,9 +216,13 @@ def test_criterion_5_main_theorem(flat_basis, root_system, label, rank,
 # <= 2) joined once the minor formula divided by one mirror at a time:
 # ten times the median of three fresh-process runs on 2 cores, 1.23 s for
 # B4 and 2.48 s for F4.  With one division by J, F4's codimension-2 strata
-# took 13-17 s.
+# took 13-17 s.  A5 and D5 reach codimension 1, where the minor route is
+# 2 w_i|_D (d_i J)|_{z_i=0}: 0.9 s and 3.9 s by the same rule.  B5 at
+# codimension 1 took 15.8-16.9 s, mostly its restricted determinants, so
+# CI checks it through the CLI instead.
 TWO_ROUTE = {("A", 3): (2, 120.0), ("B", 3): (2, 120.0), ("D", 4): (3, 8.0),
-             ("A", 4): (3, 2.3), ("B", 4): (3, 12.3), ("F", 4): (2, 24.8)}
+             ("A", 4): (3, 2.3), ("B", 4): (3, 12.3), ("F", 4): (2, 24.8),
+             ("A", 5): (1, 9.0), ("D", 5): (1, 39.0)}
 
 
 @pytest.mark.parametrize("label,rank", list(TWO_ROUTE))

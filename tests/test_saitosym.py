@@ -241,18 +241,18 @@ FLAT_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
                ("B", 3), ("B", 4), ("D", 3), ("D", 4), ("D", 5), ("F", 4)]
 
 
-def _mirror_product(R):
-    out = MultiPoly.const(R.rank, 1)
-    for beta in R.positive_roots:
+def _dense_j(basis):
+    """J = c prod beta multiplied out, which the package never forms."""
+    out = MultiPoly.const(basis.R.rank, basis.jacobian_scale)
+    for beta in basis.R.positive_roots:
         out = out * MultiPoly.linear(beta)
     return out
 
 
 def _assert_jacobian_rule(basis):
     """The Bareiss expansion of the Jacobian is c prod beta, with c read at
-    one point, and is the basis's `jacobian_det`."""
-    want = _mirror_product(basis.R) * basis.jacobian_scale
-    assert bareiss_det(basis.jacobian) == basis.jacobian_det == want
+    one point."""
+    assert bareiss_det(basis.jacobian) == _dense_j(basis)
 
 
 def _coordinate_forms(R):
@@ -407,7 +407,7 @@ class TestCovariantMetric:
         # det(Gram)^2 on top of the flat-pairing determinant
         fb = flat_basis(label, rank)
         det = poly_det(covariant_metric(fb))
-        J2 = fb.jacobian_det * fb.jacobian_det
+        J2 = _dense_j(fb) * _dense_j(fb)
         gram_det = det_fraction(fb.R._gram)
         scaled = det * (det_fraction(fb.pairing) * gram_det ** 2)
         assert scaled == J2 or scaled == -J2
@@ -470,7 +470,7 @@ class TestTwoRoutes:
 def _ref_eta_numerators(basis, indices):
     """J^2 eta^{ij} for i, j in `indices` (0-based), as polynomials."""
     n = basis.R.rank
-    J = basis.jacobian_det
+    J = _dense_j(basis)
     Jk = basis.minors
     dJ = [J.diff(i) for i in range(n)]
     dJk = {k: [Jk[k].diff(i) for i in range(n)] for k in indices}
@@ -491,7 +491,7 @@ def _ref_general_formula_det(basis, D):
     N = _ref_eta_numerators(basis, I0)
     k = len(I0)
     num = bareiss_det([[N[(i, j)] for j in I0] for i in I0])
-    J = basis.jacobian_det
+    J = _dense_j(basis)
     P = num if k == 1 else divide_exact(num, J ** (2 * k - 2))
     return -P.set_vars_zero(I0)
 
@@ -503,7 +503,7 @@ def _ref_general_formula_det(basis, D):
 class _RefJDivisionChain:
     def __init__(self, basis):
         n = basis.R.rank
-        self.J = basis.jacobian_det
+        self.J = _dense_j(basis)
         self.v = [self.J.diff(a) for a in range(n)]
         self.w = [p if (n + b) % 2 == 0 else -p
                   for b, p in enumerate(basis.minors)]
@@ -568,13 +568,13 @@ def _terms_or_not_divisible(det, basis, D):
 
 class TestPackedMinorFormula:
     @pytest.mark.parametrize("label,rank", [
-        ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("D", 3), ("D", 4),
-        ("F", 4)])
+        ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("D", 3),
+        ("D", 4), ("F", 4)])
     def test_per_root_sums_match_the_j_division(self, flat_basis,
                                                 root_system, label, rank):
-        # every stratum, D4's and A4's of codimension 3 included, and F4's
-        # of codimension 1; on the perturbed basis both raise NotDivisible
-        # on the same strata and agree elsewhere
+        # every stratum, the codimension-3 ones of A4, B4 and D4 included,
+        # and F4's of codimension 1; on the perturbed basis both raise
+        # NotDivisible on the same strata and agree elsewhere
         R = root_system(label, rank)
         fb = flat_basis(label, rank)
         bad = _perturbed(fb)
@@ -592,6 +592,22 @@ class TestPackedMinorFormula:
                 raised.add(I)
         assert raised == {I for I in _all_strata(R) if len(I) > 1
                           and label != "F"}
+
+    @pytest.mark.parametrize("label,rank", [
+        ("A", r) for r in range(2, 7)] + [("B", r) for r in range(2, 6)]
+        + [("D", r) for r in range(3, 7)] + [("F", 4)])
+    def test_dj_is_the_restricted_derivative_of_dense_j(self, root_system,
+                                                        flat_basis, label,
+                                                        rank):
+        # the product of the restricted roots other than alpha_i, against
+        # d_i of the multiplied-out J, restricted to z_i = 0
+        bases = [basic_invariants(root_system(label, rank))]
+        if rank <= 4:
+            bases.append(flat_basis(label, rank))
+        for basis in bases:
+            J, chain = _dense_j(basis), basis._minor_chain
+            for i in range(rank):
+                assert chain.dJ(i) == J.diff(i).set_vars_zero([i]), i
 
     @pytest.mark.parametrize("label,rank", SMALL)
     def test_flat_bases_match_reference(self, flat_basis, root_system,
@@ -877,12 +893,10 @@ class TestIdentityOneForm:
             tables.append((entry, reads))
             return counted
         monkeypatch.setattr(saitosym, "minor_table", counting_table)
-        # count every S_ab = d_a w_b + d_b w_a, every y_ab = Y_ab / J and
-        # every (d_i J)|_{z_i=0} stored by the minor formula: none may be
-        # built a second time
+        # count every S_ab = d_a w_b + d_b w_a and every y_ab = Y_ab / J
+        # stored by the minor formula: none may be built a second time
         chain = basis._minor_chain
         chain._S, chain._y = _CountingDict(), _CountingDict()
-        chain._dJ = _CountingDict()
         R = root_system("B", 3)
         for I in _all_strata(R):
             general_formula_det(basis, make_stratum(R, I))
@@ -899,4 +913,3 @@ class TestIdentityOneForm:
         assert chain._S.writes == Counter(
             [(i, i) for i in range(R.rank)] + pairs)
         assert chain._y.writes == Counter(pairs)
-        assert chain._dJ.writes == Counter(range(R.rank))
