@@ -42,7 +42,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[int, Fraction]
 
 
@@ -478,24 +477,28 @@ def _canon_int(vec):
     return tuple(v)
 
 
-class LinearForm:
-    """Canonical representative of a projective class of linear forms.
+class LinearForm(tuple):
+    """Canonical representative of a projective class of linear forms: the
+    integer coefficient tuple itself, primitive (gcd 1), first nonzero
+    entry positive.  Equality, hashing, ordering and repr are the tuple's,
+    so a form equals its plain coefficient tuple."""
 
-    Integer coefficient vector, primitive (gcd 1), first nonzero entry
-    positive. Optionally labelled with parameter names for display."""
+    __slots__ = ()
 
-    __slots__ = ("coeffs", "labels")
-
-    def __init__(self, coeffs: Sequence[int], labels: Sequence[str] | None = None):
+    def __new__(cls, coeffs: Sequence[int]):
         coeffs = tuple(map(int, coeffs))
         if _canon_int(coeffs) != coeffs:
             raise ValueError("a linear form is nonzero and primitive, its "
                              "first nonzero entry positive: %r" % (coeffs,))
-        self.coeffs = coeffs
-        self.labels = tuple(labels) if labels is not None else None
+        return super().__new__(cls, coeffs)
+
+    @property
+    def coeffs(self):
+        """The coefficients as a plain tuple."""
+        return tuple(self)
 
     @classmethod
-    def canonical(cls, coeffs: Sequence[ScalarLike], labels=None):
+    def canonical(cls, coeffs: Sequence[ScalarLike]):
         """Canonicalize a rational vector: clear denominators, make
         primitive, fix the sign of the first nonzero entry.
 
@@ -506,36 +509,10 @@ class LinearForm:
         if ints is None:
             raise ValueError("zero linear form")
         p = next(i for i, c in enumerate(ints) if c)
-        return cls(ints, labels), fr[p] / ints[p]
+        return cls(ints), fr[p] / ints[p]
 
     def as_poly(self):
-        return MultiPoly.linear(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __lt__(self, other):
-        return self.coeffs < other.coeffs
-
-    def __repr__(self):
-        labels = self.labels or tuple(f"s{i}" for i in range(len(self.coeffs)))
-        bits = []
-        for c, name in zip(self.coeffs, labels):
-            if not c:
-                continue
-            if c == 1:
-                bits.append(("+", name))
-            elif c == -1:
-                bits.append(("-", name))
-            else:
-                bits.append(("+" if c > 0 else "-", f"{abs(c)}*{name}"))
-        s = ""
-        for sign, txt in bits:
-            s += (sign if s or sign == "-" else "") + txt
-        return s
+        return MultiPoly.linear(self)
 
 
 class Unknown:
@@ -556,7 +533,10 @@ UNKNOWN = Unknown()
 
 
 class FactoredDeterminant:
-    """A scalar (or Unknown) times a multiset of (LinearForm, exponent)."""
+    """A scalar (or Unknown) times a product of linear forms, `factors`
+    mapping each LinearForm to its exponent.  A form is its coefficient
+    tuple, so two determinants have the same factors exactly when their
+    `factors` dicts are equal."""
 
     __slots__ = ("coefficient", "factors")
 
@@ -571,15 +551,11 @@ class FactoredDeterminant:
     def degree(self):
         return sum(self.factors.values())
 
-    def multiset(self):
-        """Frozen (form-coefficients, exponent) multiset for comparisons."""
-        return frozenset((f.coeffs, k) for f, k in self.factors.items())
-
     def expand(self, nvars=None):
         if isinstance(self.coefficient, Unknown):
             raise ValueError("cannot expand with unknown coefficient")
         if nvars is None:
-            nvars = len(next(iter(self.factors)).coeffs) if self.factors else 1
+            nvars = len(next(iter(self.factors))) if self.factors else 1
         p = MultiPoly.const(nvars, self.coefficient)
         for f, k in self.factors.items():
             p = p * (f.as_poly() ** k)
@@ -598,13 +574,13 @@ class FactoredDeterminant:
         xs = [x.numerator * (d // x.denominator) for x in pt]
         num = self.coefficient.numerator
         for f, k in self.factors.items():
-            num *= sum(map(mul, f.coeffs, xs)) ** k
+            num *= sum(map(mul, f, xs)) ** k
         return Fraction(num, self.coefficient.denominator * d ** self.degree())
 
     def __repr__(self):
         parts = [repr(self.coefficient)]
         for f, k in sorted(self.factors.items()):
-            parts.append(f"({f!r})^{k}" if k > 1 else f"({f!r})")
+            parts.append(f"{f!r}^{k}" if k > 1 else repr(f))
         return " * ".join(parts)
 
 

@@ -245,7 +245,7 @@ def _stratum_indices(R, args):
 
 def _factor_list(factors):
     """[{form, exponent}] for a mapping LinearForm -> exponent."""
-    return [{"form": list(form.coeffs), "exponent": int(e)}
+    return [{"form": list(form), "exponent": int(e)}
             for form, e in sorted(factors.items())]
 
 
@@ -395,7 +395,7 @@ def _load_table(which):
     return kind, key, golden[key]
 
 
-def _type_multiset(type_string):
+def _sorted_types(type_string):
     return sorted(type_string.split("x"))
 
 
@@ -408,8 +408,7 @@ def cmd_tables(args):
         D = make_stratum(R, entry["simple_indices"])
         if kind == "det":
             fd = predict_determinant(D)
-            got = sorted((tuple(int(c) for c in f.coeffs), int(e))
-                         for f, e in fd.factors.items())
+            got = sorted(fd.factors.items())
             want = sorted((tuple(f["form"]), f["exponent"])
                           for f in entry["factors"])
             row = {"r_d_type": entry["r_d_type"],
@@ -422,8 +421,7 @@ def cmd_tables(args):
                              "expected": [[list(f), e] for f, e in want],
                              "got": [[list(f), e] for f, e in got]})
         else:
-            by_form = {tuple(int(c) for c in hp.form.coeffs): hp
-                       for hp in D.arrangement}
+            by_form = {hp.form: hp for hp in D.arrangement}
             classes, mism, missing = [], [], []
             covered = set()
             for cls in entry["rows"]:
@@ -442,7 +440,7 @@ def cmd_tables(args):
                     }
                     want_cls = {
                         "size": cls["size"],
-                        "type": _type_multiset(cls["type"]),
+                        "type": _sorted_types(cls["type"]),
                         "component0": cls["component0"],
                         "h": cls["h"],
                     }
@@ -471,7 +469,8 @@ def cmd_tables(args):
 # --- verify ----------------------------------------------------------------
 
 # `verify` runs the symbolic route by default up to this rank; B5 costs most
-# there: 2 s for its flat basis and 72 s over its strata, in one process
+# there, in one process: 1.6-2.4 s for its flat basis and 10-14 s over its
+# strata, nearly all of it in the five codimension-1 determinants
 _SYMBOLIC_MAX_RANK = 5
 
 
@@ -509,14 +508,14 @@ def _verify_stratum(R, basis, I):
                  else f"q_polynomial_random_{seed}")
         try:
             rng = None if seed is None else random.Random(seed)
-            add(check, q_polynomial(D, rng=rng).multiset() == fd.multiset())
+            add(check, q_polynomial(D, rng=rng).factors == fd.factors)
         except Exception as exc:  # noqa: BLE001 - report, never abort
             add(check, False, repr(exc))
     if basis is not None:
         try:
             sym = saitosym.restricted_saito_det(basis, D)
             add("restricted_det_matches_prediction",
-                sym.multiset() == fd.multiset())
+                sym.factors == fd.factors)
         except IncompleteFactorization as exc:
             add("restricted_det_matches_prediction", False, str(exc))
     return out

@@ -239,7 +239,6 @@ def closed_form_det_A(cfg: StratumConfigA) -> FactoredDeterminant:
     into the coefficient, so the product still evaluates exactly to the
     theorem's right-hand side."""
     d, m = cfg.d, cfg.mults
-    labels = tuple(f"xi{i}" for i in range(1, d + 1))
     coeff = kappa_A(cfg)
     factors = {}
     for i in range(0, d + 1):
@@ -252,7 +251,7 @@ def closed_form_det_A(cfg: StratumConfigA) -> FactoredDeterminant:
                 vec = [Fraction(0)] * d
                 vec[i - 1] = Fraction(1)
                 vec[j - 1] = Fraction(-1)
-            form, scale = LinearForm.canonical(vec, labels)
+            form, scale = LinearForm.canonical(vec)
             coeff *= scale ** e
             factors[form] = factors.get(form, 0) + e
     return FactoredDeterminant(coeff, factors)
@@ -262,7 +261,6 @@ def closed_form_det_BD(cfg: StratumConfigBD) -> FactoredDeterminant:
     """det eta_D(xi) = kappa prod xi_i^{2(m_i+m)} prod_{i<j}
     (xi_i^2 - xi_j^2)^{m_i+m_j}; zero exponents omitted."""
     d, m, mults = cfg.d, cfg.m, cfg.mults
-    labels = tuple(f"xi{i}" for i in range(1, d + 1))
     factors = {}
 
     def unit(i, j=None, sj=0):
@@ -270,7 +268,7 @@ def closed_form_det_BD(cfg: StratumConfigBD) -> FactoredDeterminant:
         vec[i] = 1
         if j is not None:
             vec[j] = sj
-        return LinearForm(vec, labels)
+        return LinearForm(vec)
 
     for i in range(d):
         e = 2 * (mults[i] + m)
@@ -290,11 +288,10 @@ def closed_form_det_BD(cfg: StratumConfigBD) -> FactoredDeterminant:
 # numeric residue oracle
 
 class CriticalData:
-    __slots__ = ("q", "u", "eps", "lam2", "cfg", "xi", "xs")
+    __slots__ = ("q", "u", "eps", "lam2", "cfg", "xs")
 
-    def __init__(self, cfg, xi, xs, q, u, eps, lam2):
+    def __init__(self, cfg, xs, q, u, eps, lam2):
         self.cfg = cfg
-        self.xi = xi
         self.xs = xs                # complex xi values (type A: xi_0 first)
         self.q = tuple(q)           # critical points (complex, d entries)
         self.u = tuple(u)           # canonical coordinates lam(q_i)
@@ -326,7 +323,7 @@ def _critical_data_A(cfg, xi):
             for l in range(cfg.d)]
     u = [math.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)]) for p in q]
     eps = [1.0] * cfg.d
-    return CriticalData(cfg, xi, xs, q, u, eps, lam2)
+    return CriticalData(cfg, xs, q, u, eps, lam2)
 
 
 def _critical_data_BD(cfg, xi):
@@ -364,7 +361,7 @@ def _critical_data_BD(cfg, xi):
     lam = lambda p: (p ** (2 * cfg.m) if p != 0 else (1.0 if cfg.m == 0 else 0.0)) \
         * math.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
     u = [lam(qi) for qi in q]
-    return CriticalData(cfg, xi, xs, q, u, eps, lam2)
+    return CriticalData(cfg, xs, q, u, eps, lam2)
 
 
 def critical_data(cfg, xi):

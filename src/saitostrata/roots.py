@@ -24,7 +24,7 @@ pairs it with the Fraction coweights.  The reports print root vectors by
 `vector_strs`, from the ints alone.
 
 The only subsystems the package builds are parabolic, spanned by simple
-roots a_I: `span_subsystem` reads them off the Dynkin diagram.  Type labels
+roots a_I: `span_subsystem` reads them off the Dynkin diagram.  The types
 B_r and C_r are merged (they generate the same Coxeter group); reports use
 "B".
 """
@@ -109,9 +109,9 @@ class SubsystemReport:
         return [r for c in self.components for r in c.roots]
 
     def type_string(self):
-        labels = Counter(sorted(c.type_label for c in self.components))
+        counts = Counter(sorted(c.type_label for c in self.components))
         return " x ".join(lab if k == 1 else f"{lab}^{k}"
-                          for lab, k in labels.items()) or "empty"
+                          for lab, k in counts.items()) or "empty"
 
     def __repr__(self):
         return f"<subsystem {self.type_string()}: rank {self.rank}, size {self.size}>"

@@ -40,7 +40,6 @@ class Stratum:
         self.params = tuple(j for j in range(1, R.rank + 1) if j not in self.I)
         self.dim = len(self.params)
         self.rd = rd
-        self.param_labels = tuple(f"s{j}" for j in self.params)
         # b -> b|_D, one _canon_int per distinct truncation: the roots of
         # each class in R.positive_roots order, classes by first appearance
         cut = [j - 1 for j in self.params]
@@ -51,8 +50,7 @@ class Stratum:
                 memo[t] = _canon_int(t)
             split.setdefault(memo[t], []).append(beta)
         split.pop(None, None)
-        self.classes = {LinearForm(c, self.param_labels): roots
-                        for c, roots in split.items()}
+        self.classes = {LinearForm(c): roots for c, roots in split.items()}
         self.class_index = dict.fromkeys(R.positive_roots)
         for i, roots in enumerate(self.classes.values()):
             for beta in roots:
@@ -113,8 +111,7 @@ def restricted_arrangement(D: Stratum):
            min(map(at.__getitem__, c.positive))) for c in D.rd.components]
     masks = [mask for _, mask, _ in rd]
     out = []
-    for form, members in sorted(D.classes.items(),
-                                key=lambda fm: fm[0].coeffs):
+    for form, members in sorted(D.classes.items()):
         held = _join(R, members, masks)
         # the multiplicity data must not depend on the representative
         # root in the projective class
@@ -161,7 +158,7 @@ def predict_determinant(D: Stratum) -> FactoredDeterminant:
 
 
 def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminant:
-    """The restricted Q-polynomial as a factored multiset:
+    """The restricted Q-polynomial as a FactoredDeterminant:
     Q|_D = I(A \\ A^D)^m * prod_i I_i^{r_i} with m = 2 - sum r_i.
 
     Multiset arithmetic with integer (possibly negative) exponent m; every
@@ -232,7 +229,7 @@ def stratum_json_dict(D: Stratum):
              "h": c.coxeter_number}
             for c in D.rd.components],
         "factors": [
-            {"form": list(h.form.coeffs), "exponent": h.k,
+            {"form": list(h.form), "exponent": h.k,
              "beta": D.R.vector_strs(h.beta),
              "component0": {"type": h.component0.type_label,
                             "size": h.component0.size,

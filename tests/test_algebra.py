@@ -2,6 +2,7 @@
 linear factorization; the packed integer kernels against Fraction and
 exponent-tuple reference loops."""
 
+import pickle
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -591,6 +592,21 @@ class TestLinearForm:
         with pytest.raises(ValueError):
             LinearForm([-1, 2])
 
+    def test_is_its_coefficient_tuple(self):
+        vecs = [(1, -1, 0), (0, 1, 2), (1, 0, 0), (0, 0, 1), (1, 1, -1)]
+        forms = [LinearForm(v) for v in vecs]
+        for form, vec in zip(forms, vecs):
+            assert form == vec and vec == form and hash(form) == hash(vec)
+            assert type(form.coeffs) is tuple and form.coeffs == vec
+            assert all(type(c) is int for c in form.coeffs)
+            assert repr(form) == repr(vec)
+        assert sorted(forms) == sorted(vecs)
+        assert dict.fromkeys(forms, 1) == dict.fromkeys(vecs, 1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(forms, protocol))
+            assert back == forms
+            assert all(type(form) is LinearForm for form in back)
+
 
 class TestFactorLinear:
     def test_recovers_product(self):
@@ -632,9 +648,14 @@ class TestFactoredDeterminant:
         fd = FactoredDeterminant(Fraction(-2), {f1: 2, f2: 3})
         assert fd.degree() == 5
         assert sorted(fd.factors.values()) == [2, 3]
-        assert fd.multiset() == frozenset({((1, -1), 2), ((1, 1), 3)})
+        assert fd.factors == {(1, -1): 2, (1, 1): 3}
         pt = [Fraction(3), Fraction(1)]
         assert fd.evaluate(pt) == Fraction(-2) * 2 ** 2 * 4 ** 3
+
+    def test_repr_prints_forms_as_tuples(self):
+        fd = FactoredDeterminant(UNKNOWN, {LinearForm([1, 2, 3]): 7,
+                                           LinearForm([0, 1, 0]): 1})
+        assert repr(fd) == "Unknown * (0, 1, 0) * (1, 2, 3)^7"
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               database=None)

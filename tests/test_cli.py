@@ -391,6 +391,31 @@ class TestVerify:
         assert status == 0
         assert len(calls) == 9
 
+    def test_wrong_exponent_fails_its_stratum_only(self, capsys,
+                                                   monkeypatch):
+        # on B3 (2,) the prediction is (0,1)^4 (1,0)^3 (1,1)^2 (1,2)^3;
+        # swapping the exponents of (0,1) and (1,1) keeps the degree, so
+        # only the comparisons with the other routes can see it
+        real = cli.predict_determinant
+
+        def swapped(D):
+            fd = real(D)
+            if D.I == {2}:
+                f = fd.factors
+                f[(0, 1)], f[(1, 1)] = f[(1, 1)], f[(0, 1)]
+            return fd
+
+        monkeypatch.setattr(cli, "predict_determinant", swapped)
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
+        status, rep = run_json(capsys, "verify", "--group", "B3")
+        assert status == 1 and rep["passed"] is False
+        assert {(tuple(c["stratum"]), c["check"])
+                for c in rep["failures"]} == {
+            ((2,), check) for check in (
+                "q_polynomial_default", "q_polynomial_random_1",
+                "q_polynomial_random_2", "q_polynomial_random_3",
+                "restricted_det_matches_prediction")}
+
     def test_symbolic_route_up_to_rank_five(self, capsys):
         status, rep = run_json(capsys, "verify", "--group", "A4")
         assert status == 0 and rep["passed"] is True

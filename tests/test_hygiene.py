@@ -2,8 +2,10 @@
 somewhere besides its own definition, in the Python files of the package
 or the benchmark (a name `__init__.py` re-exports is named there), every
 method and property of a package class is read as an attribute there,
-and every name a module of the package imports is used in that module. A
-helper whose last caller is gone, or that only tests call, or an import
+every attribute the package stores and every name a module of the package
+binds at its top level is read there, and every name a module of the
+package imports is used in that module. A helper whose last caller is
+gone, or that only tests call, data that nothing reads, or an import
 whose last use is gone, fails here."""
 
 import ast
@@ -39,6 +41,12 @@ EXEMPT_MEMBERS = {
     # the README documents it, a CI step calls it, and the Weyl-orbit
     # transport of `verify` that the ROADMAP plans would call it
     "RootSystem.apply_word",
+    # the benchmark's workloads pass it to StratumConfigBD, which stores it
+    "StratumConfigBD.kind",
+    # the flat basis in the invariants p: the recipe of the pinned
+    # flat-basis digests (tests/test_cli.py) and the CI flat-basis pins
+    # read it
+    "InvariantBasis.polys_in_invariants",
 }
 
 
@@ -60,6 +68,61 @@ def test_no_unreferenced_methods():
               and not attributes[node.name]
               and f"{cls.name}.{node.name}" not in EXEMPT_MEMBERS]
     assert not unused, "defined but never read: " + ", ".join(unused)
+
+
+def _searched_trees():
+    return [ast.parse(p.read_text(), filename=str(p)) for d in SEARCHED
+            for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def test_no_unread_attributes():
+    # an attribute the package stores must be read as an attribute
+    # somewhere; the check is by name, whatever object holds it
+    read, stored = set(), []
+    for tree in _searched_trees():
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    for path in sorted(PACKAGE.glob("*.py")):
+        stored.extend((path.name, node.lineno, node.attr)
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store))
+    exempt = {member.rsplit(".", 1)[1] for member in EXEMPT_MEMBERS}
+    unread = sorted({f"{name}:{line}: {attr}" for name, line, attr in stored
+                     if attr not in read and attr not in exempt})
+    assert not unread, "stored but never read: " + ", ".join(unread)
+
+
+def _module_names(tree):
+    """The names a module binds by assignment at its top level."""
+    assigns = [node for node in tree.body if isinstance(node, ast.Assign)]
+    for node in assigns:
+        for target in node.targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
+def test_no_unread_module_names():
+    # a read is a name loaded, an attribute loaded, or a name imported;
+    # dunders such as __version__ are read by the language and by tools
+    read = set()
+    for tree in _searched_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [f"{path.name}:{line}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, name in _module_names(ast.parse(path.read_text()))
+              if name not in read
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert not unread, "bound but never read: " + ", ".join(unread)
 
 
 def _unused_imports(path):

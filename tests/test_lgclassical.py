@@ -179,8 +179,7 @@ def _np_critical_data(cfg, xi):
             for l in range(cfg.d)])
         u = np.array([np.prod([(p - xs[a]) ** m[a] for a in range(cfg.d + 1)])
                       for p in q])
-        return lgclassical.CriticalData(cfg, xi, xs, q, u, np.ones(cfg.d),
-                                        lam2)
+        return lgclassical.CriticalData(cfg, xs, q, u, np.ones(cfg.d), lam2)
     wf = lgclassical._float_coeffs(lgclassical._check_generic_BD(cfg, xi))
     y = np.sort_complex(np.roots(wf))
     q = np.sqrt(y.astype(complex))
@@ -201,7 +200,7 @@ def _np_critical_data(cfg, xi):
                      else (1.0 if cfg.m == 0 else 0.0)) \
         * np.prod([(p * p - xs2[a]) ** m[a] for a in range(cfg.d)])
     u = np.array([lam(qi) for qi in q])
-    return lgclassical.CriticalData(cfg, xi, xs, q, u, eps, lam2)
+    return lgclassical.CriticalData(cfg, xs, q, u, eps, lam2)
 
 
 @np.errstate(all="ignore")

@@ -441,7 +441,7 @@ class TestQPolynomial:
         for I in _all_strata(R):
             D = make_stratum(R, I)
             fd = predict_determinant(D)
-            assert q_polynomial(D).multiset() == fd.multiset()
+            assert q_polynomial(D).factors == fd.factors
 
     def test_independent_of_gamma_choice(self, root_system):
         R = root_system("B", 3)
@@ -449,7 +449,7 @@ class TestQPolynomial:
         fd = predict_determinant(D)
         for seed in range(5):
             q = q_polynomial(D, rng=random.Random(seed))
-            assert q.multiset() == fd.multiset()
+            assert q.factors == fd.factors
 
     @pytest.mark.parametrize("label,rank", [("D", 5), ("E", 6), ("F", 4)])
     def test_plane_cache_matches_reference(self, root_system, label, rank):
