@@ -422,7 +422,7 @@ def cmd_tables(args):
                              "got": [[list(f), e] for f, e in got]})
         else:
             by_form = {hp.form: hp for hp in D.arrangement}
-            classes, mism, missing = [], [], []
+            mism, missing = [], []
             covered = set()
             for cls in entry["rows"]:
                 for form in cls["forms"]:
@@ -432,9 +432,8 @@ def cmd_tables(args):
                         continue
                     covered.add(tuple(form))
                     got_cls = {
-                        "size": hp.rd_beta.size,
-                        "type": sorted(c.type_label
-                                       for c in hp.rd_beta.components),
+                        "size": sum(c.size for c in hp.rd_beta),
+                        "type": sorted(c.type_label for c in hp.rd_beta),
                         "component0": hp.component0.type_label,
                         "h": hp.component0.coxeter_number,
                     }
@@ -447,8 +446,6 @@ def cmd_tables(args):
                     if got_cls != want_cls:
                         mism.append({"form": form, "expected": want_cls,
                                      "got": got_cls})
-                classes.append({"forms": cls["forms"], "size": cls["size"],
-                                "type": cls["type"], "h": cls["h"]})
             extra = sorted(f for f in by_form if f not in covered)
             row = {"r_d_type": entry["r_d_type"],
                    "simple_indices": entry["simple_indices"],

@@ -24,9 +24,10 @@ pairs it with the Fraction coweights.  The reports print root vectors by
 `vector_strs`, from the ints alone.
 
 The only subsystems the package builds are parabolic, spanned by simple
-roots a_I: `span_subsystem` reads them off the Dynkin diagram.  The types
-B_r and C_r are merged (they generate the same Coxeter group); reports use
-"B".
+roots a_I: `span_subsystem` reads them off the Dynkin diagram.  A
+subsystem is the list of its irreducible `Component`s, and `type_string`
+names it.  The types B_r and C_r are merged (they generate the same
+Coxeter group); reports use "B".
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Component:
     """One irreducible component of a root subsystem; its type follows
     from its rank, size and set of squared root lengths.  Its positive
     roots, `members` and those of the components `merged`, are sorted on
-    first read; `roots` (them, then their negatives) is built when read."""
+    first read."""
 
     __slots__ = ("_parts", "_positive", "rank", "size", "coxeter_number",
                  "type_label")
@@ -85,36 +86,16 @@ class Component:
             self._positive = sorted(itertools.chain(*self._parts))
         return self._positive
 
-    @property
-    def roots(self):
-        return self.positive + [tuple(-x for x in r) for r in self.positive]
-
     def __repr__(self):
         return f"<{self.type_label}: rank {self.rank}, size {self.size}, h={self.coxeter_number}>"
 
 
-class SubsystemReport:
-    """A root subsystem: its irreducible components in order, and its roots
-    as theirs concatenated in that order, built when read."""
-
-    __slots__ = ("rank", "size", "components")
-
-    def __init__(self, rank, components):
-        self.rank = rank
-        self.size = sum(c.size for c in components)
-        self.components = components
-
-    @property
-    def roots(self):
-        return [r for c in self.components for r in c.roots]
-
-    def type_string(self):
-        counts = Counter(sorted(c.type_label for c in self.components))
-        return " x ".join(lab if k == 1 else f"{lab}^{k}"
-                          for lab, k in counts.items()) or "empty"
-
-    def __repr__(self):
-        return f"<subsystem {self.type_string()}: rank {self.rank}, size {self.size}>"
+def type_string(components):
+    """The type of a root subsystem, given as the list of its components:
+    their labels sorted, a repeated one as a power, e.g. "A1^2 x B2"."""
+    counts = Counter(sorted(c.type_label for c in components))
+    return " x ".join(lab if k == 1 else f"{lab}^{k}"
+                      for lab, k in counts.items()) or "empty"
 
 
 class RootSystem:
@@ -399,17 +380,13 @@ def _build_F4():
     return RootSystem("F", 4, 4, roots, simple, DEGREES["F4"])
 
 
-def build_root_system(label, rank=None):
-    """Build a root system by type label: A/B/D (with rank) or E6/E7/E8/F4."""
+def build_root_system(label, rank):
+    """Build a root system by type letter and rank: A, B = C, D, E6-E8, F4."""
     label = label.upper()
-    if label in ("E6", "E7", "E8", "F4"):
-        label, rank = label[0], int(label[1])
     if label == "E" and rank in (6, 7, 8):
         return _build_E(rank)
     if label == "F" and rank == 4:
         return _build_F4()
-    if rank is None:
-        raise ValueError("rank required for type %s" % label)
     if label == "A" and rank >= 1:
         return _build_A(rank)
     if label == "B" and rank >= 2:
@@ -457,7 +434,7 @@ def _type_label(rank, size, lengths):
 
 def span_subsystem(R: RootSystem, I):
     """The parabolic subsystem spanned by the simple roots a_i, i in I
-    (1-based), with its irreducible decomposition, listed by (-rank, -size),
+    (1-based), as the list of its irreducible components, by (-rank, -size),
     then by first appearance in R.positive_roots.  A component per
     connected piece (bit mask) of the Cartan matrix on I holds the roots
     whose support, which is connected, is in I and starts in the piece; its
@@ -480,7 +457,7 @@ def span_subsystem(R: RootSystem, I):
     components = [Component(ms, {G[i][i] for i in I if p >> i & 1},
                             p.bit_count()) for p, ms in members.items()]
     components.sort(key=lambda c: (-c.rank, -c.size))
-    return SubsystemReport(len(I), components)
+    return components
 
 
 # ---------------------------------------------------------------------------

@@ -793,13 +793,13 @@ def identity_field_checks(basis: InvariantBasis):
                 q = divide_exact(q, MultiPoly.variable(n, j))
         Ik[k] = q
     for l, m in combinations(range(n), 2):
-        sub = span_subsystem(R, (l + 1, m + 1))
-        if sub.size // 2 <= 2:
+        npos = sum(c.size for c in span_subsystem(R, (l + 1, m + 1))) // 2
+        if npos <= 2:
             continue
         lhs = Ik[m].set_vars_zero([l, m])
         rhs = Ik[l].set_vars_zero([l, m]) * ((-1) ** ((l - m - 1) % 2))
         add(f"minor_sign_relation_{l + 1}{m + 1}", lhs == rhs,
-            f"subsystem size {sub.size // 2}")
+            f"subsystem size {npos}")
 
     # tangency of the inverse identity field to every stratum (flat basis)
     if basis.flat:
@@ -837,5 +837,5 @@ def _identity_tangency(basis: InvariantBasis, strata):
             MultiPoly.sum(D.dim,
                           (theta[k] * g for k, g in enumerate(gamma) if g))
             .is_zero()
-            for c in D.rd.components for gamma in c.positive)
+            for c in D.rd for gamma in c.positive)
     return out

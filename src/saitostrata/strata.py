@@ -11,12 +11,13 @@ projections.  A `Stratum` canonicalizes each distinct truncation once:
 or to None exactly on R_D.
 
 R_D is `roots.span_subsystem(R, I)`, spanned by a_I: parabolic, so its
-components are the connected pieces of the Dynkin subdiagram on I.  A_D
-(`D.arrangement`, built on first use) runs no graph search: `_join` links
-each class to R_D's components by bit masks of simple roots.  The Gram rows, support and touch
-masks and the 2-planes through a root gamma (for the Q-polynomial) are
-cached on R: on E8, 17 KiB of Gram rows, and 1 MiB of planes if every
-positive root serves as gamma.
+components, the list `D.rd`, are the connected pieces of the Dynkin
+subdiagram on I.  A_D (`D.arrangement`, built on first use) runs no graph
+search: `_join` links each class to R_D's components by bit masks of
+simple roots.  The Gram rows, support and touch masks and the 2-planes
+through a root gamma (for the Q-polynomial) are cached on R: on E8,
+17 KiB of Gram rows, and 1 MiB of planes if every positive root serves
+as gamma.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import mul
 
 from .algebra import (LinearForm, FactoredDeterminant, UNKNOWN,
                       InvariantViolation, _canon_int)
-from .roots import RootSystem, Component, SubsystemReport, span_subsystem
+from .roots import RootSystem, Component, span_subsystem, type_string
 
 
 class NegativeFinalExponent(ArithmeticError):
@@ -34,7 +35,7 @@ class NegativeFinalExponent(ArithmeticError):
 
 
 class Stratum:
-    def __init__(self, R: RootSystem, I, rd: SubsystemReport):
+    def __init__(self, R: RootSystem, I, rd):
         self.R = R
         self.I = frozenset(int(i) for i in I)
         self.params = tuple(j for j in range(1, R.rank + 1) if j not in self.I)
@@ -62,7 +63,7 @@ class Stratum:
         return restricted_arrangement(self)
 
     def __repr__(self):
-        return f"<Stratum {self.R.label}{self.R.rank} I={sorted(self.I)} dim={self.dim} R_D={self.rd.type_string()}>"
+        return f"<Stratum {self.R.label}{self.R.rank} I={sorted(self.I)} dim={self.dim} R_D={type_string(self.rd)}>"
 
 
 def make_stratum(R: RootSystem, I) -> Stratum:
@@ -74,20 +75,20 @@ def make_stratum(R: RootSystem, I) -> Stratum:
 
 
 class RestrictedHyperplane:
-    """One hyperplane H of A_D with its canonical form and multiplicity."""
+    """One hyperplane H of A_D with its canonical form and multiplicity;
+    its roots are `D.classes[form]`."""
 
-    __slots__ = ("form", "beta", "roots", "rd_beta", "component0", "k")
+    __slots__ = ("form", "beta", "rd_beta", "component0", "k")
 
-    def __init__(self, form, beta, roots, rd_beta, component0):
+    def __init__(self, form, beta, rd_beta, component0):
         self.form = form
         self.beta = beta
-        self.roots = roots
         self.rd_beta = rd_beta
         self.component0 = component0
         self.k = component0.coxeter_number
 
     def __repr__(self):
-        return f"<H {self.form!r}: k={self.k} via {self.component0.type_label} in {self.rd_beta.type_string()}>"
+        return f"<H {self.form!r}: k={self.k} via {self.component0.type_label} in {type_string(self.rd_beta)}>"
 
 
 def restricted_arrangement(D: Stratum):
@@ -101,15 +102,12 @@ def restricted_arrangement(D: Stratum):
     and its components are mutually orthogonal, so the one piece that holds
     class members has rank 1 + those it merges; a second piece with members
     would add one more (b is not in span(a_I)), an `InvariantViolation`.
-    The components are ordered as `roots.span_subsystem` orders them: by
-    (-rank, -size), ties by first appearance in R.positive_roots."""
+    R_{D,beta} lists the components of R_D that the piece leaves apart, in
+    R_D's order, then the one through beta."""
     R, rows = D.R, D.R._gram_rows
-    at = dict(zip(R.positive_roots, range(len(R.positive_roots))))
-    # per component of R_D: its simple roots, the support of its highest
-    # (and last) positive root, and its first appearance in R.positive_roots
-    rd = [(c, R._supports[c.positive[-1]],
-           min(map(at.__getitem__, c.positive))) for c in D.rd.components]
-    masks = [mask for _, mask, _ in rd]
+    # per component of R_D, its simple roots: the support of its highest
+    # (and last) positive root
+    masks = [R._supports[c.positive[-1]] for c in D.rd]
     out = []
     for form, members in sorted(D.classes.items()):
         held = _join(R, members, masks)
@@ -118,15 +116,13 @@ def restricted_arrangement(D: Stratum):
         if len(held) != 1:
             raise InvariantViolation(
                 "component through beta differs within a projective class")
-        merged = [(c, f) for c, mask, f in rd if mask & held[0][0]]
+        touched = held[0][0]
+        merged = [c for c, mask in zip(D.rd, masks) if mask & touched]
         comp0 = Component(
             members, {sum(map(mul, rows[b], b)) for b in members},
-            1 + sum(c.rank for c, _ in merged), [c for c, _ in merged])
-        keyed = [(c, f) for c, mask, f in rd if not mask & held[0][0]]
-        keyed.append((comp0, min([at[members[0]]] + [f for _, f in merged])))
-        keyed.sort(key=lambda cf: (-cf[0].rank, -cf[0].size, cf[1]))
-        rep = SubsystemReport(D.rd.rank + 1, [c for c, _ in keyed])
-        out.append(RestrictedHyperplane(form, members[0], members, rep,
+            1 + sum(c.rank for c in merged), merged)
+        rest = [c for c, mask in zip(D.rd, masks) if not mask & touched]
+        out.append(RestrictedHyperplane(form, members[0], rest + [comp0],
                                         comp0))
     return out
 
@@ -157,21 +153,16 @@ def predict_determinant(D: Stratum) -> FactoredDeterminant:
     return fd
 
 
-def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminant:
+def q_polynomial(D: Stratum, rng=None) -> FactoredDeterminant:
     """The restricted Q-polynomial as a FactoredDeterminant:
-    Q|_D = I(A \\ A^D)^m * prod_i I_i^{r_i} with m = 2 - sum r_i.
+    Q|_D = I(A \\ A^D)^m * prod_i I_i^{r_i} with m = 2 - sum r_i.  The
+    root gamma of each component of R_D is its first positive root, or one
+    drawn by `rng`.
 
     Multiset arithmetic with integer (possibly negative) exponent m; every
     final exponent must be >= 1 or NegativeFinalExponent is raised."""
     R = D.R
-    comps = D.rd.components
-    m = 2 - sum(c.rank for c in comps)
-
-    if gamma_choices is None:
-        gamma_choices = [rng.choice(c.positive) if rng is not None
-                         else c.positive[0] for c in comps]
-    if len(gamma_choices) != len(comps):
-        raise ValueError("need one gamma per component of R_D")
+    m = 2 - sum(c.rank for c in D.rd)
 
     # I(A \ A^D) restricted: one linear form per mirror not containing D,
     # counted by position in D.classes, which D.class_index records
@@ -182,11 +173,8 @@ def q_polynomial(D: Stratum, gamma_choices=None, rng=None) -> FactoredDeterminan
     # every other root b of a plane through gamma is x gamma + y b0 with
     # y != 0 (b0 its first member), so b|_D = y b0|_D: the plane lies in
     # A^D exactly when b0 does, and then its restriction is not a factor
-    for comp, gamma in zip(comps, gamma_choices):
-        g = tuple(gamma)
-        if g not in comp.positive \
-                and tuple(-x for x in g) not in comp.positive:
-            raise ValueError("gamma must lie in its component of R_D")
+    for comp in D.rd:
+        g = rng.choice(comp.positive) if rng is not None else comp.positive[0]
         for members in _planes_through(R, g):
             i = index[members[0]]
             if i is not None:
@@ -227,7 +215,7 @@ def stratum_json_dict(D: Stratum):
         "r_d_components": [
             {"type": c.type_label, "rank": c.rank, "size": c.size,
              "h": c.coxeter_number}
-            for c in D.rd.components],
+            for c in D.rd],
         "factors": [
             {"form": list(h.form), "exponent": h.k,
              "beta": D.R.vector_strs(h.beta),
@@ -235,6 +223,6 @@ def stratum_json_dict(D: Stratum):
                             "size": h.component0.size,
                             "rank": h.component0.rank,
                             "h": h.component0.coxeter_number},
-             "r_d_beta_size": h.rd_beta.size}
+             "r_d_beta_size": sum(c.size for c in h.rd_beta)}
             for h in D.arrangement],
     }

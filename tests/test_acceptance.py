@@ -81,9 +81,8 @@ def test_criterion_2_subsystem_tables():
                                            "form missing"))
                         continue
                     covered.add(tuple(form))
-                    got = (hp.rd_beta.size,
-                           sorted(c.type_label
-                                  for c in hp.rd_beta.components),
+                    got = (sum(c.size for c in hp.rd_beta),
+                           sorted(c.type_label for c in hp.rd_beta),
                            hp.component0.type_label,
                            hp.component0.coxeter_number)
                     want = (cls["size"], sorted(cls["type"].split("x")),

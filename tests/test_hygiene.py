@@ -3,9 +3,10 @@ somewhere besides its own definition, in the Python files of the package
 or the benchmark (a name `__init__.py` re-exports is named there), every
 method and property of a package class is read as an attribute there,
 every attribute the package stores and every name a module of the package
-binds at its top level is read there, and every name a module of the
-package imports is used in that module. A helper whose last caller is
-gone, or that only tests call, data that nothing reads, or an import
+binds at its top level is read there, every name a module of the
+package imports is used in that module, and every local list, dict or set
+that a function of the package fills is read. A helper whose last caller
+is gone, or that only tests call, data that nothing reads, or an import
 whose last use is gone, fails here."""
 
 import ast
@@ -148,3 +149,64 @@ def test_no_unused_imports():
               if path.name != "__init__.py"
               for line, name in _unused_imports(path)]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+_CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+               ast.SetComp)
+_FILLERS = {"append", "add", "extend", "update"}
+
+
+def _bound_containers(func):
+    """The names a function binds to a list, dict or set display or
+    comprehension, or to a call of list, dict or set."""
+    def is_container(value):
+        return isinstance(value, _CONTAINERS) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("list", "dict", "set"))
+
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) \
+                    and isinstance(node.value, ast.Tuple) \
+                    and len(target.elts) == len(node.value.elts):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and is_container(value):
+                    yield node.lineno, name.id
+
+
+def _write_only_containers(path):
+    """(line, function, name) of each local container of a function of
+    `path` whose every read is a call of one of its filling methods."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fillers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _FILLERS \
+                and isinstance(node.func.value, ast.Name):
+            fillers.add(id(node.func.value))
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loads = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)]
+        out.extend((line, func.name, name)
+                   for line, name in _bound_containers(func)
+                   if all(id(node) in fillers
+                          for node in loads if node.id == name))
+    return sorted(set(out))
+
+
+def test_no_write_only_local_containers():
+    # a local list, dict or set that is only ever appended to, added to,
+    # extended or updated is never read: its filling is dead work
+    dead = [f"{path.name}:{line}: {func}.{name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, func, name in _write_only_containers(path)]
+    assert not dead, "filled but never read: " + ", ".join(dead)

@@ -705,9 +705,7 @@ def _ref_tangency(basis, D):
     by root."""
     I0 = [i - 1 for i in sorted(D.I)]
     ok = True
-    for gamma in D.rd.roots:
-        if all(x <= 0 for x in gamma):
-            continue
+    for gamma in (r for c in D.rd for r in c.positive):
         if not _ref_one_form(basis, gamma).set_vars_zero(I0).is_zero():
             ok = False
     return ok

@@ -13,8 +13,8 @@ from saitostrata import roots, strata
 from saitostrata.algebra import (FactoredDeterminant, InvariantViolation,
                                  UNKNOWN)
 from saitostrata.exactla import IntSpan
-from saitostrata.roots import (SubsystemReport, build_root_system,
-                               reduce_to_fundamental, span_subsystem)
+from saitostrata.roots import (build_root_system, reduce_to_fundamental,
+                               span_subsystem)
 from saitostrata.saitosym import restricted_saito_det
 from saitostrata.strata import (RestrictedHyperplane, _canon_int,
                                 make_stratum, restricted_arrangement,
@@ -29,6 +29,12 @@ def _all_strata(R):
         yield from combinations(range(1, n + 1), size)
 
 
+def _positives(comps):
+    """The positive roots of a subsystem given as its component list;
+    negation is elementwise, so they fix its roots."""
+    return {r for c in comps for r in c.positive}
+
+
 class TestStratumBasics:
     def test_dimensions_and_parameters(self, root_system):
         R = root_system("B", 3)
@@ -40,7 +46,7 @@ class TestStratumBasics:
     def test_forms_kill_stratum_roots(self, root_system):
         R = root_system("A", 3)
         D = make_stratum(R, [1])
-        rd = set(D.rd.roots)
+        rd = _positives(D.rd)
         assert list(D.class_index) == list(R.positive_roots)
         outside = [b for b in R.positive_roots if b not in rd]
         assert outside
@@ -57,7 +63,7 @@ class TestStratumBasics:
         R = root_system(label, rank)
         for I in _all_strata(R):
             D = make_stratum(R, I)
-            rd = set(D.rd.roots)
+            rd = _positives(D.rd)
             outside = [b for b in R.positive_roots if b not in rd]
             flat = [b for roots in D.classes.values() for b in roots]
             assert sorted(flat) == sorted(outside)
@@ -113,11 +119,12 @@ class TestRestrictedArrangement:
                 D = make_stratum(R, I)
                 simple_I = [R.simple[i - 1] for i in sorted(I)]
                 for hp in restricted_arrangement(D):
-                    comp0 = set(hp.component0.roots)
-                    for beta in hp.roots:
+                    comp0 = set(hp.component0.positive)
+                    for beta in D.classes[hp.form]:
                         ref = _ref_span(R, simple_I + [beta])
-                        assert set(ref.roots) == set(hp.rd_beta.roots)
-                        assert ref.rank == hp.rd_beta.rank
+                        assert _positives(ref) == _positives(hp.rd_beta)
+                        assert sum(c.rank for c in ref) == \
+                            sum(c.rank for c in hp.rd_beta) == len(I) + 1
                         assert _multiset(ref) == _multiset(hp.rd_beta)
                         assert beta in comp0, (label, rank, I, hp.form)
 
@@ -125,11 +132,11 @@ class TestRestrictedArrangement:
         R = root_system("D", 4)
         for hp in restricted_arrangement(make_stratum(R, [2])):
             assert hp.k == hp.component0.coxeter_number
-            assert hp.beta in set(hp.rd_beta.roots)
+            assert hp.beta in _positives(hp.rd_beta)
 
 
-def _multiset(rep):
-    return sorted((c.type_label, c.rank, c.size) for c in rep.components)
+def _multiset(comps):
+    return sorted((c.type_label, c.rank, c.size) for c in comps)
 
 
 def _ref_restricted_arrangement(D):
@@ -148,28 +155,23 @@ def _ref_restricted_arrangement(D):
         idx = classes[form]
         members = [pos[i] for i in idx]
         comps = _ref_components(D.R, [pos[i] for i in sorted(rd_idx + idx)])
-        rep = SubsystemReport(D.rd.rank + 1, comps)
-        comp0 = next(c for c in comps if members[0] in c.roots)
-        assert all(b in set(comp0.roots) for b in members)
-        out.append(RestrictedHyperplane(form, members[0], members, rep,
-                                        comp0))
+        comp0 = next(c for c in comps if members[0] in c.positive)
+        assert all(b in set(comp0.positive) for b in members)
+        out.append(RestrictedHyperplane(form, members[0], comps, comp0))
     return out
 
 
-def _ref_q_polynomial(D, gamma_choices=None, rng=None):
+def _ref_q_polynomial(D, rng=None):
     """The Q-polynomial with the planes through gamma split afresh on
     every call: the reference for the per-root-system plane cache."""
-    comps = D.rd.components
+    comps = D.rd
     m = 2 - sum(c.rank for c in comps)
-    if gamma_choices is None:
-        positive = [[r for r in c.roots if any(x > 0 for x in r)]
-                    for c in comps]
-        gamma_choices = [rng.choice(pos) if rng is not None else pos[0]
-                         for pos in positive]
+    gammas = [rng.choice(c.positive) if rng is not None else c.positive[0]
+              for c in comps]
     forms, total = list(D.classes), Counter()
     for form, roots in D.classes.items():
         total[form] += m * len(roots)
-    for comp, g in zip(comps, gamma_choices):
+    for comp, g in zip(comps, gammas):
         piv = next(i for i, x in enumerate(g) if x)
         hyperplanes = {}
         for beta in D.R.positive_roots:
@@ -185,7 +187,7 @@ def _ref_q_polynomial(D, gamma_choices=None, rng=None):
 
 
 def _component_data(c):
-    return c.type_label, c.rank, c.size, c.roots
+    return c.type_label, c.rank, c.size, c.positive
 
 
 MERGE_STRATA = [(label, rank, size)
@@ -198,24 +200,21 @@ class TestMergedComponents:
     @pytest.mark.parametrize("label,rank,size", MERGE_STRATA)
     def test_matches_graph_search(self, root_system, label, rank, size):
         # every output of the merge equals that of one graph search per
-        # hyperplane, component order and root order included
+        # hyperplane: R_{D,beta} as a multiset of components, root order
+        # included, holding component0 exactly once
         R = root_system(label, rank)
         for I in combinations(range(1, rank + 1), size):
             D = make_stratum(R, I)
             got, ref = restricted_arrangement(D), _ref_restricted_arrangement(D)
             assert len(got) == len(ref)
             for h, r in zip(got, ref):
-                assert (h.form, h.beta, h.roots, h.k) == \
-                    (r.form, r.beta, r.roots, r.k)
-                assert h.rd_beta.rank == r.rd_beta.rank
-                assert h.rd_beta.roots == r.rd_beta.roots
-                comps, ref_comps = h.rd_beta.components, r.rd_beta.components
-                assert [_component_data(c) for c in comps] == \
-                    [_component_data(c) for c in ref_comps]
-                at = [i for i, c in enumerate(comps) if c is h.component0]
-                ref_at = [i for i, c in enumerate(ref_comps)
-                          if c is r.component0]
-                assert at == ref_at and len(at) == 1
+                assert (h.form, h.beta, h.k) == (r.form, r.beta, r.k)
+                assert sorted(map(_component_data, h.rd_beta)) == \
+                    sorted(map(_component_data, r.rd_beta))
+                assert _component_data(h.component0) == \
+                    _component_data(r.component0)
+                assert [c is h.component0 for c in h.rd_beta].count(True) \
+                    == 1
 
     @pytest.mark.parametrize("label,rank", [("A", 4), ("B", 4), ("D", 5),
                                             ("F", 4), ("E", 6), ("E", 7)])
@@ -229,10 +228,11 @@ class TestMergedComponents:
         for I in _all_strata(R):
             D = make_stratum(R, I)
             for h in restricted_arrangement(D):
-                merged = list(h.roots)
-                for c in D.rd.components:
+                members = D.classes[h.form]
+                merged = list(members)
+                for c in D.rd:
                     if any(sum(x * y for x, y in zip(rows[b], r))
-                           for b in h.roots for r in c.positive):
+                           for b in members for r in c.positive):
                         merged += c.positive
                 span = IntSpan(rank)
                 for r in merged:
@@ -287,12 +287,10 @@ def _seeded_restricted_arrangement(D):
     as a piece probed by its simple roots, by Gram dot products: the
     reference for the link by simple-root masks."""
     R = D.R
-    at = {beta: i for i, beta in enumerate(R.positive_roots)}
-    rd_comps = D.rd.components
+    rd_comps = D.rd
     simple_I = [R.simple[i - 1] for i in sorted(D.I)]
     seeds = [([a for a in simple_I if a in c.positive], [], {ci})
              for ci, c in enumerate(rd_comps)]
-    first = [min(at[r] for r in c.positive) for c in rd_comps]
     out = []
     for form in sorted(D.classes):
         members = D.classes[form]
@@ -303,14 +301,8 @@ def _seeded_restricted_arrangement(D):
         lengths = {sum(x * y for x, y in zip(R._gram_rows[b], b)) for b in ms}
         comp0 = roots.Component(ms, lengths, 1 + sum(c.rank for c in merged),
                                 merged)
-        keyed = [((-c.rank, -c.size, first[ci]), c)
-                 for ci, c in enumerate(rd_comps) if ci not in cis]
-        keyed.append(((-comp0.rank, -comp0.size,
-                       min([at[members[0]]] + [first[ci] for ci in cis])),
-                      comp0))
-        keyed.sort(key=lambda kc: kc[0])
-        rep = SubsystemReport(D.rd.rank + 1, [c for _, c in keyed])
-        out.append(RestrictedHyperplane(form, members[0], members, rep,
+        rest = [c for ci, c in enumerate(rd_comps) if ci not in cis]
+        out.append(RestrictedHyperplane(form, members[0], rest + [comp0],
                                         comp0))
     return out
 
@@ -337,8 +329,9 @@ def _parabolic_mismatches(R):
                 continue
             oracle = [] if size == n else \
                 _seeded_restricted_arrangement(strata.Stratum(R, I, ref))
-            if (got.rank, [_full_data(c) for c in got.components]) != \
-                    (ref.rank, [_full_data(c) for c in ref.components]) \
+            if sum(c.rank for c in got) != size \
+                    or [_full_data(c) for c in got] != \
+                    [_full_data(c) for c in ref] \
                     or [_hyperplane_data(h) for h in arr] != \
                     [_hyperplane_data(h) for h in oracle]:
                 bad.append(I)
@@ -346,11 +339,13 @@ def _parabolic_mismatches(R):
 
 
 def _hyperplane_data(h):
-    comps = h.rd_beta.components
-    return (h.form.coeffs, h.beta, h.roots, h.k, h.rd_beta.rank,
-            h.rd_beta.size, [_full_data(c) for c in comps],
+    """A hyperplane's data, R_{D,beta} as a sorted multiset of components
+    and the number of times component0 occurs in it."""
+    comps = h.rd_beta
+    return (h.form, h.beta, h.k, sum(c.rank for c in comps),
+            sum(c.size for c in comps), sorted(map(_full_data, comps)),
             _full_data(h.component0),
-            [i for i, c in enumerate(comps) if c is h.component0])
+            [c is h.component0 for c in comps].count(True))
 
 
 PARABOLIC_GROUPS = ([("A", r) for r in range(1, 7)]
@@ -474,21 +469,11 @@ class TestQPolynomial:
         R = root_system(label, rank)
         for I in _all_strata(R):
             D = make_stratum(R, I)
-            gammas = [g for c in D.rd.components
-                      for g in c.roots[:c.size // 2]]
+            gammas = [g for c in D.rd for g in c.positive]
             for g in gammas:
                 for members in strata._planes_through(R, g):
                     assert len({D.class_index[b] is None
                                 for b in members}) == 1
-
-    def test_gamma_validation(self, root_system):
-        R = root_system("A", 3)
-        D = make_stratum(R, [1])
-        bad = next(b for b in R.positive_roots if b not in set(D.rd.roots))
-        with pytest.raises(ValueError):
-            q_polynomial(D, gamma_choices=[bad])
-        with pytest.raises(ValueError):
-            q_polynomial(D, gamma_choices=[])
 
 
 def test_stratum_json_shape(root_system):
