@@ -16,9 +16,12 @@ using dynamic arrays, heaps, and packed exponent vectors" (CASC 2007):
 - The coefficients are int numerators over one positive denominator,
   kept in lowest terms, so the loops add and multiply ints.
 - Layouts are shared by (number of variables, field width), and a
-  polynomial's layout holds its total degree.  A binary operation moves
-  the operand on the narrower layout onto the wider one, and a product
-  whose degree the layout cannot hold moves both onto a wider one.
+  polynomial's layout holds its total degree.  Fields are never narrower
+  than a key of one 30-bit CPython digit allows, so in at most 4
+  variables every polynomial of degree up to 31 sits on the one layout
+  of its variable count.  A binary operation moves the operand on the
+  narrower layout onto the wider one, and a product whose degree the
+  layout cannot hold moves both onto a wider one.
 - The division scales the divisor to a primitive integer polynomial and
   the numerator to integers.  By Gauss's lemma, if a primitive integer
   polynomial divides an integer polynomial over Q, the quotient has
@@ -111,8 +114,12 @@ _LAYOUTS = {}
 
 
 def _layout(nvars, degree):
-    """The shared layout of the narrowest fields that hold `degree`."""
-    width = max(degree, 0).bit_length() + 1
+    """The shared layout of the narrowest fields that hold `degree`, and
+    never narrower than 30 // (nvars + 1) bits: the widest fields whose
+    packed key still fits one 30-bit CPython digit, so that the small
+    polynomials of a few variables share one layout and `move` between
+    them does nothing."""
+    width = max(max(degree, 0).bit_length() + 1, 30 // (nvars + 1))
     lay = _LAYOUTS.get((nvars, width))
     if lay is None:
         lay = _LAYOUTS[nvars, width] = _Layout(nvars, width)
@@ -286,7 +293,7 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         return MultiPoly.sum(self.nvars, (self, other))
 
@@ -297,7 +304,7 @@ class MultiPoly:
                               {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         return self + (-other)
 
@@ -306,7 +313,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         n = self.nvars
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
             c = Fraction(other)
             m = c.numerator
             return MultiPoly._new(n, self.layout,

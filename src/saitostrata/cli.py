@@ -16,15 +16,17 @@ import pickle
 import random
 import signal
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
+from math import gcd, log10
 
 from .algebra import IncompleteFactorization, factor_linear
 from .lgclassical import (StratumConfigA, StratumConfigBD, DegeneratePoint,
                           closed_form_det_A, closed_form_det_BD, kappa_A,
-                          kappa_BD, residue_metric_at, frobenius_check_at)
+                          kappa_powers, residue_metric_at, frobenius_check_at)
 from .roots import build_root_system, parse_group, reduce_to_fundamental
 from .strata import (InvariantViolation, make_stratum, predict_determinant,
                      q_polynomial, stratum_json_dict)
@@ -50,9 +52,9 @@ RESIDUAL_BOUND = 1e-8
 
 
 def worker_count():
-    """Processes `verify` spreads its strata over, the calling one
-    included: SAITO_STRATA_THREADS, default the CPUs this process may run
-    on; 1 where the platform cannot fork."""
+    """The most processes `verify` spreads its strata over, the calling
+    one included: SAITO_STRATA_THREADS, default the CPUs this process may
+    run on; 1 where the platform cannot fork."""
     raw = os.environ.get("SAITO_STRATA_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
@@ -70,18 +72,71 @@ def worker_count():
     return val if hasattr(os, "fork") else 1
 
 
+# `_fork_map` forks once the items left would take this process longer
+# than this alone.  On a 2-core machine with Python 3.11, a fork map of a
+# trivial function over two processes took 2.0-2.6 ms against 0.01 ms in
+# one (fork 0.4 ms, the child's first reply 1.1 ms, waitpid 0.7 ms), and
+# two busy processes each ran up to 1.3x slower than one: two processes
+# win past about 6 ms of work.  The mean of the first items overrates the
+# rest, as `verify` takes the costly codimension-1 strata first (after
+# its first stratum B3 reads 6-7 ms for strata that take 4-5 ms), hence
+# 10 ms
+_FORK_BREAK_EVEN_S = 0.010
+
+
 def _fork_map(fn, items, nproc):
-    """``[fn(x) for x in items]`` over `nproc` processes.  Forked child w
-    (w = 1 .. nproc-1) computes ``items[w::nproc]`` and sends the results
-    back pickled through a pipe, while this process computes
-    ``items[0::nproc]``.  Children inherit `fn` and `items`, so nothing is
-    pickled on the way in.  An exception raised in a child is re-raised
+    """``[fn(x) for x in items]`` over at most `nproc` processes.  This
+    process computes the items in order and times them.  After each one,
+    if at least two are left and the mean time so far times the number
+    left passes `_FORK_BREAK_EVEN_S`, the rest is shared
+    (`_share_queue`); so nproc = 1 forks nothing, and neither does work
+    that costs less than a fork."""
+    items = list(items)
+    out = [None] * len(items)
+    start = time.perf_counter()
+    for i, x in enumerate(items):
+        out[i] = fn(x)
+        left = len(items) - i - 1
+        spent = time.perf_counter() - start
+        if nproc > 1 and left > 1 \
+                and spent / (i + 1) * left > _FORK_BREAK_EVEN_S:
+            return _share_queue(fn, items, out, i + 1, nproc)
+    return out
+
+
+def _queue(fd):
+    """The indices in the queue pipe fd, one 4-byte record per read, until
+    the pipe is empty and its write end closed."""
+    while record := os.read(fd, 4):
+        yield int.from_bytes(record, "little")
+
+
+def _share_queue(fn, items, out, first, nproc):
+    """Fill ``out[first:]`` with fn of `items` over this process and up to
+    nproc - 1 forked children.  The indices left are written into one
+    pipe before the first fork, and every process reads one at a time
+    until the pipe is empty, so no process idles while another has a
+    queue of its own.  A child sends its (index, result) pairs back
+    pickled through a pipe.  Children inherit `fn` and `items`, so nothing
+    is pickled on the way in.  An exception raised in a child is re-raised
     here, and a child that exits without sending raises RuntimeError.  No
     child outlives the call.  A child has only the forking thread, so `fn`
     must not need another."""
+    records = b"".join(i.to_bytes(4, "little")
+                       for i in range(first, len(items)))
+    # a pipe buffers at least one 4 KiB page, so this one write never
+    # blocks: room for 1,024 indices, where `verify` has at most 254 strata
+    if len(records) > 4096:
+        raise ValueError(f"{len(items) - first} items left: more than one "
+                         f"queue write holds")
+    queue, wq = os.pipe()
+    try:
+        os.write(wq, records)
+    finally:
+        os.close(wq)
     children = []                       # (pid, w, read end), unreaped
     try:
-        for w in range(1, nproc):
+        for w in range(1, min(nproc, len(items) - first)):
             r, wfd = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -90,7 +145,7 @@ def _fork_map(fn, items, nproc):
                     os.close(r)
                     try:
                         data = pickle.dumps(
-                            (True, [fn(x) for x in items[w::nproc]]))
+                            (True, [(i, fn(items[i])) for i in _queue(queue)]))
                     except BaseException as exc:
                         data = pickle.dumps((False, exc))
                     with os.fdopen(wfd, "wb") as pipe:
@@ -103,8 +158,8 @@ def _fork_map(fn, items, nproc):
             # open and the child's exit ends it
             os.close(wfd)
             children.append((pid, w, os.fdopen(r, "rb")))
-        out = [None] * len(items)
-        out[0::nproc] = [fn(x) for x in items[0::nproc]]
+        for i in _queue(queue):
+            out[i] = fn(items[i])
         while children:
             pid, w, pipe = children[0]
             data = pipe.read()
@@ -118,9 +173,11 @@ def _fork_map(fn, items, nproc):
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            out[w::nproc] = value
+            for i, result in value:
+                out[i] = result
         return out
     finally:
+        os.close(queue)
         for pid, _, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -336,20 +393,78 @@ def _incomplete(report, exc: IncompleteFactorization):
     return report
 
 
+def _coprime_powers(powers):
+    """The pairs (q, E) with prod q^E = prod b^e over the pairs (b, e) of
+    powers, E != 0 and the q pairwise coprime, so that the E > 0 give the
+    reduced numerator and the E < 0 the reduced denominator.  The bases
+    are split by gcds until they are coprime, and nothing is factored."""
+    base, todo = [], [b for b, _ in powers]
+    while todo:
+        y = todo.pop()
+        if y == 1:
+            continue
+        for i, q in enumerate(base):
+            g = gcd(y, q)
+            if g > 1:
+                del base[i]
+                todo += [q // g, g, y // g]
+                break
+        else:
+            base.append(y)
+    out = []
+    for q in base:
+        E = 0
+        for b, e in powers:
+            while b % q == 0:
+                b //= q
+                E += e
+        if E:
+            out.append((q, E))
+    return out
+
+
+def _refuse_long_kappa(cfg, source):
+    """Refuse, with the text `_exact_strs` gives after computing it, a
+    kappa whose reduced numerator or denominator certainly has more digits
+    than Python converts to a string, before kappa or the closed form is
+    computed.  The digits come from kappa = sign prod b^e
+    (`kappa_powers`): a side of prod b^e has fewer than sum e log10 b + 1.
+    When the unreduced sides print, so do the reduced ones; else the
+    reduced sides are read off `_coprime_powers`.  A margin of one digit
+    covers rounding, and what falls inside it is computed as before."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+
+    def longest(powers):
+        return max(sum(e * log10(b) for b, e in powers if e > 0),
+                   sum(-e * log10(b) for b, e in powers if e < 0))
+    _, powers = kappa_powers(cfg)
+    if longest(powers) < limit - 1:
+        return
+    if longest(_coprime_powers(powers)) > limit + 1:
+        # 10^limit has limit + 1 digits: the refusal, with its own text
+        _exact_strs([10 ** limit], source)
+
+
 def cmd_classical(args):
     mults = _parse_ints(args.mult, "--mult")
+    source = "--mult" if args.type == "A" else "--mult or --m"
     try:
         if args.type == "A":
             if args.m is not None:
                 raise InputError("--m applies only to types B and D")
             cfg = StratumConfigA(mults)
+            _refuse_long_kappa(cfg, source)
             fd = closed_form_det_A(cfg)
             kap = kappa_A(cfg)
         else:
             m = 0 if args.m is None else args.m
             cfg = StratumConfigBD(m, mults, kind=args.type)
+            if cfg.m + min(cfg.mults) >= 0:     # else the closed form refuses
+                _refuse_long_kappa(cfg, source)
             fd = closed_form_det_BD(cfg)
-            kap = kappa_BD(cfg)
+            kap = fd.coefficient                # kappa itself on B/D
     except ValueError as exc:
         if isinstance(exc, InputError):
             raise
@@ -358,8 +473,7 @@ def cmd_classical(args):
         "subcommand": "classical",
         "type": args.type,
         "mults": mults,
-        "kappa": _exact_strs([kap], "--mult" if args.type == "A"
-                             else "--mult or --m")[0],
+        "kappa": _exact_strs([kap], source)[0],
         "factors": _factor_list(fd.factors),
     }
     if args.type != "A":

@@ -209,26 +209,49 @@ def _interlaced_roots(coeffs, brackets):
 # ---------------------------------------------------------------------------
 # closed forms
 
+def kappa_powers(cfg):
+    """(sign, powers) with kappa = sign * prod b^e over the pairs (b, e) in
+    powers: each base b a positive integer, each exponent e a nonzero
+    integer, negative for a factor of the denominator.  Type A:
+    kappa = sign prod_{a>=1} m_a^2 prod_{a>=0} m_a^(m_a - 1) / (n+1)^n.
+    Types B/D: kappa = sign 2^d m^m N^-N prod m_a^(m_a + 1), with 0^0 = 1,
+    and a negative m or N gives its sign to its odd powers."""
+    if isinstance(cfg, StratumConfigA):
+        m, n, d = cfg.mults, cfg.n, cfg.d
+        sign = (-1) ** (sum(i * m[i] for i in range(1, d + 1)) + n * d)
+        powers = [(n + 1, -n)] + [(m[a], 2) for a in range(1, d + 1)] \
+            + [(x, x - 1) for x in m]
+    else:
+        m, mults, N, d = cfg.m, cfg.mults, cfg.N, cfg.d
+        sign = (-1) ** (d * d + d * (N - m)
+                        + sum(i * mults[i] for i in range(1, d)))
+        if m < 0 and m % 2:
+            sign = -sign
+        if N < 0 and N % 2:
+            sign = -sign
+        powers = [(2, d), (abs(m), m), (abs(N), -N)] \
+            + [(x, x + 1) for x in mults]
+    return sign, [(b, e) for b, e in powers if e and b != 1]
+
+
+def _kappa(cfg) -> Fraction:
+    """kappa from `kappa_powers`: one product per side, then one Fraction."""
+    sign, powers = kappa_powers(cfg)
+    num = den = 1
+    for b, e in powers:
+        if e > 0:
+            num *= b ** e
+        else:
+            den *= b ** -e
+    return Fraction(sign * num, den)
+
+
 def kappa_A(cfg: StratumConfigA) -> Fraction:
-    m, n, d = cfg.mults, cfg.n, cfg.d
-    sign = (-1) ** (sum(i * m[i] for i in range(1, d + 1)) + n * d)
-    val = Fraction(sign, (n + 1) ** n)
-    for a in range(1, d + 1):
-        val *= m[a] ** 2
-    for a in range(0, d + 1):
-        val *= Fraction(m[a]) ** (m[a] - 1)
-    return val
+    return _kappa(cfg)
 
 
 def kappa_BD(cfg: StratumConfigBD) -> Fraction:
-    m, mults, N, d = cfg.m, cfg.mults, cfg.N, cfg.d
-    sign = (-1) ** (d * d + d * (N - m) + sum(i * mults[i] for i in range(1, d)))
-    val = Fraction(sign * 2 ** d)
-    val *= Fraction(m) ** m if m != 0 else 1          # 0^0 = 1 convention
-    val *= Fraction(1, N ** N) if N > 0 else Fraction(N) ** (-N)
-    for a in range(d):
-        val *= Fraction(mults[a]) ** (mults[a] + 1)
-    return val
+    return _kappa(cfg)
 
 
 def closed_form_det_A(cfg: StratumConfigA) -> FactoredDeterminant:

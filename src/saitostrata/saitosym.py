@@ -13,8 +13,9 @@ setting z_i = 0 for i in I, and the directional derivatives are
 
 The convolution g^{ab} and the covariant metric, restricted or not, are
 one Gram contraction (`_gram`) of gradient rows against a constant matrix.
-A basis builds its Jacobian, its minors and the inverse identity 1-form
-once, so the per-stratum work is restriction plus one determinant.
+A basis builds its Jacobian and its minors once, on first read, and the
+inverse identity 1-form once per check, so the per-stratum work is
+restriction plus one determinant.
 
 `express_in_invariants` finds the coefficients of an invariant q of degree
 d in a basis from q's own coefficients, and certifies them by exact
@@ -33,9 +34,10 @@ homogeneous W-invariants of the degrees of W: J is then anti-invariant,
 so each mirror form divides it, and deg J = sum (d_i - 1) = |R+|.
 `_certify_forms` certifies the invariance of `basic_invariants`, and
 every other basis is a polynomial in them.  c is read at z_0 = (1, ...,
-1), where each positive root is its height, and c != 0 is algebraic
-independence.  The Jacobi matrix's determinant, expanded, is an oracle
-in the tests.
+1), where each positive root is its height and the Jacobi matrix is the
+gradients of the p^i there times the Gram matrix, and c != 0 is
+algebraic independence.  The Jacobi matrix's determinant, expanded, is
+an oracle in the tests.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import isqrt, prod
+from operator import mul
 
 from .algebra import (MultiPoly, FactoredDeterminant, poly_det, minor_table,
                       divide_exact, try_divide, factor_linear,
@@ -71,12 +74,12 @@ class SolverFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # frames and derivatives
 
-def _d_root(R: RootSystem, f: MultiPoly, beta):
-    """Directional derivative along the root with coefficient tuple beta."""
-    cs = [sum(R._gram[k][j] * b for j, b in enumerate(beta))
-          for k in range(R.rank)]
-    return MultiPoly.sum(f.nvars,
-                         (f.diff(k) * c for k, c in enumerate(cs) if c))
+def _gradient_at_ones(p: MultiPoly):
+    """(d_k p)(1, ..., 1) for each variable k: the sum over p's terms of
+    the coefficient times the exponent of z_k, read off the packed terms."""
+    coeffs = list(p.nums.values())
+    return [Fraction(sum(map(mul, coeffs, col)), p.den)
+            for col in zip(*map(p.layout.exponents, p.nums))]
 
 
 def _gram(rows, C):
@@ -138,19 +141,28 @@ class InvariantBasis:
         # degree the plan of `express_in_invariants` (`_coefficient_plan`)
         self._mono_cache = {}
         self._coefficient_plans = {}
-        self.jacobian = self._jacobian_matrix()
-        z0 = [1] * R.rank
+        # J(z0) = grad p(z0) times the Gram matrix, so c is read off one
+        # n x n rational matrix, without the Jacobian's polynomials
         self.jacobian_scale = det_fraction(
-            [[f.evaluate(z0) for f in row] for row in self.jacobian]) \
+            matmul([_gradient_at_ones(p) for p in self.polys], R._gram)) \
             / prod(sum(beta) for beta in R.positive_roots)
         if not self.jacobian_scale:
             raise DegenerateBasis(
                 "Jacobian vanishes: invariants are algebraically dependent; "
                 "perturb by products of lower invariants")
 
-    def _jacobian_matrix(self):
-        R = self.R
-        return [[_d_root(R, p, alpha) for alpha in R.simple]
+    @cached_property
+    def jacobian(self):
+        """The directional Jacobi matrix (d p^i / d alpha_j), built on first
+        read; nothing reads the one of the basic basis in
+        `flat_coordinates`.  As d/d(alpha_j) = sum_k (alpha_k, alpha_j)
+        d/dz_k, row i is one `int_combinations` of p^i's n partial
+        derivatives against the integer Gram matrix `_igram`, scaled by
+        the one rational that takes `_igram` to the Gram matrix."""
+        R, n = self.R, self.R.rank
+        scale = R._gram[0][0] / R._igram[0][0]
+        return [[f * scale for f in MultiPoly.int_combinations(
+                    n, [p.diff(k) for k in range(n)], R._igram)]
                 for p in self.polys]
 
     @cached_property

@@ -218,9 +218,9 @@ def _ref_quotient(numerator, divisor):
 
 
 def _widened(p, degree):
-    """p on the shared layout that holds total degree `degree` (and its
-    own), wider than the one p needs when `degree` passes p's layout."""
-    lay = _layout(p.nvars, max(degree, p.degree()))
+    """p on the shared layout that holds total degree `degree` and one
+    more than p's own layout holds, so always a wider one than p's."""
+    lay = _layout(p.nvars, max(degree, p.layout.degree + 1))
     return MultiPoly._new(p.nvars, lay, p.layout.move(p.nums, lay), p.den)
 
 
@@ -428,7 +428,7 @@ class TestIntegerKernels:
     def test_one_polynomial_on_two_layouts_and_denominators(self):
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         p = x * Fraction(1, 3) + y * 2
-        q = x ** 40 * 3 + y * Fraction(1, 7)
+        q = x ** 600 * 3 + y * Fraction(1, 7)
         # p * q has denominator 21 and needs wider fields than p
         r = (p * q) // q
         assert r.layout is not p.layout

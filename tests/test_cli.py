@@ -7,8 +7,10 @@ import json
 import os
 import hashlib
 import random
+import signal
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from collections import Counter
 from fractions import Fraction
@@ -190,6 +192,41 @@ class TestClassical:
         assert json.loads(captured.err)["error"].startswith(
             f"{source} gives values too long to print: ")
 
+    @pytest.mark.parametrize("argv,source", [
+        (["--type", "A", "--mult", "100000,1"], "--mult"),
+        (["--type", "B", "--mult", "1", "--m", "100000"], "--mult or --m")])
+    def test_kappa_past_the_digit_limit_is_refused_before_it_is_computed(
+            self, capsys, monkeypatch, argv, source):
+        # with the text of the refusal after computing it; kappa and the
+        # closed form would take seconds here
+        def never(cfg):
+            raise AssertionError("computed")
+
+        for name in ("kappa_A", "closed_form_det_A", "closed_form_det_BD"):
+            monkeypatch.setattr(cli, name, never)
+        try:
+            str(10 ** sys.get_int_max_str_digits())
+        except ValueError as exc:
+            text = f"{source} gives values too long to print: {exc}"
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["classical"] + argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": text}
+
+    def test_kappa_just_under_the_digit_limit_prints(self, capsys):
+        # kappa = 7000 / 2^13999 = 875 / 2^13996, 4214 digits in its
+        # denominator; its unreduced sides pass the 4300-digit limit, so
+        # it is computed, not refused
+        status, rep = run_json(capsys, "classical", "--type", "A",
+                               "--mult", "7000,7000")
+        assert status == 0
+        num, den = rep["kappa"].split("/")
+        assert abs(int(num)) == 875 and int(den) == 2 ** 13996
+        assert len(den) == 4214 < sys.get_int_max_str_digits()
+
     def test_input_validation(self, capsys):
         assert main(["classical", "--type", "A", "--mult", "2,1",
                      "--m", "1"]) == 2
@@ -327,8 +364,9 @@ class TestVerify:
 
     def test_aggregation_independent_of_worker_count(self, capsys,
                                                      monkeypatch):
-        # B3 has 6 strata (4 workers take 2/2/1/1 of them); B2 has 2, so
-        # 5 workers are more than it has strata
+        # forked after the first stratum: B3 has 6 strata, 5 left for up to
+        # 4 processes; B2 has 2, so 5 workers are more than it has strata
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
         for group, counts in (("B3", "1234"), ("B2", "15")):
             for flags in (["--skip-symbolic"], []):
                 outs = set()
@@ -338,40 +376,112 @@ class TestVerify:
                                  *flags))
                 assert len(outs) == 1
 
-    def test_fork_map_interleaves_and_keeps_order(self):
-        got = cli._fork_map(lambda x: (x * x, os.getpid()), range(7), 3)
+    def test_fork_map_keeps_order_over_one_queue(self, monkeypatch):
+        # forced to fork after the first item; before its first item from
+        # the queue this process waits until a child has computed one
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
+        parent = os.getpid()
+        r, w = os.pipe()
+        waited = []
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.write(w, b"x")
+            elif x and not waited:
+                waited.append(os.read(r, 1))
+            return x * x, os.getpid()
+
+        try:
+            got = cli._fork_map(fn, range(7), 3)
+        finally:
+            os.close(r)
+            os.close(w)
         assert [sq for sq, _ in got] == [x * x for x in range(7)]
         pids = [pid for _, pid in got]
-        assert set(pids[0::3]) == {os.getpid()}
-        workers = [set(pids[w::3]) for w in (1, 2)]
-        assert all(len(p) == 1 for p in workers)
-        assert len(set.union(*workers) | {os.getpid()}) == 3
+        assert pids[0] == parent and set(pids[1:]) - {parent}
+        assert len(set(pids)) <= 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("bad,exit_in_child,expected,match", [
-        ((2,), False, _StratumFault, None),
-        ((1, 3), False, _StratumFault, None),
-        ((2, 3), True, RuntimeError, "exit code 3"),
+    def test_fork_map_never_forks_for_one_item_left(self, monkeypatch):
+        # however slow the items, the last one is computed here
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
+        monkeypatch.setattr(os, "fork", None)
+        assert cli._fork_map(lambda x: -x, range(2), 2) == [0, -1]
+
+    def test_fork_map_refuses_a_queue_one_write_cannot_hold(self,
+                                                             monkeypatch):
+        # refused before any fork: os.fork is not callable here
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
+        monkeypatch.setattr(os, "fork", None)
+        with pytest.raises(ValueError, match="1025 items left"):
+            cli._fork_map(lambda x: x, range(1026), 2)
+
+    @pytest.mark.parametrize("group,flags,threads,forks", [
+        ("B3", [], "2", 0),
+        ("E7", ["--skip-symbolic"], "2", 1),
+        ("E7", ["--skip-symbolic"], "1", 0),
+    ], ids=["B3", "E7", "E7-one-process"])
+    def test_verify_forks_once_the_strata_left_outweigh_a_fork(
+            self, capsys, monkeypatch, group, flags, threads, forks):
+        # B3's strata together take less time than a fork; E7 forks one
+        # child after its first stratum, unless one process is asked for.
+        # A first run in one process builds the group and its caches, so
+        # that the count reads the strata alone
+        real = os.fork
+        calls = []
+
+        def counted():
+            calls.append(group)
+            return real()
+
+        monkeypatch.setenv("SAITO_STRATA_THREADS", "1")
+        run(capsys, "verify", "--group", group, *flags)
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setenv("SAITO_STRATA_THREADS", threads)
+        status, _ = run(capsys, "verify", "--group", group, *flags)
+        assert status == 0 and len(calls) == forks
+
+    @pytest.mark.parametrize("where,expected,match", [
+        ("child", _StratumFault, None),
+        ("parent", _StratumFault, None),
+        ("child-exits", RuntimeError, "exit code 3"),
     ], ids=["child", "parent", "child-exits"])
     def test_failed_stratum_raises_and_leaves_no_child(
-            self, monkeypatch, bad, exit_in_child, expected, match):
-        # with 2 workers on B3's strata (1,) (2,) (3,) (1,2) (1,3) (2,3),
-        # the calling process takes (1,) (3,) (1,3), the child the rest
+            self, monkeypatch, where, expected, match):
+        # with 2 workers forced to fork after B3's first stratum (1,), the
+        # child fails on the first stratum it takes, or this process on
+        # its first from the queue, which it takes only once the child has
+        # taken one; in "parent" the child then waits to be killed
         real = cli._verify_stratum
         parent = os.getpid()
+        r, w = os.pipe()
+        waited = []
 
         def failing(R, basis, I):
-            if I != bad:
-                return real(R, basis, I)
-            if exit_in_child and os.getpid() != parent:
-                os._exit(3)
-            raise _StratumFault(I)
+            if os.getpid() != parent:
+                os.write(w, b"x")
+                if where == "child-exits":
+                    os._exit(3)
+                if where == "child":
+                    raise _StratumFault(I)
+                signal.pause()
+            elif I != (1,) and not waited:
+                waited.append(os.read(r, 1))
+                if where == "parent":
+                    raise _StratumFault(I)
+            return real(R, basis, I)
 
         monkeypatch.setattr(cli, "_verify_stratum", failing)
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
         monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
-        with pytest.raises(expected, match=match):
-            main(["verify", "--group", "B3", "--skip-symbolic"])
+        try:
+            with pytest.raises(expected, match=match):
+                main(["verify", "--group", "B3", "--skip-symbolic"])
+        finally:
+            os.close(r)
+            os.close(w)
+        assert waited
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -406,6 +516,7 @@ class TestVerify:
             return fd
 
         monkeypatch.setattr(cli, "predict_determinant", swapped)
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
         monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
         status, rep = run_json(capsys, "verify", "--group", "B3")
         assert status == 1 and rep["passed"] is False
@@ -748,6 +859,7 @@ class TestGroupMemo:
                 "--invariants", "1,2")
         for argv in dets[::-1]:
             assert run(capsys, *argv) == cold[argv]
+        monkeypatch.setattr(cli, "_FORK_BREAK_EVEN_S", 0)
         monkeypatch.setenv("SAITO_STRATA_THREADS", "2")
         assert run(capsys, *verify) == cold[verify]
 

@@ -24,13 +24,28 @@ from saitostrata.saitosym import (InvariantBasis, basic_invariants,
                                   restricted_saito_det, general_formula_det,
                                   frame_constant, identity_field_checks,
                                   DegenerateBasis, _antidiag,
-                                  _certify_forms, _d_root,
-                                  _identity_one_form, _identity_tangency,
+                                  _certify_forms, _identity_one_form, _identity_tangency,
                                   _sqrt_fraction)
 
 from conftest import bareiss_det
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4)]
+
+
+def _d_root(R, f, beta):
+    """The directional derivative of f along the root with coefficient
+    tuple beta, one Fraction-scaled partial derivative at a time."""
+    cs = [sum(R._gram[k][j] * b for j, b in enumerate(beta))
+          for k in range(R.rank)]
+    return MultiPoly.sum(f.nvars,
+                         (f.diff(k) * c for k, c in enumerate(cs) if c))
+
+
+def _oracle_jacobian(basis):
+    """The directional Jacobi matrix of a basis, entry by entry by
+    `_d_root`: the oracle of `InvariantBasis.jacobian`."""
+    return [[_d_root(basis.R, p, alpha) for alpha in basis.R.simple]
+            for p in basis.polys]
 
 
 def _all_strata(R):
@@ -277,6 +292,26 @@ class TestJacobianRule:
     @pytest.mark.parametrize("a,b", [(3, 5), (Fraction(-1, 2), 24)])
     def test_quartic_family_matches_bareiss(self, a, b):
         _assert_jacobian_rule(quartic_family_d3(a, b))
+
+    @pytest.mark.parametrize("label,rank", [
+        ("A", r) for r in range(2, 6)] + [("B", r) for r in range(2, 6)]
+        + [("D", r) for r in range(3, 6)] + [("F", 4)])
+    def test_lazy_jacobian_matches_the_oracle(self, root_system, label,
+                                              rank):
+        # the flat solve never reads the basic basis's Jacobian; read, a
+        # Jacobian is the oracle's, and c is the oracle's J(z0) over the
+        # product of the heights
+        R = root_system(label, rank)
+        base = basic_invariants(R)
+        fb = saitosym.flat_coordinates(R, base)
+        assert "jacobian" not in base.__dict__
+        heights = prod(sum(beta) for beta in R.positive_roots)
+        for basis in (base, fb):
+            want = _oracle_jacobian(basis)
+            assert basis.jacobian == want
+            assert basis.jacobian_scale == det_fraction(
+                [[f.evaluate([1] * rank) for f in row] for row in want]) \
+                / heights
 
     def test_b5_basic_basis_matches_bareiss(self, root_system):
         # the 5 x 5 expansion the rule replaced, a few seconds of Bareiss
@@ -733,7 +768,7 @@ def _perturbed(fb):
     bad.polys = list(fb.polys)
     bad.polys[1] = bad.polys[1] + MultiPoly.variable(fb.R.rank, 0) \
         ** fb.degrees[1]
-    bad.jacobian = bad._jacobian_matrix()
+    bad.jacobian = _oracle_jacobian(bad)
     return bad
 
 
